@@ -112,11 +112,10 @@ def _cmd_stats(args) -> int:
 
 def _cmd_bound(args) -> int:
     cfg = load_config(args.config)
-    clouds = _dataset(cfg, "val") if cfg.data.kind == "files" else [
-        (f"scene_{i:04d}", generate_synthetic_scene(
-            SyntheticSceneSpec(seed=cfg.stats.seed + i, num_points=cfg.stats.points)))
-        for i in range(cfg.stats.scenes)
-    ]
+    if cfg.data.kind == "files":
+        clouds = _dataset(cfg, "val")
+    else:
+        clouds = [(f"scene_{i:04d}", c) for i, c in enumerate(_stats_clouds(cfg))]
     k = SYNTH_NUM_CLASSES if cfg.data.kind != "files" else cfg.network.num_classes
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)

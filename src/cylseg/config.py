@@ -9,44 +9,16 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
-from .network import BLOCK_VARIANTS, NetworkConfig
+from .network import NetworkConfig
 from .partition import DEFAULT_DISTANCE_EDGES, CubicGridSpec, CylGridSpec
 from .pointcloud import LabelMap
 
 
 class ConfigError(Exception):
     """Invalid or malformed run configuration."""
-
-
-_KNOWN_KEYS = {
-    "grid": {"rho_min", "rho_max", "z_min", "z_max", "radius_bins", "azimuth_bins", "height_bins"},
-    "cubic": {"x_min", "x_max", "y_min", "y_max", "z_min", "z_max", "x_bins", "y_bins", "z_bins"},
-    "network": {
-        "num_classes",
-        "base_channels",
-        "stages",
-        "block_variant",
-        "point_mlp_widths",
-        "leaky_slope",
-    },
-    "labels": {"ignore_id"},
-    "labelmap": None,  # free-form: raw id = train id
-    "data": {
-        "kind",
-        "train_scenes",
-        "val_scenes",
-        "points",
-        "seed",
-        "max_range",
-        "scans",
-        "labels",
-    },
-    "train": {"epochs", "lr", "seed"},
-    "stats": {"scenes", "points", "seed", "edges"},
-}
 
 
 @dataclass
@@ -71,9 +43,28 @@ class TrainConfig:
 @dataclass
 class StatsConfig:
     scenes: int = 20
-    points: int = 524288
+    points: int = 131072
     seed: int = 0
     edges: Tuple[float, ...] = tuple(DEFAULT_DISTANCE_EDGES)
+
+
+_KNOWN_KEYS = {
+    "grid": {"rho_min", "rho_max", "z_min", "z_max", "radius_bins", "azimuth_bins", "height_bins"},
+    "cubic": {"x_min", "x_max", "y_min", "y_max", "z_min", "z_max", "x_bins", "y_bins", "z_bins"},
+    "network": {
+        "num_classes",
+        "base_channels",
+        "stages",
+        "block_variant",
+        "point_mlp_widths",
+        "leaky_slope",
+    },
+    "labels": {"ignore_id"},
+    "labelmap": None,  # free-form: raw id = train id
+    "data": {f.name for f in fields(DataConfig)},
+    "train": {f.name for f in fields(TrainConfig)},
+    "stats": {f.name for f in fields(StatsConfig)},
+}
 
 
 @dataclass
@@ -107,6 +98,18 @@ def _section_reader(cp, section):
         return _parse(conv, section, key, keys.pop(key))
 
     return get
+
+
+def _read_section(cp, section, cls, **convs):
+    """Build dataclass ``cls`` from a section; absent keys keep its defaults."""
+    get = _section_reader(cp, section)
+    defaults = cls()
+    values = {}
+    for f in fields(cls):
+        default = getattr(defaults, f.name)
+        conv = convs.get(f.name, str if default is None else type(default))
+        values[f.name] = get(f.name, default, conv)
+    return cls(**values)
 
 
 def _train_id(value: str, ignore_id: int) -> int:
@@ -200,8 +203,6 @@ def load_config(path) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"[network]: {exc}") from None
-    if network.block_variant not in BLOCK_VARIANTS:
-        raise ConfigError(f"[network] block_variant must be one of {BLOCK_VARIANTS}")
 
     label_map = None
     if cp.has_section("labelmap"):
@@ -213,17 +214,7 @@ def load_config(path) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"[labelmap]: {exc}") from None
 
-    get = _section_reader(cp, "data")
-    data = DataConfig(
-        kind=get("kind", "synthetic"),
-        train_scenes=get("train_scenes", 12, int),
-        val_scenes=get("val_scenes", 4, int),
-        points=get("points", 4096, int),
-        seed=get("seed", 0, int),
-        max_range=get("max_range", 50.0, float),
-        scans=get("scans", None),
-        labels=get("labels", None),
-    )
+    data = _read_section(cp, "data", DataConfig)
     if data.kind not in ("synthetic", "files"):
         raise ConfigError(f"[data] kind must be 'synthetic' or 'files', got {data.kind!r}")
     if data.kind == "files" and not data.scans:
@@ -231,16 +222,9 @@ def load_config(path) -> RunConfig:
     if data.kind == "synthetic" and (data.train_scenes < 1 or data.points < 64):
         raise ConfigError("[data] synthetic needs train_scenes >= 1 and points >= 64")
 
-    get = _section_reader(cp, "train")
-    train = TrainConfig(
-        epochs=get("epochs", 10, int),
-        lr=get("lr", 1e-3, float),
-        seed=get("seed", 0, int),
-    )
+    train = _read_section(cp, "train", TrainConfig)
     if train.epochs < 1 or train.lr <= 0:
         raise ConfigError("[train] epochs must be >= 1 and lr > 0")
-
-    get = _section_reader(cp, "stats")
 
     def _edges(raw):
         vals = tuple(float(v) for v in raw.split(",") if v.strip())
@@ -248,12 +232,7 @@ def load_config(path) -> RunConfig:
             raise ValueError("edges must be at least two increasing numbers")
         return vals
 
-    stats = StatsConfig(
-        scenes=get("scenes", 20, int),
-        points=get("points", 131072, int),
-        seed=get("seed", 0, int),
-        edges=get("edges", tuple(DEFAULT_DISTANCE_EDGES), _edges),
-    )
+    stats = _read_section(cp, "stats", StatsConfig, edges=_edges)
     if stats.scenes < 1 or stats.points < 64:
         raise ConfigError("[stats] scenes must be >= 1 and points >= 64")
 

@@ -110,44 +110,43 @@ class RulebookCache:
 
 
 class Module:
-    """Parameter bookkeeping shared by all layers and blocks."""
+    """Parameter bookkeeping shared by all layers and blocks.
+
+    A leaf layer registers its tensors once with ``declare``; blocks list
+    their sub-modules in ``children``. Blocks own no tensors themselves.
+    """
+
+    params: dict = {}
+    grads: dict = {}
+    state: dict = {}
+
+    def declare(self, params: dict, state: Optional[dict] = None) -> None:
+        """Register parameters (with zeroed gradient buffers) and running state."""
+        self.params = params
+        self.grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+        self.state = state or {}
 
     def children(self):
         return []
 
-    def own_params(self):
-        return {}
-
-    def own_state(self):
-        return {}
-
-    def own_grads(self):
-        return {}
-
-    def zero_own_grads(self):
-        pass
-
-    def _collect(self, getter, prefix=""):
-        out = {}
-        for key, value in getter(self).items():
-            out[prefix + key] = value
+    def _collect(self, attr, prefix=""):
+        out = {prefix + key: value for key, value in getattr(self, attr).items()}
         for name, child in self.children():
-            out.update(child._collect(getter, prefix + name + "."))
+            out.update(child._collect(attr, prefix + name + "."))
         return out
 
     def named_params(self, prefix=""):
-        return self._collect(lambda m: m.own_params(), prefix)
+        return self._collect("params", prefix)
 
     def named_state(self, prefix=""):
-        return self._collect(lambda m: m.own_state(), prefix)
+        return self._collect("state", prefix)
 
     def named_grads(self, prefix=""):
-        return self._collect(lambda m: m.own_grads(), prefix)
+        return self._collect("grads", prefix)
 
     def zero_grads(self):
-        self.zero_own_grads()
-        for _, child in self.children():
-            child.zero_grads()
+        for grad in self.named_grads().values():
+            grad[...] = 0.0
 
     def load_tensor_dict(self, tensors: dict) -> None:
         """Copy values into this module's parameters and state, by name."""
@@ -168,141 +167,64 @@ class Affine(Module):
         bound = np.sqrt(6.0 / (c_in + c_out))
         self.weight = rng.uniform(-bound, bound, (c_in, c_out))
         self.bias = np.zeros(c_out)
-        self.g_weight = np.zeros_like(self.weight)
-        self.g_bias = np.zeros_like(self.bias)
-
-    def own_params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    def own_grads(self):
-        return {"weight": self.g_weight, "bias": self.g_bias}
-
-    def zero_own_grads(self):
-        self.g_weight[...] = 0.0
-        self.g_bias[...] = 0.0
+        self.declare({"weight": self.weight, "bias": self.bias})
 
     def forward(self, feats, training):
         return feats @ self.weight + self.bias, feats
 
     def backward(self, grad, ctx):
-        self.g_weight += ctx.T @ grad
-        self.g_bias += grad.sum(axis=0)
+        self.grads["weight"] += ctx.T @ grad
+        self.grads["bias"] += grad.sum(axis=0)
         return grad @ self.weight.T
 
 
 class BatchNorm(Module):
     def __init__(self, channels):
         self.norm = init_norm_params(channels)
-        self.g_scale = np.zeros(channels)
-        self.g_shift = np.zeros(channels)
-
-    def own_params(self):
-        return {"scale": self.norm.scale, "shift": self.norm.shift}
-
-    def own_state(self):
-        return {
-            "running_mean": self.norm.running_mean,
-            "running_var": self.norm.running_var,
-        }
-
-    def own_grads(self):
-        return {"scale": self.g_scale, "shift": self.g_shift}
-
-    def zero_own_grads(self):
-        self.g_scale[...] = 0.0
-        self.g_shift[...] = 0.0
+        self.declare(
+            {"scale": self.norm.scale, "shift": self.norm.shift},
+            {"running_mean": self.norm.running_mean, "running_var": self.norm.running_var},
+        )
 
     def forward(self, feats, training):
         return batch_norm_forward(feats, self.norm, training)
 
     def backward(self, grad, ctx):
         grad_in, g_scale, g_shift = batch_norm_backward(grad, ctx)
-        self.g_scale += g_scale
-        self.g_shift += g_shift
+        self.grads["scale"] += g_scale
+        self.grads["shift"] += g_shift
         return grad_in
 
 
-class SubmConv(Module):
-    """Submanifold sparse convolution; output sites equal input sites."""
-
-    def __init__(self, size, c_in, c_out, rng):
-        self.kernel = KernelSpec(size)
-        self.params = init_conv_params(self.kernel, c_in, c_out, rng)
-        self.g_weights = np.zeros_like(self.params.weights)
-        self.g_bias = np.zeros_like(self.params.bias)
-
-    def own_params(self):
-        return {"weights": self.params.weights, "bias": self.params.bias}
-
-    def own_grads(self):
-        return {"weights": self.g_weights, "bias": self.g_bias}
-
-    def zero_own_grads(self):
-        self.g_weights[...] = 0.0
-        self.g_bias[...] = 0.0
-
-    def forward(self, x, cache, training):
-        rb = cache.get(x, self.kernel)
-        return sparse_conv_forward(x, self.params, rb), (x, rb)
-
-    def backward(self, grad, ctx):
-        x, rb = ctx
-        grad_in, gw, gb = sparse_conv_backward(x, self.params, rb, grad)
-        self.g_weights += gw
-        self.g_bias += gb
-        return grad_in
+DOWNSAMPLE = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
 
 
-class StridedConv(Module):
-    """3x3x3 stride-(2,2,2) downsampling convolution."""
+class Conv(Module):
+    """Sparse convolution over a rulebook: submanifold, strided or inverse.
 
-    def __init__(self, c_in, c_out, rng):
-        self.kernel = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
-        self.params = init_conv_params(self.kernel, c_in, c_out, rng)
-        self.g_weights = np.zeros_like(self.params.weights)
-        self.g_bias = np.zeros_like(self.params.bias)
+    The inverse variant runs the transposed convolution through the stored
+    rulebook of the downsampling conv it mirrors, back to that conv's input
+    sites; it is given that conv's kernel.
+    """
 
-    own_params = SubmConv.own_params
-    own_grads = SubmConv.own_grads
-    zero_own_grads = SubmConv.zero_own_grads
+    def __init__(self, kernel: KernelSpec, c_in, c_out, rng, inverse=False):
+        self.kernel = kernel
+        self.inverse = inverse
+        self.conv_params = init_conv_params(kernel, c_in, c_out, rng)
+        self.declare({"weights": self.conv_params.weights, "bias": self.conv_params.bias})
 
-    def forward(self, x, cache, training):
-        rb = cache.get(x, self.kernel)
-        return sparse_conv_forward(x, self.params, rb), rb, (x, rb)
+    def forward(self, x, rb, training):
+        if rb.kernel != self.kernel:
+            raise ValueError("rulebook kernel does not match the layer's")
+        conv = inverse_conv_forward if self.inverse else sparse_conv_forward
+        return conv(x, self.conv_params, rb), (x, rb)
 
     def backward(self, grad, ctx):
         x, rb = ctx
-        grad_in, gw, gb = sparse_conv_backward(x, self.params, rb, grad)
-        self.g_weights += gw
-        self.g_bias += gb
-        return grad_in
-
-
-class InverseConv(Module):
-    """Transposed convolution over a stored downsampling rulebook."""
-
-    def __init__(self, c_in, c_out, rng, size=(3, 3, 3)):
-        self.size = tuple(size)
-        kernel = KernelSpec(self.size)
-        self.params = init_conv_params(kernel, c_in, c_out, rng)
-        self.g_weights = np.zeros_like(self.params.weights)
-        self.g_bias = np.zeros_like(self.params.bias)
-
-    own_params = SubmConv.own_params
-    own_grads = SubmConv.own_grads
-    zero_own_grads = SubmConv.zero_own_grads
-
-    def forward(self, x, stored_rulebook, training):
-        if stored_rulebook.kernel.size != self.size:
-            raise ValueError("stored rulebook kernel size does not match")
-        y = inverse_conv_forward(x, self.params, stored_rulebook)
-        return y, (x, stored_rulebook)
-
-    def backward(self, grad, ctx):
-        x, rb = ctx
-        grad_in, gw, gb = inverse_conv_backward(x, self.params, rb, grad)
-        self.g_weights += gw
-        self.g_bias += gb
+        conv = inverse_conv_backward if self.inverse else sparse_conv_backward
+        grad_in, gw, gb = conv(x, self.conv_params, rb, grad)
+        self.grads["weights"] += gw
+        self.grads["bias"] += gb
         return grad_in
 
 
@@ -348,9 +270,9 @@ class _ConvBNActConvBN(Module):
 
     def __init__(self, c_in, c_out, k1, k2, rng, slope):
         self.slope = slope
-        self.conv1 = SubmConv(k1, c_in, c_out, rng)
+        self.conv1 = Conv(KernelSpec(k1), c_in, c_out, rng)
         self.bn1 = BatchNorm(c_out)
-        self.conv2 = SubmConv(k2, c_out, c_out, rng)
+        self.conv2 = Conv(KernelSpec(k2), c_out, c_out, rng)
         self.bn2 = BatchNorm(c_out)
 
     def children(self):
@@ -362,10 +284,11 @@ class _ConvBNActConvBN(Module):
         ]
 
     def forward(self, x, cache, training):
-        t1, c1 = self.conv1.forward(x, cache, training)
+        t1, c1 = self.conv1.forward(x, cache.get(x, self.conv1.kernel), training)
         n1, c2 = self.bn1.forward(t1.features, training)
         r1, c3 = leaky_relu_forward(n1, self.slope)
-        t2, c4 = self.conv2.forward(t1.with_features(r1), cache, training)
+        h1 = t1.with_features(r1)
+        t2, c4 = self.conv2.forward(h1, cache.get(h1, self.conv2.kernel), training)
         n2, c5 = self.bn2.forward(t2.features, training)
         return t2.with_features(n2), (c1, c2, c3, c4, c5)
 
@@ -413,7 +336,7 @@ class RegularResBlock(Module):
     def __init__(self, c_in, c_out, rng, slope):
         self.slope = slope
         self.main = _ConvBNActConvBN(c_in, c_out, (3, 3, 3), (3, 3, 3), rng, slope)
-        self.shortcut = None if c_in == c_out else SubmConv((1, 1, 1), c_in, c_out, rng)
+        self.shortcut = None if c_in == c_out else Conv(KernelSpec(1), c_in, c_out, rng)
 
     def children(self):
         out = [("main", self.main)]
@@ -424,7 +347,7 @@ class RegularResBlock(Module):
     def forward(self, x, cache, training):
         ym, cm = self.main.forward(x, cache, training)
         if self.shortcut is not None:
-            ys, cs = self.shortcut.forward(x, cache, training)
+            ys, cs = self.shortcut.forward(x, cache.get(x, self.shortcut.kernel), training)
             res = ys.features
         else:
             cs = None
@@ -465,14 +388,15 @@ class DownBlock(Module):
 
     def __init__(self, c_in, c_out, variant, rng, slope):
         self.res = make_res_block(variant, c_in, c_in, rng, slope)
-        self.down = StridedConv(c_in, c_out, rng)
+        self.down = Conv(DOWNSAMPLE, c_in, c_out, rng)
 
     def children(self):
         return [("res", self.res), ("down", self.down)]
 
     def forward(self, x, cache, training):
         skip, c_res = self.res.forward(x, cache, training)
-        y, rb, c_down = self.down.forward(skip, cache, training)
+        rb = cache.get(skip, self.down.kernel)
+        y, c_down = self.down.forward(skip, rb, training)
         return y, skip, rb, (c_res, c_down)
 
     def backward(self, grad, grad_skip, ctx):
@@ -486,7 +410,7 @@ class UpBlock(Module):
 
     def __init__(self, c_in, c_out, variant, rng, slope):
         self.c_out = c_out
-        self.up = InverseConv(c_in, c_out, rng)
+        self.up = Conv(DOWNSAMPLE, c_in, c_out, rng, inverse=True)
         self.fuse = make_res_block(variant, 2 * c_out, c_out, rng, slope)
 
     def children(self):
@@ -516,7 +440,7 @@ class DDCM(Module):
     SIZES = ((3, 1, 1), (1, 3, 1), (1, 1, 3))
 
     def __init__(self, channels, rng):
-        self.convs = [SubmConv(s, channels, channels, rng) for s in self.SIZES]
+        self.convs = [Conv(KernelSpec(s), channels, channels, rng) for s in self.SIZES]
         self.norms = [BatchNorm(channels) for _ in self.SIZES]
 
     def children(self):
@@ -530,7 +454,7 @@ class DDCM(Module):
         total = np.zeros_like(x.features)
         branch_ctxs = []
         for conv, norm in zip(self.convs, self.norms):
-            t, c1 = conv.forward(x, cache, training)
+            t, c1 = conv.forward(x, cache.get(x, conv.kernel), training)
             n, c2 = norm.forward(t.features, training)
             s, c3 = sigmoid_forward(n)
             total += s
@@ -601,7 +525,7 @@ class SegmentationNetwork(Module):
         for i in range(config.stages):
             width = c0 * 2**i
             self.ups.append(UpBlock(2 * width, width, variant, rng, slope))
-        self.head = SubmConv((1, 1, 1), c0, k, rng)
+        self.head = Conv(KernelSpec(1), c0, k, rng)
         self.refine = RefineMLP(k + c0, 2 * k, k, rng, slope)
 
     def children(self):
@@ -635,7 +559,7 @@ class SegmentationNetwork(Module):
         c_ups = [None] * config.stages
         for i in reversed(range(config.stages)):
             x, c_ups[i] = self.ups[i].forward(x, skips[i], rulebooks[i], cache, training)
-        logits, c_head = self.head.forward(x, cache, training)
+        logits, c_head = self.head.forward(x, cache.get(x, self.head.kernel), training)
         gathered = logits.features[mapping.point_site]
         refine_in = np.hstack([gathered, h])
         point_logits, c_refine = self.refine.forward(refine_in, training)
@@ -663,10 +587,10 @@ class SegmentationNetwork(Module):
         for i in reversed(range(self.config.stages)):
             g = self.downs[i].backward(g, g_skips[i], c_downs[i])
 
-        # max-scatter routes each cell-channel gradient to its winning point
+        # max-scatter routes each cell-channel gradient to its winning point;
+        # a point wins at most one cell per channel, so no target repeats
         g_points = np.zeros_like(g_h)
-        for c in range(g_points.shape[1]):
-            g_points[winners[:, c], c] += g[:, c]
+        g_points[winners, np.arange(g.shape[1])] += g
         self.point_mlp.backward(g_h + g_points, c_mlp)
 
     def predict(self, cloud: PointCloud) -> np.ndarray:

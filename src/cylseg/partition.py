@@ -254,17 +254,18 @@ def scatter_features(
 def scatter_max_winners(point_features: np.ndarray, mapping: VoxelMapping) -> np.ndarray:
     """Index of the point supplying each cell's maximum, per channel.
 
-    Returns an (M, C) integer array. Ties resolve to the point latest in
-    storage order (stable sort), which only pins determinism.
+    Returns an (M, C) integer array. Ties (``-0.0`` equals ``0.0``) resolve
+    to the point latest in storage order, which only pins determinism.
     """
     feats = np.asarray(point_features, dtype=np.float64)
-    m = mapping.num_cells
-    ends = np.cumsum(np.bincount(mapping.point_site, minlength=m)) - 1
-    winners = np.empty((m, feats.shape[1]), dtype=np.int64)
-    for c in range(feats.shape[1]):
-        order = np.lexsort((feats[:, c], mapping.point_site))
-        winners[:, c] = order[ends]
-    return winners
+    order = np.argsort(mapping.point_site, kind="stable")
+    counts = np.bincount(mapping.point_site, minlength=mapping.num_cells)
+    starts = np.cumsum(counts) - counts
+    grouped = feats[order]
+    cell_max = np.maximum.reduceat(grouped, starts, axis=0)
+    rows = np.arange(len(order))[:, None]
+    is_max = grouped == np.repeat(cell_max, counts, axis=0)
+    return order[np.maximum.reduceat(np.where(is_max, rows, -1), starts, axis=0)]
 
 
 def encode_cell_labels(

@@ -69,7 +69,8 @@ class PointCloud:
 
 def read_kitti_bin(path) -> PointCloud:
     """Read a KITTI-style ``.bin`` scan into a PointCloud (no labels)."""
-    blob = open(os.fspath(path), "rb").read()
+    with open(os.fspath(path), "rb") as fh:
+        blob = fh.read()
     if len(blob) % 16 != 0:
         raise FileFormatError(
             f"{path}: byte length is not a multiple of 16 (x,y,z,intensity float32)"
@@ -91,7 +92,8 @@ def write_kitti_bin(path, cloud: PointCloud) -> None:
 
 def read_raw_label_ids(path) -> np.ndarray:
     """Read a ``.label`` file and return the raw semantic ids (lower 16 bits)."""
-    blob = open(os.fspath(path), "rb").read()
+    with open(os.fspath(path), "rb") as fh:
+        blob = fh.read()
     if len(blob) % 4 != 0:
         raise FileFormatError(f"{path}: byte length is not a multiple of 4 (uint32 records)")
     raw = np.frombuffer(blob, dtype="<u4")

@@ -14,7 +14,9 @@ Conventions, fixed across the package:
 * submanifold mode keeps the output site set identical to the input's;
 * strided mode creates an output site at ``c`` iff some input site lies in
   its receptive field ``{stride * c + d}``; output shape is
-  ``ceil(input_shape / stride)``. There is no wraparound on any axis.
+  ``ceil(input_shape / stride)``. There is no wraparound on any axis;
+* the inverse convolution runs the same forward/backward kernels over a
+  stored rulebook read backwards (``Rulebook.transposed``).
 
 For a fixed offset the input site determines the output site uniquely and
 vice versa, so scatter targets within one offset never repeat; accumulating
@@ -48,6 +50,19 @@ def _flatten_coords(coords: np.ndarray, shape: Sequence[int]) -> np.ndarray:
     return (coords[:, 0] * w + coords[:, 1]) * l + coords[:, 2]
 
 
+def _validate_coords(coords: np.ndarray, shape) -> np.ndarray:
+    coords = np.ascontiguousarray(coords, dtype=np.int64)
+    if coords.ndim != 2 or coords.shape[1] != 3:
+        raise ValueError(f"coords must be (M, 3), got {coords.shape}")
+    if coords.shape[0]:
+        if coords.min() < 0 or (coords >= np.array(shape)).any():
+            raise ValueError("coords out of bounds")
+        flat = _flatten_coords(coords, shape)
+        if np.unique(flat).size != flat.size:
+            raise ValueError("coords contain duplicate sites")
+    return coords
+
+
 @dataclass
 class SparseTensor:
     """Features attached to a set of unique, in-bounds voxel coordinates."""
@@ -57,24 +72,16 @@ class SparseTensor:
     spatial_shape: Tuple[int, int, int]
 
     def __post_init__(self):
-        self.coords = np.ascontiguousarray(self.coords, dtype=np.int64)
-        self.features = np.asarray(self.features, dtype=_DTYPE)
         self.spatial_shape = _as_triple(self.spatial_shape)
-        if self.coords.ndim != 2 or self.coords.shape[1] != 3:
-            raise ValueError(f"coords must be (M, 3), got {self.coords.shape}")
+        if any(s < 1 for s in self.spatial_shape):
+            raise ValueError("spatial_shape entries must be positive")
+        self.coords = _validate_coords(self.coords, self.spatial_shape)
+        self.features = np.asarray(self.features, dtype=_DTYPE)
         if self.features.ndim != 2 or self.features.shape[0] != self.coords.shape[0]:
             raise ValueError(
                 f"features must be (M, C) with M={self.coords.shape[0]}, "
                 f"got {self.features.shape}"
             )
-        if any(s < 1 for s in self.spatial_shape):
-            raise ValueError("spatial_shape entries must be positive")
-        if self.coords.shape[0]:
-            if self.coords.min() < 0 or (self.coords >= np.array(self.spatial_shape)).any():
-                raise ValueError("coords out of bounds for spatial_shape")
-            flat = _flatten_coords(self.coords, self.spatial_shape)
-            if np.unique(flat).size != flat.size:
-                raise ValueError("coords contain duplicate sites")
 
     @property
     def num_sites(self) -> int:
@@ -147,18 +154,16 @@ class Rulebook:
     def num_pairs(self) -> int:
         return sum(len(p[0]) for p in self.pairs)
 
-
-def _validate_coords(coords: np.ndarray, shape) -> np.ndarray:
-    coords = np.ascontiguousarray(coords, dtype=np.int64)
-    if coords.ndim != 2 or coords.shape[1] != 3:
-        raise ValueError(f"coords must be (M, 3), got {coords.shape}")
-    if coords.shape[0]:
-        if coords.min() < 0 or (coords >= np.array(shape)).any():
-            raise ValueError("coords out of bounds")
-        flat = _flatten_coords(coords, shape)
-        if np.unique(flat).size != flat.size:
-            raise ValueError("coords contain duplicate sites")
-    return coords
+    def transposed(self) -> "Rulebook":
+        """The same pairs, in the same order, with input and output swapped."""
+        return Rulebook(
+            self.kernel,
+            self.out_coords,
+            self.out_shape,
+            self.in_coords,
+            self.in_shape,
+            [(out_idx, in_idx) for in_idx, out_idx in self.pairs],
+        )
 
 
 def build_rulebook(in_coords: np.ndarray, in_shape, kernel: KernelSpec) -> Rulebook:
@@ -306,40 +311,13 @@ def inverse_conv_forward(
     on the rulebook's input sites, restoring the pre-downsample coordinate
     set. Weights are fresh parameters of shape (volume, C(x), C_out).
     """
-    rb = stored_rulebook
-    if x.spatial_shape != rb.out_shape or not np.array_equal(x.coords, rb.out_coords):
-        raise ValueError("tensor sites do not match the rulebook's output sites")
-    kvol, c_in, c_out = params.weights.shape
-    if kvol != rb.kernel.volume or c_in != x.num_channels:
-        raise ValueError("weight shape does not match kernel/input channels")
-    out = np.empty((rb.in_coords.shape[0], c_out), dtype=_DTYPE)
-    out[:] = params.bias
-    for k, (in_idx, out_idx) in enumerate(rb.pairs):
-        if in_idx.size:
-            out[in_idx] += x.features[out_idx] @ params.weights[k]
-    result = SparseTensor.__new__(SparseTensor)
-    result.coords = rb.in_coords
-    result.features = out
-    result.spatial_shape = rb.in_shape
-    return result
+    return sparse_conv_forward(x, params, stored_rulebook.transposed())
 
 
 def inverse_conv_backward(
     x: SparseTensor, params: ConvParams, stored_rulebook: Rulebook, grad_out: np.ndarray
 ):
-    rb = stored_rulebook
-    grad_out = np.asarray(grad_out, dtype=_DTYPE)
-    if grad_out.shape != (rb.in_coords.shape[0], params.weights.shape[2]):
-        raise ValueError("grad_out shape mismatch")
-    grad_in = np.zeros_like(x.features)
-    grad_w = np.zeros_like(params.weights)
-    grad_b = grad_out.sum(axis=0)
-    for k, (in_idx, out_idx) in enumerate(rb.pairs):
-        if in_idx.size:
-            g = grad_out[in_idx]
-            grad_w[k] = x.features[out_idx].T @ g
-            grad_in[out_idx] += g @ params.weights[k].T
-    return grad_in, grad_w, grad_b
+    return sparse_conv_backward(x, params, stored_rulebook.transposed(), grad_out)
 
 
 # ---------------------------------------------------------------------------

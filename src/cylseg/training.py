@@ -276,9 +276,8 @@ def write_metrics_csv(stats: Sequence[EpochStats], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(METRICS_HEADER)
         for s in stats:
-            writer.writerow(
-                [s.epoch, repr(s.voxel_ce), repr(s.voxel_lovasz), repr(s.point_ce), repr(s.total), repr(s.val_miou)]
-            )
+            values = (s.voxel_ce, s.voxel_lovasz, s.point_ce, s.total, s.val_miou)
+            writer.writerow([s.epoch, *(repr(float(v)) for v in values)])
 
 
 def evaluate_network(network: SegmentationNetwork, clouds: Sequence[PointCloud], ignore_id: int = 255):

@@ -148,6 +148,22 @@ def test_load_tiny_config(tiny_cfg):
     assert cfg.stats.points == 2048
 
 
+def test_config_without_optional_sections_keeps_the_defaults(tmp_path):
+    path = tmp_path / "minimal.cfg"
+    path.write_text("[network]\nnum_classes = 3\n")
+    cfg = load_config(path)
+    data = cfg.data
+    assert (data.kind, data.train_scenes, data.val_scenes, data.points, data.seed) == (
+        "synthetic", 12, 4, 4096, 0
+    )
+    assert (data.max_range, data.scans, data.labels) == (50.0, None, None)
+    assert (cfg.train.epochs, cfg.train.lr, cfg.train.seed) == (10, 1e-3, 0)
+    stats = cfg.stats
+    assert (stats.scenes, stats.points, stats.seed) == (20, 131072, 0)
+    assert stats.edges == tuple(float(e) for e in range(0, 55, 5))
+    assert cfg.ignore_id == 255
+
+
 def test_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text(TINY_CFG + "\n[train]\nmomentum = 0.9\n")

@@ -5,6 +5,8 @@ suite; here the focus is wiring: shapes, coordinate sets, parameter
 accounting, determinism, and the checkpoint container.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,11 @@ from cylseg.network import (
 )
 from cylseg.partition import CylGridSpec, assign_cells
 from cylseg.pointcloud import PointCloud, SyntheticSceneSpec, generate_synthetic_scene
-from cylseg.selftest import random_sparse
-from cylseg.sparse import leaky_relu_forward
+from cylseg.selftest import _toy_setup, random_sparse
+from cylseg.sparse import leaky_relu_forward, load_tensors
 from cylseg.training import finite_diff_check
 
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 TOY_GRID = CylGridSpec(rho_range=(0.0, 12.0), z_range=(-1.0, 6.0), resolution=(8, 8, 4))
 
 
@@ -344,3 +347,18 @@ def test_load_tensor_dict_rejects_missing_names():
     tensors.pop(sorted(tensors)[0])
     with pytest.raises(ValueError):
         net.load_tensor_dict(tensors)
+
+
+def test_checkpoint_from_before_the_layer_rework_predicts_identically():
+    # Written before the per-layer parameter methods became one registry:
+    # ``_toy_setup(seed=0)``'s network after 20 ``train_step`` calls with Adam
+    # on its own cloud, saved with ``save_checkpoint``; the expected file
+    # holds that network's inference-mode point logits and predictions.
+    loaded = load_checkpoint(os.path.join(DATA, "toy_seed0.ckpt"))
+    expected = load_tensors(os.path.join(DATA, "toy_seed0_expected.cylt"))
+    network, cloud = _toy_setup(seed=0)
+    assert loaded.config == network.config
+    assert sorted(loaded.named_params()) == sorted(network.named_params())
+    result = loaded.forward(cloud)
+    np.testing.assert_array_equal(result.point_logits, expected["point_logits"])
+    np.testing.assert_array_equal(loaded.predict(cloud), expected["predictions"])

@@ -170,6 +170,35 @@ def test_scatter_max_winners_select_the_max_rows():
         assert set(winners[site].tolist()) <= set(members.tolist())
 
 
+def test_scatter_max_winners_ties_go_to_the_latest_point():
+    grid = CylGridSpec(rho_range=(0.0, 8.0), z_range=(-2.0, 2.0), resolution=(2, 2, 2))
+    # points 0, 2, 3 share one cell and points 1, 4 another, interleaved
+    xyz = [[1.0, 0.1, 0.0], [-1.0, -0.1, 1.0], [1.0, 0.1, 0.0], [1.0, 0.1, 0.0], [-1.0, -0.1, 1.0]]
+    feats = np.array([
+        [0.0, -0.0, 2.0, 5.0],
+        [7.0, 1.0, -3.0, -0.0],
+        [-0.0, 0.0, 2.0, 1.0],
+        [-1.0, -0.0, 2.0, 5.0],
+        [7.0, 0.5, -3.0, 0.0],
+    ])
+    mapping = assign_cells(_cloud(xyz), grid)
+    assert sorted(map(sorted, (m.tolist() for m in mapping.cell_points))) == [[0, 2, 3], [1, 4]]
+    winners = scatter_max_winners(feats, mapping)
+    want = {0: [2, 3, 3, 3], 1: [4, 1, 4, 4]}  # keyed by each cell's first point
+    for site, members in enumerate(mapping.cell_points):
+        assert winners[site].tolist() == want[int(members[0])]
+
+    # tie-heavy random case against a per-channel stable-sort reference
+    rng = np.random.default_rng(15)
+    mapping = assign_cells(_cloud(rng.uniform(-5, 5, size=(300, 3))), grid)
+    feats = rng.integers(-2, 3, size=(300, 5)) * np.where(rng.random((300, 5)) < 0.5, -1.0, 1.0)
+    ends = np.cumsum(np.bincount(mapping.point_site)) - 1
+    reference = np.stack(
+        [np.lexsort((feats[:, c], mapping.point_site))[ends] for c in range(5)], axis=1
+    )
+    np.testing.assert_array_equal(scatter_max_winners(feats, mapping), reference)
+
+
 def test_scatter_rejects_row_count_mismatch():
     grid = CylGridSpec(rho_range=(0.0, 8.0), z_range=(-2.0, 2.0), resolution=(2, 2, 2))
     mapping = assign_cells(_cloud([[1.0, 0.0, 0.0]]), grid)

@@ -1,4 +1,6 @@
+import gc
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +88,19 @@ def test_label_rejects_bad_length(tmp_path):
     path.write_bytes(b"\x00" * 6)
     with pytest.raises(ValueError):
         read_raw_label_ids(path)
+
+
+def test_readers_close_their_files(tmp_path):
+    scan = tmp_path / "a.bin"
+    write_kitti_bin(scan, PointCloud(np.ones((2, 3)), np.zeros(2)))
+    label = tmp_path / "a.label"
+    write_kitti_labels(label, np.array([1, 2]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        read_kitti_bin(scan)
+        read_raw_label_ids(label)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_label_write_read_round_trip(tmp_path):

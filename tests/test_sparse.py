@@ -17,6 +17,7 @@ from cylseg.sparse import (
     densify,
     init_conv_params,
     init_norm_params,
+    inverse_conv_backward,
     inverse_conv_forward,
     leaky_relu_backward,
     leaky_relu_forward,
@@ -233,6 +234,60 @@ def test_inverse_conv_is_adjoint_of_forward():
     lhs = float((u * fwd.features).sum())
     rhs = float((back.features * x.features).sum())
     assert abs(lhs - rhs) < 1e-9
+
+
+def test_transposed_rulebook_swaps_sides_and_round_trips():
+    rng = np.random.default_rng(29)
+    x = random_sparse(rng, max_shape=(8, 8, 8))
+    for kernel in (KernelSpec((3, 3, 3), (2, 2, 2), "strided"), KernelSpec((1, 3, 3))):
+        rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+        t = rb.transposed()
+        assert t.in_coords is rb.out_coords and t.out_coords is rb.in_coords
+        assert (t.in_shape, t.out_shape) == (rb.out_shape, rb.in_shape)
+        twice = rb.transposed().transposed()
+        assert twice.kernel == rb.kernel and len(twice.pairs) == len(rb.pairs)
+        for (a_in, a_out), (b_in, b_out) in zip(twice.pairs, rb.pairs):
+            np.testing.assert_array_equal(a_in, b_in)
+            np.testing.assert_array_equal(a_out, b_out)
+
+
+def _mirrored_inverse_conv(u, params, rb, grad):
+    # reference: the stored rulebook's pairs walked from output to input
+    out = np.empty((len(rb.in_coords), params.weights.shape[2]))
+    out[:] = params.bias
+    grad_in = np.zeros_like(u.features)
+    grad_w = np.zeros_like(params.weights)
+    for k, (in_idx, out_idx) in enumerate(rb.pairs):
+        if in_idx.size:
+            out[in_idx] += u.features[out_idx] @ params.weights[k]
+            grad_w[k] = u.features[out_idx].T @ grad[in_idx]
+            grad_in[out_idx] += grad[in_idx] @ params.weights[k].T
+    return out, (grad_in, grad_w, grad.sum(axis=0))
+
+
+def test_inverse_conv_is_forward_over_transposed_rulebook_bitwise():
+    rng = np.random.default_rng(30)
+    kernel = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
+    for _ in range(5):
+        x = random_sparse(rng, max_shape=(10, 10, 10), max_channels=5)
+        rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+        u = SparseTensor(rb.out_coords, rng.standard_normal((len(rb.out_coords), 3)), rb.out_shape)
+        params = init_conv_params(kernel, 3, 4, rng)
+        params.bias[:] = rng.standard_normal(4)
+        grad = rng.standard_normal((len(rb.in_coords), 4))
+        got = inverse_conv_forward(u, params, rb)
+        got_grads = inverse_conv_backward(u, params, rb, grad)
+        ref_out, ref_grads = _mirrored_inverse_conv(u, params, rb, grad)
+        assert got.coords is rb.in_coords
+        np.testing.assert_array_equal(got.features, ref_out)
+        np.testing.assert_array_equal(
+            got.features, sparse_conv_forward(u, params, rb.transposed()).features
+        )
+        for g, r, t in zip(
+            got_grads, ref_grads, sparse_conv_backward(u, params, rb.transposed(), grad)
+        ):
+            np.testing.assert_array_equal(g, r)
+            np.testing.assert_array_equal(g, t)
 
 
 # ------------------------------------------------------------- pointwise ops

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -367,3 +368,17 @@ def test_metrics_csv_header_and_rows(tmp_path):
     assert lines[0] == "epoch,l_voxel_ce,l_voxel_lovasz,l_point_ce,total,val_miou"
     assert len(lines) == 3
     assert lines[1].startswith("0,")
+
+
+def test_metrics_csv_from_training_holds_plain_numbers(tmp_path):
+    # train_network's epoch means are numpy scalars; every cell must still
+    # parse as a plain number
+    config, cloud = _tiny_setup()
+    stats = train_network(SegmentationNetwork(config, seed=0), [cloud], [cloud], epochs=1, seed=0)
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(stats, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 1 and len(rows[0]) == len(METRICS_HEADER)
+    values = [float(cell) for cell in rows[0]]
+    assert all(math.isfinite(v) for v in values)
