@@ -1,24 +1,54 @@
 """Run configuration: flat ``key = value`` sections, strictly validated.
 
 Unknown sections or keys are hard errors so a typo never silently falls
-back to a default. The ``[labelmap]`` section is the one free-form block:
-each entry maps a raw dataset label id to a training id (or ``ignore``).
+back to a default. Every section but ``[labels]`` and ``[labelmap]`` fills a
+dataclass whose field names and defaults are its keys and defaults; a grid
+tuple takes one key per element (``_TUPLE_KEYS``). ``[labelmap]`` is the one
+free-form block: each entry maps a raw dataset label id to a training id (or
+``ignore``). Checkpoint headers are written and read back here too.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Optional, Tuple
 
-from .network import NetworkConfig
 from .partition import DEFAULT_DISTANCE_EDGES, CubicGridSpec, CylGridSpec
 from .pointcloud import LabelMap
+
+BLOCK_VARIANTS = ("regular", "asym1d", "asym")
 
 
 class ConfigError(Exception):
     """Invalid or malformed run configuration."""
+
+
+@dataclass
+class NetworkConfig:
+    num_classes: int
+    grid: CylGridSpec = field(default_factory=CylGridSpec)
+    base_channels: int = 8
+    stages: int = 2
+    block_variant: str = "asym"
+    point_mlp_widths: Tuple[int, ...] = (32,)
+    leaky_slope: float = 0.1
+
+    def __post_init__(self):
+        self.point_mlp_widths = tuple(int(w) for w in self.point_mlp_widths)
+        if self.num_classes < 2:
+            raise ValueError("num_classes must be at least 2")
+        if self.base_channels < 1 or self.stages < 1:
+            raise ValueError("base_channels and stages must be positive")
+        if self.block_variant not in BLOCK_VARIANTS:
+            raise ValueError(f"block_variant must be one of {BLOCK_VARIANTS}")
+        if any(w < 1 for w in self.point_mlp_widths):
+            raise ValueError("point_mlp_widths must be positive")
+        if self.grid.resolution[2] % (2**self.stages) != 0:
+            raise ValueError("grid height bins must be divisible by 2**stages")
 
 
 @dataclass
@@ -48,22 +78,21 @@ class StatsConfig:
     edges: Tuple[float, ...] = tuple(DEFAULT_DISTANCE_EDGES)
 
 
-_KNOWN_KEYS = {
-    "grid": {"rho_min", "rho_max", "z_min", "z_max", "radius_bins", "azimuth_bins", "height_bins"},
-    "cubic": {"x_min", "x_max", "y_min", "y_max", "z_min", "z_max", "x_bins", "y_bins", "z_bins"},
-    "network": {
-        "num_classes",
-        "base_channels",
-        "stages",
-        "block_variant",
-        "point_mlp_widths",
-        "leaky_slope",
+_SECTIONS = ("grid", "cubic", "network", "labels", "labelmap", "data", "train", "stats")
+
+# The INI keys of each grid tuple field, one per element, in order.
+_TUPLE_KEYS = {
+    "grid": {
+        "rho_range": ("rho_min", "rho_max"),
+        "z_range": ("z_min", "z_max"),
+        "resolution": ("radius_bins", "azimuth_bins", "height_bins"),
     },
-    "labels": {"ignore_id"},
-    "labelmap": None,  # free-form: raw id = train id
-    "data": {f.name for f in fields(DataConfig)},
-    "train": {f.name for f in fields(TrainConfig)},
-    "stats": {f.name for f in fields(StatsConfig)},
+    "cubic": {
+        "x_range": ("x_min", "x_max"),
+        "y_range": ("y_min", "y_max"),
+        "z_range": ("z_min", "z_max"),
+        "resolution": ("x_bins", "y_bins", "z_bins"),
+    },
 }
 
 
@@ -82,34 +111,112 @@ class RunConfig:
         return self.network.grid
 
 
-def _parse(conv, section, key, raw):
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+_SCALARS = {int: int, float: _finite, str: str}
+
+
+def _converter(hint):
+    """Raw string -> value for a field type; ``Tuple[T, ...]`` is comma separated."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        element = _SCALARS[args[0]]
+        return lambda raw: tuple(element(v) for v in raw.split(",") if v.strip())
+    return _SCALARS[args[0] if args else hint]  # Optional[str] reads as str
+
+
+def _take(section, keys, key, conv, default):
+    """Convert and consume ``keys[key]``; if absent, ``default`` unless MISSING."""
+    if key not in keys:
+        if default is MISSING:
+            raise ConfigError(f"[{section}] {key} is required")
+        return default
+    raw = keys.pop(key)
     try:
         return conv(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
 
 
-def _section_reader(cp, section):
-    keys = dict(cp[section]) if cp.has_section(section) else {}
-
-    def get(key, default, conv=str):
-        if key not in keys:
-            return default
-        return _parse(conv, section, key, keys.pop(key))
-
-    return get
+def _reject_unknown(section, keys):
+    if keys:
+        raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(sorted(keys))}")
 
 
-def _read_section(cp, section, cls, **convs):
-    """Build dataclass ``cls`` from a section; absent keys keep its defaults."""
-    get = _section_reader(cp, section)
-    defaults = cls()
-    values = {}
+def _read(section, keys: dict, cls, required=False, **given):
+    """Build dataclass ``cls`` from a section's raw values, consuming ``keys``.
+
+    An absent key keeps the field's default unless ``required``; ``given``
+    supplies the fields that are not keys.
+    """
+    hints = typing.get_type_hints(cls)
+    values = dict(given)
     for f in fields(cls):
-        default = getattr(defaults, f.name)
-        conv = convs.get(f.name, str if default is None else type(default))
-        values[f.name] = get(f.name, default, conv)
-    return cls(**values)
+        if f.name in given:
+            continue
+        default = MISSING if required else f.default
+        split = _TUPLE_KEYS.get(section, {}).get(f.name)
+        if split:
+            conv = _SCALARS[typing.get_args(hints[f.name])[0]]
+            defaults = [MISSING] * len(split) if default is MISSING else default
+            values[f.name] = tuple(
+                _take(section, keys, key, conv, d) for key, d in zip(split, defaults)
+            )
+        else:
+            values[f.name] = _take(section, keys, f.name, _converter(hints[f.name]), default)
+    _reject_unknown(section, keys)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}]: {exc}") from None
+
+
+def _ini_sections(text: str, source, known) -> dict:
+    """Section name -> {key: raw value}; rejects sections not in ``known``."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str  # keys stay verbatim; labelmap keys are numbers
+    try:
+        cp.read_string(text, str(source))
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse {source}: {' '.join(str(exc).split())}") from None
+    for section in cp.sections():
+        if section not in known:
+            raise ConfigError(f"unknown section [{section}]")
+    return {section: dict(cp[section]) for section in cp.sections()}
+
+
+def _items(section, obj):
+    """(key, value) pairs of a dataclass as ``section`` spells them."""
+    split = _TUPLE_KEYS.get(section, {})
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.name in split:
+            yield from zip(split[f.name], value)
+        elif not is_dataclass(value):
+            yield f.name, value
+
+
+def network_header(config: NetworkConfig) -> str:
+    """Checkpoint header: ``key = value`` lines, the [network] keys then the [grid] keys."""
+    lines = []
+    for key, value in [*_items("network", config), *_items("grid", config.grid)]:
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        lines.append(f"{key} = {text}\n")
+    return "".join(lines)
+
+
+def parse_network_header(text: str) -> NetworkConfig:
+    """Read ``network_header``'s text back; every key is required, none may repeat."""
+    keys = _ini_sections("[network]\n" + text, "checkpoint header", ("network",))["network"]
+    grid_keys = [key for split in _TUPLE_KEYS["grid"].values() for key in split]
+    grid_values = {key: keys.pop(key) for key in grid_keys if key in keys}
+    grid = _read("grid", grid_values, CylGridSpec, required=True)
+    return _read("network", keys, NetworkConfig, required=True, grid=grid)
 
 
 def _train_id(value: str, ignore_id: int) -> int:
@@ -122,99 +229,41 @@ def load_config(path) -> RunConfig:
     """Parse and validate a configuration file into a RunConfig."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.optionxform = str  # keys stay verbatim; labelmap keys are numbers
     try:
         with open(path) as fh:
-            cp.read_file(fh)
-    except (configparser.Error, OSError, UnicodeDecodeError) as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
+    sections = _ini_sections(text, path, _SECTIONS)
 
-    for section in cp.sections():
-        if section not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        allowed = _KNOWN_KEYS[section]
-        if allowed is not None:
-            surplus = sorted(set(cp[section]) - allowed)
-            if surplus:
-                raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(surplus)}")
-
-    get = _section_reader(cp, "grid")
-    try:
-        grid = CylGridSpec(
-            rho_range=(get("rho_min", 0.0, float), get("rho_max", 50.0, float)),
-            z_range=(get("z_min", -4.0, float), get("z_max", 2.0, float)),
-            resolution=(
-                get("radius_bins", 480, int),
-                get("azimuth_bins", 360, int),
-                get("height_bins", 32, int),
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[grid]: {exc}") from None
-
+    grid = _read("grid", sections.get("grid", {}), CylGridSpec)
     # Without an explicit [cubic] section the comparison grid covers the
     # cylinder's bounding box with the same cell count, so stats stay an
     # apples-to-apples contrast on custom grids too.
-    if cp.has_section("cubic"):
-        get = _section_reader(cp, "cubic")
-        try:
-            cubic = CubicGridSpec(
-                x_range=(get("x_min", -50.0, float), get("x_max", 50.0, float)),
-                y_range=(get("y_min", -50.0, float), get("y_max", 50.0, float)),
-                z_range=(get("z_min", -4.0, float), get("z_max", 2.0, float)),
-                resolution=(
-                    get("x_bins", 240, int),
-                    get("y_bins", 240, int),
-                    get("z_bins", 96, int),
-                ),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[cubic]: {exc}") from None
+    if "cubic" in sections:
+        cubic = _read("cubic", sections["cubic"], CubicGridSpec)
     else:
-        rho_max = grid.rho_range[1]
-        cubic = CubicGridSpec(
-            x_range=(-rho_max, rho_max),
-            y_range=(-rho_max, rho_max),
-            z_range=grid.z_range,
-            resolution=grid.resolution,
-        )
+        r = grid.rho_range[1]
+        cubic = CubicGridSpec((-r, r), (-r, r), grid.z_range, grid.resolution)
 
-    get = _section_reader(cp, "labels")
-    ignore_id = get("ignore_id", 255, int)
+    labels = sections.get("labels", {})
+    ignore_id = _take("labels", labels, "ignore_id", int, RunConfig.ignore_id)
+    _reject_unknown("labels", labels)
 
-    get = _section_reader(cp, "network")
-    if not cp.has_section("network") or not cp.has_option("network", "num_classes"):
-        raise ConfigError("[network] num_classes is required")
-    widths_raw = get("point_mlp_widths", "32")
-    try:
-        widths = tuple(int(w) for w in str(widths_raw).split(",") if w.strip())
-    except ValueError:
-        raise ConfigError(f"[network] point_mlp_widths = {widths_raw!r}") from None
-    try:
-        network = NetworkConfig(
-            num_classes=get("num_classes", None, int),
-            grid=grid,
-            base_channels=get("base_channels", 8, int),
-            stages=get("stages", 2, int),
-            block_variant=get("block_variant", "asym"),
-            point_mlp_widths=widths,
-            leaky_slope=get("leaky_slope", 0.1, float),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[network]: {exc}") from None
+    network = _read("network", sections.get("network", {}), NetworkConfig, grid=grid)
 
     label_map = None
-    if cp.has_section("labelmap"):
+    if "labelmap" in sections:
         try:
             mapping = {
-                int(raw): _train_id(value, ignore_id) for raw, value in cp["labelmap"].items()
+                int(raw): _train_id(value, ignore_id)
+                for raw, value in sections["labelmap"].items()
             }
             label_map = LabelMap(mapping, network.num_classes, ignore_id)
         except ValueError as exc:
             raise ConfigError(f"[labelmap]: {exc}") from None
 
-    data = _read_section(cp, "data", DataConfig)
+    data = _read("data", sections.get("data", {}), DataConfig)
     if data.kind not in ("synthetic", "files"):
         raise ConfigError(f"[data] kind must be 'synthetic' or 'files', got {data.kind!r}")
     if data.kind == "files" and not data.scans:
@@ -222,17 +271,14 @@ def load_config(path) -> RunConfig:
     if data.kind == "synthetic" and (data.train_scenes < 1 or data.points < 64):
         raise ConfigError("[data] synthetic needs train_scenes >= 1 and points >= 64")
 
-    train = _read_section(cp, "train", TrainConfig)
+    train = _read("train", sections.get("train", {}), TrainConfig)
     if train.epochs < 1 or train.lr <= 0:
         raise ConfigError("[train] epochs must be >= 1 and lr > 0")
 
-    def _edges(raw):
-        vals = tuple(float(v) for v in raw.split(",") if v.strip())
-        if len(vals) < 2 or any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ValueError("edges must be at least two increasing numbers")
-        return vals
-
-    stats = _read_section(cp, "stats", StatsConfig, edges=_edges)
+    stats = _read("stats", sections.get("stats", {}), StatsConfig)
+    edges = stats.edges
+    if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
+        raise ConfigError("[stats] edges must be at least two increasing numbers")
     if stats.scenes < 1 or stats.points < 64:
         raise ConfigError("[stats] scenes must be >= 1 and points >= 64")
 

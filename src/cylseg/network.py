@@ -16,13 +16,13 @@ mutates nothing and is safe to run concurrently on shared parameters.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from .config import ConfigError, NetworkConfig, network_header, parse_network_header
 from .partition import (
-    CylGridSpec,
     VoxelMapping,
     assign_cells,
     cart_to_cyl,
@@ -51,33 +51,6 @@ from .sparse import (
     sparse_conv_forward,
     unpack_tensors,
 )
-
-BLOCK_VARIANTS = ("regular", "asym1d", "asym")
-
-
-@dataclass
-class NetworkConfig:
-    num_classes: int
-    grid: CylGridSpec = field(default_factory=CylGridSpec)
-    base_channels: int = 8
-    stages: int = 2
-    block_variant: str = "asym"
-    point_mlp_widths: Tuple[int, ...] = (32,)
-    leaky_slope: float = 0.1
-
-    def __post_init__(self):
-        self.point_mlp_widths = tuple(int(w) for w in self.point_mlp_widths)
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be at least 2")
-        if self.base_channels < 1 or self.stages < 1:
-            raise ValueError("base_channels and stages must be positive")
-        if self.block_variant not in BLOCK_VARIANTS:
-            raise ValueError(f"block_variant must be one of {BLOCK_VARIANTS}")
-        if any(w < 1 for w in self.point_mlp_widths):
-            raise ValueError("point_mlp_widths must be positive")
-        if self.grid.resolution[2] % (2**self.stages) != 0:
-            raise ValueError("grid height bins must be divisible by 2**stages")
-
 
 def point_input_features(cloud: PointCloud, mapping: VoxelMapping, grid) -> np.ndarray:
     """Per-point input features, 9 per point:
@@ -605,53 +578,9 @@ _CKPT_MAGIC = b"CYLC"
 _CKPT_VERSION = 1
 
 
-def _config_to_text(config: NetworkConfig) -> str:
-    grid = config.grid
-    lines = [
-        f"num_classes = {config.num_classes}",
-        f"base_channels = {config.base_channels}",
-        f"stages = {config.stages}",
-        f"block_variant = {config.block_variant}",
-        "point_mlp_widths = " + ",".join(str(w) for w in config.point_mlp_widths),
-        f"leaky_slope = {config.leaky_slope!r}",
-        f"rho_min = {grid.rho_range[0]!r}",
-        f"rho_max = {grid.rho_range[1]!r}",
-        f"z_min = {grid.z_range[0]!r}",
-        f"z_max = {grid.z_range[1]!r}",
-        f"radius_bins = {grid.resolution[0]}",
-        f"azimuth_bins = {grid.resolution[1]}",
-        f"height_bins = {grid.resolution[2]}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _config_from_text(text: str) -> NetworkConfig:
-    kv = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
-    grid = CylGridSpec(
-        rho_range=(float(kv["rho_min"]), float(kv["rho_max"])),
-        z_range=(float(kv["z_min"]), float(kv["z_max"])),
-        resolution=(int(kv["radius_bins"]), int(kv["azimuth_bins"]), int(kv["height_bins"])),
-    )
-    return NetworkConfig(
-        num_classes=int(kv["num_classes"]),
-        grid=grid,
-        base_channels=int(kv["base_channels"]),
-        stages=int(kv["stages"]),
-        block_variant=kv["block_variant"],
-        point_mlp_widths=tuple(int(w) for w in kv["point_mlp_widths"].split(",")),
-        leaky_slope=float(kv["leaky_slope"]),
-    )
-
-
 def save_checkpoint(path, network: SegmentationNetwork) -> None:
     """Write config header plus all named tensors (params and running stats)."""
-    header = _config_to_text(network.config).encode("utf-8")
+    header = network_header(network.config).encode("utf-8")
     blob = pack_tensors({**network.named_params(), **network.named_state()})
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
@@ -661,15 +590,20 @@ def save_checkpoint(path, network: SegmentationNetwork) -> None:
 
 
 def load_checkpoint(path) -> SegmentationNetwork:
+    """Read a checkpoint; a malformed one raises a ValueError naming ``path``."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != _CKPT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    version, header_len = struct.unpack_from("<II", raw, 4)
-    if version != _CKPT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    header = raw[12 : 12 + header_len].decode("utf-8")
-    config = _config_from_text(header)
-    network = SegmentationNetwork(config, seed=0)
-    network.load_tensor_dict(unpack_tensors(raw[12 + header_len :]))
+    try:
+        if raw[:4] != _CKPT_MAGIC:
+            raise ValueError("not a checkpoint file")
+        version, header_len = struct.unpack_from("<II", raw, 4)
+        if version != _CKPT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        if 12 + header_len > len(raw):
+            raise ValueError(f"header length {header_len} overruns the {len(raw)}-byte file")
+        config = parse_network_header(raw[12 : 12 + header_len].decode("utf-8"))
+        network = SegmentationNetwork(config, seed=0)
+        network.load_tensor_dict(unpack_tensors(raw[12 + header_len :]))
+    except (ValueError, ConfigError, struct.error) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return network

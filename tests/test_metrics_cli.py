@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cylseg.cli import main
 from cylseg.config import ConfigError, load_config
 from cylseg.metrics import ConfusionMatrix, compute_miou, format_iou_table
+from cylseg.network import SegmentationNetwork, save_checkpoint
 from cylseg.pointcloud import read_raw_label_ids
 
 TINY_CFG = """\
@@ -162,6 +164,19 @@ def test_config_without_optional_sections_keeps_the_defaults(tmp_path):
     assert (stats.scenes, stats.points, stats.seed) == (20, 131072, 0)
     assert stats.edges == tuple(float(e) for e in range(0, 55, 5))
     assert cfg.ignore_id == 255
+    grid = cfg.grid
+    assert (grid.rho_range, grid.z_range, grid.resolution) == (
+        (0.0, 50.0), (-4.0, 2.0), (480, 360, 32)
+    )
+    # without [cubic], the comparison grid is the cylinder's bounding box
+    # with the same cell counts
+    cubic = cfg.cubic
+    assert (cubic.x_range, cubic.y_range, cubic.z_range, cubic.resolution) == (
+        (-50.0, 50.0), (-50.0, 50.0), (-4.0, 2.0), (480, 360, 32)
+    )
+    net = cfg.network
+    assert (net.base_channels, net.stages, net.block_variant) == (8, 2, "asym")
+    assert (net.point_mlp_widths, net.leaky_slope) == ((32,), 0.1)
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -188,6 +203,33 @@ def test_config_requires_num_classes(tmp_path):
 def test_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/path.cfg")
+
+
+def _tiny_cfg_with(section, key, value):
+    """TINY_CFG with ``key = value`` as the only ``key`` line, in ``[section]``."""
+    lines = [line for line in TINY_CFG.splitlines() if not line.startswith(f"{key} =")]
+    lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("grid", "z_min", "nan"),
+        ("grid", "rho_max", "inf"),
+        ("stats", "edges", "nan,10,20"),
+        ("train", "lr", "nan"),
+    ],
+)
+def test_config_rejects_non_finite_numbers(tmp_path, capsys, section, key, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(_tiny_cfg_with(section, key, value))
+    out = tmp_path / "occ.csv"
+    assert main(["stats", "--config", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert f"[{section}] {key}" in err[0]
+    assert not out.exists()
 
 
 def test_config_labelmap_parses_ignore(tmp_path):
@@ -286,3 +328,75 @@ def test_cli_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "ok" in out
+
+
+def _header_len(ckpt: bytes) -> int:
+    return struct.unpack_from("<I", ckpt, 8)[0]
+
+
+def _header(ckpt: bytes) -> str:
+    return ckpt[12 : 12 + _header_len(ckpt)].decode("utf-8")
+
+
+def _with_header(ckpt: bytes, header: str) -> bytes:
+    """``ckpt`` with its config header replaced by ``header``."""
+    encoded = header.encode("utf-8")
+    return ckpt[:8] + struct.pack("<I", len(encoded)) + encoded + ckpt[12 + _header_len(ckpt) :]
+
+
+def _garble_first_tensor(ckpt: bytes, part: str) -> bytes:
+    """Corrupt the first CYLT entry: its name bytes or its ndim field."""
+    start = 12 + _header_len(ckpt) + 12  # past the CYLT magic, version and count
+    (name_len,) = struct.unpack_from("<I", ckpt, start)
+    name_at, ndim_at = start + 4, start + 4 + name_len
+    if part == "name":
+        return ckpt[:name_at] + b"\xff" * name_len + ckpt[ndim_at:]
+    return ckpt[:ndim_at] + struct.pack("<I", 2**31) + ckpt[ndim_at + 4 :]
+
+
+MALFORMED_CHECKPOINTS = {
+    "empty": lambda c: b"",
+    "cut_in_magic": lambda c: c[:3],
+    "cut_in_lengths": lambda c: c[:9],
+    "cut_at_20": lambda c: c[:20],
+    "cut_in_header": lambda c: c[: 12 + _header_len(c) - 5],
+    "cut_after_header": lambda c: c[: 12 + _header_len(c)],
+    "cut_in_tensor_count": lambda c: c[: 12 + _header_len(c) + 6],
+    "cut_in_last_tensor": lambda c: c[:-8],
+    "header_longer_than_file": lambda c: c[:8] + struct.pack("<I", len(c)) + c[12:],
+    "unknown_key": lambda c: _with_header(c, _header(c) + "foo = 1\n"),
+    "missing_key": lambda c: _with_header(c, _header(c).replace("stages = 2\n", "")),
+    "duplicate_key": lambda c: _with_header(c, _header(c) + "stages = 2\n"),
+    "non_integer_stages": lambda c: _with_header(
+        c, _header(c).replace("stages = 2\n", "stages = two\n")
+    ),
+    "non_finite_grid": lambda c: _with_header(
+        c, _header(c).replace("rho_max = 12.0\n", "rho_max = nan\n")
+    ),
+    "tensor_name_not_utf8": lambda c: _garble_first_tensor(c, "name"),
+    "huge_tensor_ndim": lambda c: _garble_first_tensor(c, "ndim"),
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.cfg"
+    path.write_text(TINY_CFG)
+    ckpt = path.parent / "net.ckpt"
+    save_checkpoint(ckpt, SegmentationNetwork(load_config(path).network, seed=0))
+    return ckpt.read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_cli_rejects_malformed_checkpoint_in_one_line(
+    case, tiny_cfg, tiny_checkpoint, tmp_path, capsys
+):
+    bad = tmp_path / f"{case}.ckpt"
+    bad.write_bytes(MALFORMED_CHECKPOINTS[case](tiny_checkpoint))
+    code = main(["eval", "--config", str(tiny_cfg), "--checkpoint", str(bad)])
+    captured = capsys.readouterr()
+    assert code in (1, 2)
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error:") and str(bad) in lines[0]
+

@@ -6,10 +6,13 @@ accounting, determinism, and the checkpoint container.
 """
 
 import os
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cylseg.config import load_config
 from cylseg.network import (
     DDCM,
     DownBlock,
@@ -31,6 +34,7 @@ from cylseg.sparse import leaky_relu_forward, load_tensors
 from cylseg.training import finite_diff_check
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+ROOT = os.path.dirname(os.path.dirname(DATA))
 TOY_GRID = CylGridSpec(rho_range=(0.0, 12.0), z_range=(-1.0, 6.0), resolution=(8, 8, 4))
 
 
@@ -332,6 +336,33 @@ def test_checkpoint_round_trip(tmp_path):
     for name, arr in net.named_state().items():
         np.testing.assert_array_equal(loaded.named_state()[name], arr)
     np.testing.assert_array_equal(loaded.forward(cloud).point_logits, before)
+
+
+def test_checkpoint_header_of_the_full_scale_config_is_pinned(tmp_path):
+    # The header bytes of every checkpoint written so far; only the config
+    # is needed, so a tensor-less stand-in spares building 19.6M parameters.
+    cfg = load_config(os.path.join(ROOT, "configs", "semantic_kitti.cfg"))
+    path = tmp_path / "header.ckpt"
+    save_checkpoint(path, SimpleNamespace(config=cfg.network, named_params=dict, named_state=dict))
+    raw = path.read_bytes()
+    assert raw[:4] == b"CYLC"
+    version, header_len = struct.unpack_from("<II", raw, 4)
+    assert version == 1
+    assert raw[12 : 12 + header_len].decode("utf-8") == (
+        "num_classes = 19\n"
+        "base_channels = 32\n"
+        "stages = 4\n"
+        "block_variant = asym\n"
+        "point_mlp_widths = 64,128\n"
+        "leaky_slope = 0.1\n"
+        "rho_min = 0.0\n"
+        "rho_max = 50.0\n"
+        "z_min = -4.0\n"
+        "z_max = 2.0\n"
+        "radius_bins = 480\n"
+        "azimuth_bins = 360\n"
+        "height_bins = 32\n"
+    )
 
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):
