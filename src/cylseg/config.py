@@ -212,7 +212,15 @@ def network_header(config: NetworkConfig) -> str:
 
 def parse_network_header(text: str) -> NetworkConfig:
     """Read ``network_header``'s text back; every key is required, none may repeat."""
-    keys = _ini_sections("[network]\n" + text, "checkpoint header", ("network",))["network"]
+    keys = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        key, sep, value = (part.strip() for part in line.partition("="))
+        where = f"cannot parse checkpoint header [line {lineno}]"
+        if not sep or not key:
+            raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
+        if key in keys:
+            raise ConfigError(f"{where}: key {key!r} repeats")
+        keys[key] = value
     grid_keys = [key for split in _TUPLE_KEYS["grid"].values() for key in split]
     grid_values = {key: keys.pop(key) for key in grid_keys if key in keys}
     grid = _read("grid", grid_values, CylGridSpec, required=True)

@@ -33,6 +33,7 @@ from .pointcloud import PointCloud
 from .sparse import (
     KernelSpec,
     Rulebook,
+    SiteIndex,
     SparseTensor,
     batch_norm_backward,
     batch_norm_forward,
@@ -49,7 +50,7 @@ from .sparse import (
     sigmoid_forward,
     sparse_conv_backward,
     sparse_conv_forward,
-    unpack_tensors,
+    unpack_tensor_views,
 )
 
 def point_input_features(cloud: PointCloud, mapping: VoxelMapping, grid) -> np.ndarray:
@@ -67,19 +68,20 @@ def point_input_features(cloud: PointCloud, mapping: VoxelMapping, grid) -> np.n
 
 
 class RulebookCache:
-    """Memoizes rulebooks per (site-set identity, kernel) within one pass."""
+    """One ``SiteIndex`` per site set and one rulebook per (site set, kernel)
+    within one pass; site sets are told apart by the identity of their coords."""
 
     def __init__(self):
-        self._store = {}
+        self._store = {}  # id(coords) -> (SiteIndex, {kernel: Rulebook})
 
     def get(self, x: SparseTensor, kernel: KernelSpec) -> Rulebook:
-        key = (id(x.coords), kernel)
-        hit = self._store.get(key)
-        if hit is not None and hit[0] is x.coords:
-            return hit[1]
-        rb = build_rulebook(x.coords, x.spatial_shape, kernel)
-        self._store[key] = (x.coords, rb)
-        return rb
+        hit = self._store.get(id(x.coords))
+        if hit is None or hit[0].coords is not x.coords:
+            hit = self._store[id(x.coords)] = (SiteIndex(x.coords, x.spatial_shape), {})
+        sites, rulebooks = hit
+        if kernel not in rulebooks:
+            rulebooks[kernel] = build_rulebook(x.coords, x.spatial_shape, kernel, sites)
+        return rulebooks[kernel]
 
 
 class Module:
@@ -481,7 +483,8 @@ class SegmentationNetwork(Module):
     """End-to-end model: point MLP, sparse encoder-decoder, point refinement."""
 
     def __init__(self, config: NetworkConfig, seed=0):
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        """``seed`` is a seed or anything with a Generator's ``uniform``."""
+        rng = seed if hasattr(seed, "uniform") else np.random.default_rng(seed)
         self.config = config
         k = config.num_classes
         c0 = config.base_channels
@@ -578,6 +581,18 @@ _CKPT_MAGIC = b"CYLC"
 _CKPT_VERSION = 1
 
 
+class _NoDraw:
+    """Stands in for the init generator of a network whose tensors are all
+    about to be overwritten: it allocates the weights without drawing them."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
+
+
+_NO_DRAW = _NoDraw()
+
+
 def save_checkpoint(path, network: SegmentationNetwork) -> None:
     """Write config header plus all named tensors (params and running stats)."""
     header = network_header(network.config).encode("utf-8")
@@ -596,14 +611,16 @@ def load_checkpoint(path) -> SegmentationNetwork:
     try:
         if raw[:4] != _CKPT_MAGIC:
             raise ValueError("not a checkpoint file")
+        if len(raw) < 12:
+            raise ValueError(f"the {len(raw)}-byte file ends inside the 12-byte preamble")
         version, header_len = struct.unpack_from("<II", raw, 4)
         if version != _CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         if 12 + header_len > len(raw):
             raise ValueError(f"header length {header_len} overruns the {len(raw)}-byte file")
         config = parse_network_header(raw[12 : 12 + header_len].decode("utf-8"))
-        network = SegmentationNetwork(config, seed=0)
-        network.load_tensor_dict(unpack_tensors(raw[12 + header_len :]))
-    except (ValueError, ConfigError, struct.error) as exc:
+        network = SegmentationNetwork(config, seed=_NO_DRAW)
+        network.load_tensor_dict(unpack_tensor_views(memoryview(raw)[12 + header_len :]))
+    except (ValueError, ConfigError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     return network

@@ -198,20 +198,27 @@ class VoxelMapping:
     """Assignment of points to occupied cells.
 
     ``cells`` lists the occupied cell coordinates in ascending flat-index
-    order; ``point_site`` gives each point's row in that list, ``point_cell``
-    its flat cell index, and ``cell_points[m]`` the indices of the points in
-    cell m.
+    order; ``point_site`` gives each point's row in that list and
+    ``point_cell`` its flat cell index.
     """
 
     point_cell: np.ndarray
     point_site: np.ndarray
     cells: np.ndarray
-    cell_points: List[np.ndarray]
     spatial_shape: Tuple[int, int, int]
 
     @property
     def num_cells(self) -> int:
         return self.cells.shape[0]
+
+    @property
+    def cell_points(self) -> List[np.ndarray]:
+        """Per cell, the indices of its points in ascending order (built on each access)."""
+        if self.num_cells == 0:
+            return []
+        order = np.argsort(self.point_site, kind="stable")
+        counts = np.bincount(self.point_site, minlength=self.num_cells)
+        return np.split(order, np.cumsum(counts)[:-1])
 
 
 def assign_cells(cloud, grid) -> VoxelMapping:
@@ -228,13 +235,7 @@ def assign_cells(cloud, grid) -> VoxelMapping:
     flat = (cells3[:, 0] * res[1] + cells3[:, 1]) * res[2] + cells3[:, 2]
     uniq, point_site = np.unique(flat, return_inverse=True)
     cells = np.stack(np.unravel_index(uniq, res), axis=1).astype(np.int64)
-    if len(uniq):
-        order = np.argsort(point_site, kind="stable")
-        counts = np.bincount(point_site, minlength=len(uniq))
-        cell_points = np.split(order, np.cumsum(counts)[:-1])
-    else:
-        cell_points = []
-    return VoxelMapping(flat, point_site.astype(np.int64), cells, cell_points, tuple(res))
+    return VoxelMapping(flat, point_site.astype(np.int64, copy=False), cells, tuple(res))
 
 
 def scatter_features(

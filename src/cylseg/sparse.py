@@ -27,6 +27,7 @@ deterministic and independent of input site ordering.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -141,7 +142,12 @@ class KernelSpec:
 
 @dataclass
 class Rulebook:
-    """Per-offset pair lists connecting input sites to output sites."""
+    """Per-offset pair lists connecting input sites to output sites.
+
+    ``identity_offset`` names the offset whose pairs are ``(arange(M),
+    arange(M))`` (a submanifold kernel's centre), which the convolutions run
+    on the whole feature array without a gather or scatter.
+    """
 
     kernel: KernelSpec
     in_coords: np.ndarray
@@ -149,6 +155,7 @@ class Rulebook:
     out_coords: np.ndarray
     out_shape: Tuple[int, int, int]
     pairs: List[Tuple[np.ndarray, np.ndarray]]  # per offset: (in_idx, out_idx)
+    identity_offset: Optional[int] = None
 
     @property
     def num_pairs(self) -> int:
@@ -163,10 +170,62 @@ class Rulebook:
             self.in_coords,
             self.in_shape,
             [(out_idx, in_idx) for in_idx, out_idx in self.pairs],
+            self.identity_offset,
         )
 
 
-def build_rulebook(in_coords: np.ndarray, in_shape, kernel: KernelSpec) -> Rulebook:
+class SiteIndex:
+    """One site set's key sort and its neighbour searches, each made once.
+
+    ``coords`` must already be valid (unique and in bounds), as a
+    ``SparseTensor``'s are. ``neighbours(offset)`` returns the pairs
+    (i -> j) with ``coords[i] + offset == coords[j]``, sorted by j, and
+    memoises them, so kernels sharing an offset share its search.
+    """
+
+    def __init__(self, coords: np.ndarray, shape):
+        self.coords = coords
+        self.shape = _as_triple(shape)
+        keys = _flatten_coords(coords, self.shape)
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted_keys = keys[self._order]
+        self._keys = keys
+        self._found = {}
+
+    def neighbours(self, offset) -> Tuple[np.ndarray, np.ndarray]:
+        offset = tuple(int(d) for d in offset)
+        hit = self._found.get(offset)
+        if hit is None:
+            hit = self._found[offset] = self._search(offset)
+        return hit
+
+    def _search(self, offset) -> Tuple[np.ndarray, np.ndarray]:
+        m = self.coords.shape[0]
+        if offset == (0, 0, 0):
+            every = np.arange(m)
+            return every, every
+        valid = np.ones(m, dtype=bool)
+        for axis, d in enumerate(offset):
+            if d < 0:
+                valid &= self.coords[:, axis] >= -d
+            elif d > 0:
+                valid &= self.coords[:, axis] < self.shape[axis] - d
+        src = np.nonzero(valid)[0]
+        if src.size == 0:
+            return src, src.copy()
+        _, w, l = self.shape
+        tkeys = self._keys[src] + ((offset[0] * w + offset[1]) * l + offset[2])
+        pos = np.minimum(np.searchsorted(self._sorted_keys, tkeys), m - 1)
+        found = self._sorted_keys[pos] == tkeys
+        in_idx = src[found]
+        out_idx = self._order[pos[found]]
+        perm = np.argsort(out_idx, kind="stable")
+        return in_idx[perm], out_idx[perm]
+
+
+def build_rulebook(
+    in_coords: np.ndarray, in_shape, kernel: KernelSpec, sites: Optional[SiteIndex] = None
+) -> Rulebook:
     """Enumerate (input, output) site pairs for each kernel offset.
 
     Submanifold: the output site set (and ordering) equals the input's; a
@@ -175,60 +234,44 @@ def build_rulebook(in_coords: np.ndarray, in_shape, kernel: KernelSpec) -> Ruleb
     ceil-divided grid whose receptive field ``stride * c + offsets`` touches
     an input site; pairs follow the same coordinate equation with output
     coordinates scaled by the stride.
+
+    ``sites``, the ``SiteIndex`` of these (already validated) coords, skips
+    the validation and shares its neighbour searches with other kernels.
     """
-    in_shape = _as_triple(in_shape)
-    in_coords = _validate_coords(in_coords, in_shape)
+    if sites is None:
+        in_shape = _as_triple(in_shape)
+        sites = SiteIndex(_validate_coords(in_coords, in_shape), in_shape)
+    in_coords, in_shape = sites.coords, sites.shape
     offsets = kernel.offsets()
-    m = in_coords.shape[0]
 
     if kernel.mode == "submanifold":
-        out_coords, out_shape = in_coords, in_shape
-        keys = _flatten_coords(in_coords, in_shape)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        pairs = []
-        for k in range(offsets.shape[0]):
-            target = in_coords + offsets[k]
-            valid = ((target >= 0) & (target < np.array(in_shape))).all(axis=1)
-            src = np.nonzero(valid)[0]
-            if src.size == 0:
-                pairs.append((src, src.copy()))
-                continue
-            tkeys = _flatten_coords(target[src], in_shape)
-            pos = np.searchsorted(sorted_keys, tkeys)
-            pos_c = np.minimum(pos, m - 1)
-            found = sorted_keys[pos_c] == tkeys
-            in_idx = src[found]
-            out_idx = order[pos_c[found]]
-            perm = np.argsort(out_idx, kind="stable")
-            pairs.append((in_idx[perm], out_idx[perm]))
-        return Rulebook(kernel, in_coords, in_shape, out_coords, out_shape, pairs)
+        pairs = [sites.neighbours(d) for d in offsets]
+        return Rulebook(
+            kernel, in_coords, in_shape, in_coords, in_shape, pairs, kernel.volume // 2
+        )
 
-    # strided downsampling
+    # strided downsampling: site c feeds output c' through offset d iff
+    # c + d = stride * c', so only sites with c = -d (mod stride) can
     stride = np.array(kernel.stride, dtype=np.int64)
     out_shape = tuple(int(-(-s // st)) for s, st in zip(in_shape, kernel.stride))
-    candidates = []
+    residue_id = np.array([4, 2, 1])  # per-axis residues are 0 or 1
+    residue = (in_coords % stride) @ residue_id
+    by_residue = np.argsort(residue, kind="stable")
+    starts = np.searchsorted(residue[by_residue], np.arange(9))
+    out_hi = np.array(out_shape)
     per_offset = []
-    for k in range(offsets.shape[0]):
-        target = in_coords + offsets[k]
-        ok = (target >= 0).all(axis=1) & (target % stride == 0).all(axis=1)
+    for d in offsets:
+        r = (-d % stride) @ residue_id
+        src = by_residue[starts[r] : starts[r + 1]]
+        target = in_coords[src] + d
         down = target // stride
-        ok &= (down < np.array(out_shape)).all(axis=1)
-        src = np.nonzero(ok)[0]
-        per_offset.append((src, down[src]))
-        if src.size:
-            candidates.append(down[src])
-    if candidates:
-        out_coords = np.unique(np.vstack(candidates), axis=0)
-    else:
-        out_coords = np.zeros((0, 3), dtype=np.int64)
-    out_keys = _flatten_coords(out_coords, out_shape)  # sorted by construction
+        ok = (target >= 0).all(axis=1) & (down < out_hi).all(axis=1)
+        per_offset.append((src[ok], _flatten_coords(down[ok], out_shape)))
+    out_keys = np.unique(np.concatenate([keys for _, keys in per_offset]))
+    out_coords = np.stack(np.unravel_index(out_keys, out_shape), axis=1).astype(np.int64)
     pairs = []
-    for src, down in per_offset:
-        if src.size == 0:
-            pairs.append((src, src.copy()))
-            continue
-        out_idx = np.searchsorted(out_keys, _flatten_coords(down, out_shape))
+    for src, keys in per_offset:
+        out_idx = np.searchsorted(out_keys, keys)
         perm = np.argsort(out_idx, kind="stable")
         pairs.append((src[perm], out_idx[perm]))
     return Rulebook(kernel, in_coords, in_shape, out_coords, out_shape, pairs)
@@ -267,7 +310,11 @@ def _check_rulebook_input(x: SparseTensor, rulebook: Rulebook) -> None:
 def sparse_conv_forward(
     x: SparseTensor, params: ConvParams, rulebook: Rulebook
 ) -> SparseTensor:
-    """Gather-GEMM-scatter convolution over the rulebook's pair lists."""
+    """Gather-GEMM-scatter convolution over the rulebook's pair lists.
+
+    Offsets accumulate in ascending order; the identity offset's GEMM runs
+    on the whole feature array in its place, with the same sums.
+    """
     _check_rulebook_input(x, rulebook)
     kvol, c_in, c_out = params.weights.shape
     if kvol != rulebook.kernel.volume or c_in != x.num_channels:
@@ -275,7 +322,9 @@ def sparse_conv_forward(
     out = np.empty((rulebook.out_coords.shape[0], c_out), dtype=_DTYPE)
     out[:] = params.bias
     for k, (in_idx, out_idx) in enumerate(rulebook.pairs):
-        if in_idx.size:
+        if k == rulebook.identity_offset:
+            out += x.features @ params.weights[k]
+        elif in_idx.size:
             out[out_idx] += x.features[in_idx] @ params.weights[k]
     result = SparseTensor.__new__(SparseTensor)
     result.coords = rulebook.out_coords
@@ -295,7 +344,10 @@ def sparse_conv_backward(
     grad_w = np.zeros_like(params.weights)
     grad_b = grad_out.sum(axis=0)
     for k, (in_idx, out_idx) in enumerate(rulebook.pairs):
-        if in_idx.size:
+        if k == rulebook.identity_offset:
+            grad_w[k] = x.features.T @ grad_out
+            grad_in += grad_out @ params.weights[k].T
+        elif in_idx.size:
             g = grad_out[out_idx]
             grad_w[k] = x.features[in_idx].T @ g
             grad_in[in_idx] += g @ params.weights[k].T
@@ -523,29 +575,51 @@ def pack_tensors(tensors: dict) -> bytes:
     return buf.getvalue()
 
 
-def unpack_tensors(blob: bytes) -> dict:
+def unpack_tensors(blob) -> dict:
+    """Read ``pack_tensors`` output into arrays of their own; a cut or
+    garbled container raises one ValueError naming the entry it stops in."""
+    return {name: arr.astype(np.float64) for name, arr in unpack_tensor_views(blob).items()}
+
+
+def unpack_tensor_views(blob) -> dict:
+    """``unpack_tensors`` without the copies: read-only little-endian views
+    into ``blob``, for a caller that copies them where they belong."""
     view = memoryview(blob)
     if bytes(view[:4]) != _MAGIC:
         raise ValueError("bad tensor container magic")
-    version, count = struct.unpack_from("<II", view, 4)
+    pos = 4
+    entry = "the container header"
+
+    def take(nbytes, what):
+        nonlocal pos
+        if nbytes > len(view) - pos:
+            raise ValueError(
+                f"tensor container cut short in {entry}: {nbytes} bytes of {what} "
+                f"expected at offset {pos}, {len(view) - pos} left"
+            )
+        pos += nbytes
+        return view[pos - nbytes : pos]
+
+    version, count = struct.unpack("<II", take(8, "version and count"))
     if version != _VERSION:
         raise ValueError(f"unsupported tensor container version {version}")
-    pos = 12
     out = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", view, pos)
-        pos += 4
-        name = bytes(view[pos : pos + name_len]).decode("utf-8")
-        pos += name_len
-        (ndim,) = struct.unpack_from("<I", view, pos)
-        pos += 4
-        shape = np.frombuffer(view, dtype="<i8", count=ndim, offset=pos)
-        pos += 8 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(view, dtype="<f8", count=size, offset=pos)
-        pos += 8 * size
-        out[name] = data.reshape(shape).astype(np.float64)
-    if pos != len(blob):
+    for i in range(count):
+        entry = f"entry {i}"
+        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        try:
+            name = bytes(take(name_len, "name")).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"tensor container {entry}: name is not UTF-8") from None
+        entry = f"entry {i} ({name!r})"
+        (ndim,) = struct.unpack("<I", take(4, "ndim"))
+        shape = np.frombuffer(take(8 * ndim, "shape"), dtype="<i8")
+        if (shape < 0).any():
+            raise ValueError(f"tensor container {entry}: negative shape {shape.tolist()}")
+        size = math.prod(int(n) for n in shape)
+        data = np.frombuffer(take(8 * size, "data"), dtype="<f8")
+        out[name] = data.reshape(shape)
+    if pos != len(view):
         raise ValueError("trailing bytes in tensor container")
     return out
 

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cylseg.config import load_config
+from cylseg.config import ConfigError, load_config, network_header, parse_network_header
 from cylseg.network import (
     DDCM,
     DownBlock,
@@ -393,3 +393,27 @@ def test_checkpoint_from_before_the_layer_rework_predicts_identically():
     result = loaded.forward(cloud)
     np.testing.assert_array_equal(result.point_logits, expected["point_logits"])
     np.testing.assert_array_equal(loaded.predict(cloud), expected["predictions"])
+
+
+def test_checkpoint_load_draws_no_random_numbers(monkeypatch):
+    # every tensor comes from the file, so drawing an initialisation is waste
+    _, cloud = _toy_setup(seed=0)
+    expected = load_tensors(os.path.join(DATA, "toy_seed0_expected.cylt"))
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_checkpoint made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    loaded = load_checkpoint(os.path.join(DATA, "toy_seed0.ckpt"))
+    np.testing.assert_array_equal(loaded.forward(cloud).point_logits, expected["point_logits"])
+
+
+def test_checkpoint_header_errors_name_the_header_line():
+    header = network_header(_toy_config())
+    assert len(header.splitlines()) == 13
+    with pytest.raises(ConfigError, match=r"\[line 14\]: key 'stages' repeats"):
+        parse_network_header(header + "stages = 2\n")
+    lines = header.splitlines(keepends=True)
+    lines[2] = "stages\n"
+    with pytest.raises(ConfigError, match=r"\[line 3\]: expected 'key = value'"):
+        parse_network_header("".join(lines))

@@ -114,6 +114,26 @@ def test_mapping_partitions_points():
     assert sorted(seen.tolist()) == list(range(300))
 
 
+def test_cell_points_equal_the_eager_split_lists():
+    grid = CylGridSpec(rho_range=(0.0, 8.0), z_range=(-2.0, 2.0), resolution=(6, 5, 4))
+    rng = np.random.default_rng(13)
+    for n in (0, 1, 7, 500):
+        mapping = assign_cells(_cloud(rng.uniform(-6, 6, size=(n, 3))), grid)
+        # reference: the lists assign_cells used to build for every mapping
+        if mapping.num_cells:
+            order = np.argsort(mapping.point_site, kind="stable")
+            counts = np.bincount(mapping.point_site, minlength=mapping.num_cells)
+            expected = np.split(order, np.cumsum(counts)[:-1])
+        else:
+            expected = []
+        got = mapping.cell_points
+        assert len(got) == len(expected) == mapping.num_cells
+        for site, (a, b) in enumerate(zip(got, expected)):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, np.flatnonzero(mapping.point_site == site))
+            assert a.dtype == b.dtype
+
+
 def test_empty_cloud_gives_empty_mapping():
     mapping = assign_cells(_cloud(np.zeros((0, 3))), DEFAULT_CYL_GRID)
     assert mapping.cells.shape == (0, 3)

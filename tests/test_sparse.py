@@ -7,6 +7,7 @@ from cylseg.selftest import NETWORK_KERNELS, conv_oracle_error, random_sparse
 from cylseg.sparse import (
     ConvParams,
     KernelSpec,
+    SiteIndex,
     SparseTensor,
     add_sparse,
     batch_norm_backward,
@@ -290,6 +291,160 @@ def test_inverse_conv_is_forward_over_transposed_rulebook_bitwise():
             np.testing.assert_array_equal(g, t)
 
 
+# ------------------------------------------- shared index path vs the old one
+
+
+def _old_build_rulebook(in_coords, in_shape, kernel):
+    # reference: the per-kernel build that searched every offset afresh and
+    # took strided output sites from np.unique over coordinate rows
+    offsets = kernel.offsets()
+    m = in_coords.shape[0]
+    flat = lambda c, s: (c[:, 0] * s[1] + c[:, 1]) * s[2] + c[:, 2]
+    if kernel.mode == "submanifold":
+        keys = flat(in_coords, in_shape)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        pairs = []
+        for k in range(offsets.shape[0]):
+            target = in_coords + offsets[k]
+            valid = ((target >= 0) & (target < np.array(in_shape))).all(axis=1)
+            src = np.nonzero(valid)[0]
+            if src.size == 0:
+                pairs.append((src, src.copy()))
+                continue
+            tkeys = flat(target[src], in_shape)
+            pos_c = np.minimum(np.searchsorted(sorted_keys, tkeys), m - 1)
+            found = sorted_keys[pos_c] == tkeys
+            in_idx, out_idx = src[found], order[pos_c[found]]
+            perm = np.argsort(out_idx, kind="stable")
+            pairs.append((in_idx[perm], out_idx[perm]))
+        return in_coords, tuple(in_shape), pairs
+    stride = np.array(kernel.stride, dtype=np.int64)
+    out_shape = tuple(int(-(-s // st)) for s, st in zip(in_shape, kernel.stride))
+    candidates, per_offset = [], []
+    for k in range(offsets.shape[0]):
+        target = in_coords + offsets[k]
+        ok = (target >= 0).all(axis=1) & (target % stride == 0).all(axis=1)
+        down = target // stride
+        ok &= (down < np.array(out_shape)).all(axis=1)
+        src = np.nonzero(ok)[0]
+        per_offset.append((src, down[src]))
+        if src.size:
+            candidates.append(down[src])
+    if candidates:
+        out_coords = np.unique(np.vstack(candidates), axis=0)
+    else:
+        out_coords = np.zeros((0, 3), dtype=np.int64)
+    out_keys = flat(out_coords, out_shape)
+    pairs = []
+    for src, down in per_offset:
+        if src.size == 0:
+            pairs.append((src, src.copy()))
+            continue
+        out_idx = np.searchsorted(out_keys, flat(down, out_shape))
+        perm = np.argsort(out_idx, kind="stable")
+        pairs.append((src[perm], out_idx[perm]))
+    return out_coords, out_shape, pairs
+
+
+def _assert_same_rulebook(rb, reference):
+    out_coords, out_shape, pairs = reference
+    np.testing.assert_array_equal(rb.out_coords, out_coords)
+    assert rb.out_coords.dtype == out_coords.dtype and rb.out_shape == out_shape
+    assert len(rb.pairs) == len(pairs)
+    for (got_in, got_out), (ref_in, ref_out) in zip(rb.pairs, pairs):
+        np.testing.assert_array_equal(got_in, ref_in)
+        np.testing.assert_array_equal(got_out, ref_out)
+        assert got_in.dtype == ref_in.dtype and got_out.dtype == ref_out.dtype
+
+
+def _site_sets(seed, count=12):
+    """Random site sets from sparse to dense, each sorted and shuffled."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        x = random_sparse(rng, max_shape=(9, 9, 9), max_channels=3, max_sites=10 + 60 * i)
+        yield x
+        perm = rng.permutation(x.num_sites)
+        yield SparseTensor(x.coords[perm], x.features[perm], x.spatial_shape)
+
+
+def test_shared_site_index_rulebooks_equal_fresh_per_kernel_builds():
+    from cylseg.network import RulebookCache
+
+    for x in _site_sets(60):
+        cache = RulebookCache()
+        for kernel in NETWORK_KERNELS:
+            reference = _old_build_rulebook(x.coords, x.spatial_shape, kernel)
+            _assert_same_rulebook(cache.get(x, kernel), reference)
+            _assert_same_rulebook(build_rulebook(x.coords, x.spatial_shape, kernel), reference)
+
+
+def test_site_index_searches_each_offset_once():
+    x = random_sparse(np.random.default_rng(61), max_sites=200)
+    sites = SiteIndex(x.coords, x.spatial_shape)
+    a = build_rulebook(x.coords, x.spatial_shape, KernelSpec((1, 3, 3)), sites)
+    b = build_rulebook(x.coords, x.spatial_shape, KernelSpec((3, 1, 3)), sites)
+    # offsets (0, 0, -1), (0, 0, 0) and (0, 0, 1) sit at 3, 4 and 5 in both
+    for k in (3, 4, 5):
+        assert a.pairs[k] is b.pairs[k]
+    in_idx, out_idx = a.pairs[a.identity_offset]
+    assert in_idx is out_idx
+    np.testing.assert_array_equal(in_idx, np.arange(x.num_sites))
+
+
+def test_strided_out_coords_equal_unique_rows_of_the_candidates():
+    kernels = [
+        KernelSpec((3, 3, 3), (2, 2, 2), "strided"),
+        KernelSpec((3, 3, 3), (2, 1, 2), "strided"),
+        KernelSpec((1, 3, 1), (2, 2, 1), "strided"),
+    ]
+    for x in _site_sets(62):
+        for kernel in kernels:
+            stride = np.array(kernel.stride)
+            out_shape = -(-np.array(x.spatial_shape) // stride)
+            candidates = []
+            for d in kernel.offsets():
+                target = x.coords + d
+                ok = (target >= 0).all(axis=1) & (target % stride == 0).all(axis=1)
+                ok &= (target // stride < out_shape).all(axis=1)
+                candidates.append(target[ok] // stride)
+            rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+            expected = np.unique(np.vstack(candidates), axis=0)
+            np.testing.assert_array_equal(rb.out_coords, expected)
+            _assert_same_rulebook(rb, _old_build_rulebook(x.coords, x.spatial_shape, kernel))
+
+
+def _gather_gemm_scatter(x, params, rb, grad):
+    # reference: every offset, the centre too, through gather and scatter
+    out = np.empty((len(rb.out_coords), params.weights.shape[2]))
+    out[:] = params.bias
+    grad_in = np.zeros_like(x.features)
+    grad_w = np.zeros_like(params.weights)
+    for k, (in_idx, out_idx) in enumerate(rb.pairs):
+        if in_idx.size:
+            out[out_idx] += x.features[in_idx] @ params.weights[k]
+            g = grad[out_idx]
+            grad_w[k] = x.features[in_idx].T @ g
+            grad_in[in_idx] += g @ params.weights[k].T
+    return out, (grad_in, grad_w, grad.sum(axis=0))
+
+
+def test_centre_offset_fast_path_equals_gather_gemm_scatter_bitwise():
+    rng = np.random.default_rng(63)
+    for x in _site_sets(64, count=6):
+        for kernel in NETWORK_KERNELS[:7]:
+            rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+            assert rb.identity_offset == kernel.volume // 2
+            c_out = int(rng.integers(1, 6))
+            params = init_conv_params(kernel, x.num_channels, c_out, rng)
+            params.bias[:] = rng.standard_normal(c_out)
+            grad = rng.standard_normal((x.num_sites, c_out))
+            ref_out, ref_grads = _gather_gemm_scatter(x, params, rb, grad)
+            np.testing.assert_array_equal(sparse_conv_forward(x, params, rb).features, ref_out)
+            for got, ref in zip(sparse_conv_backward(x, params, rb, grad), ref_grads):
+                np.testing.assert_array_equal(got, ref)
+
+
 # ------------------------------------------------------------- pointwise ops
 
 
@@ -440,3 +595,29 @@ def test_pack_is_insertion_order_independent():
 def test_unpack_rejects_bad_magic():
     with pytest.raises(ValueError):
         unpack_tensors(b"NOPE" + b"\x00" * 16)
+
+
+def test_unpack_names_the_entry_a_cut_container_stops_in():
+    tensors = {"a.weights": np.ones((2, 3)), "b": np.float64(2.0), "c.bias": np.zeros(4)}
+    blob = pack_tensors(tensors)
+    names = sorted(tensors)
+    starts = [12]  # where each entry begins
+    for name in names:
+        starts.append(starts[-1] + 4 + len(name) + 4 + 8 * np.ndim(tensors[name])
+                      + 8 * np.size(tensors[name]))
+    assert starts[-1] == len(blob)
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError) as err:
+            unpack_tensors(blob[:cut])
+        message = str(err.value)
+        if cut < 4:
+            assert "magic" in message
+            continue
+        assert "cut short" in message
+        i = int(np.searchsorted(starts, cut, side="right")) - 1
+        if cut < 12:
+            assert "container header" in message
+        else:
+            assert f"entry {i}" in message
+            if cut >= starts[i] + 4 + len(names[i]):
+                assert repr(names[i]) in message
