@@ -96,9 +96,14 @@ class Module:
     state: dict = {}
 
     def declare(self, params: dict, state: Optional[dict] = None) -> None:
-        """Register parameters (with zeroed gradient buffers) and running state."""
+        """Register parameters (with zeroed gradient buffers) and running state.
+
+        The buffers come from ``np.zeros``, not ``zeros_like``: calloc'd
+        pages stay untouched until a backward pass writes them, so a network
+        loaded only to predict never makes them resident.
+        """
         self.params = params
-        self.grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+        self.grads = {name: np.zeros(arr.shape) for name, arr in params.items()}
         self.state = state or {}
 
     def children(self):
@@ -145,7 +150,8 @@ class Affine(Module):
         self.declare({"weight": self.weight, "bias": self.bias})
 
     def forward(self, feats, training):
-        return feats @ self.weight + self.bias, feats
+        weight = self.weight.astype(feats.dtype, copy=False)
+        return feats @ weight + self.bias.astype(feats.dtype, copy=False), feats
 
     def backward(self, grad, ctx):
         self.grads["weight"] += ctx.T @ grad
@@ -512,33 +518,46 @@ class SegmentationNetwork(Module):
         out += [("head", self.head), ("refine", self.refine)]
         return out
 
-    def forward(self, cloud: PointCloud, training: bool = False) -> ForwardResult:
-        """Run the full pipeline; pure w.r.t. parameters when not training."""
+    def forward(
+        self, cloud: PointCloud, training: bool = False, *, _dtype=np.float64
+    ) -> ForwardResult:
+        """Run the full pipeline; pure w.r.t. parameters when not training.
+
+        Every layer computes in the dtype of the point features, float64
+        unless ``predict`` asks for float32. Without training no backward
+        context is kept: each is dropped as soon as it is made, and each skip
+        tensor once its up block has used it.
+        """
         config = self.config
         mapping = assign_cells(cloud, config.grid)
         if mapping.num_cells == 0:
             raise ValueError("cannot run the network on an empty cloud")
-        pfeat = point_input_features(cloud, mapping, config.grid)
-        h, c_mlp = self.point_mlp.forward(pfeat, training)
-        vox = scatter_features(h, mapping, config.grid)
+
+        def kept(result):
+            """A layer's ``(outputs..., ctx)``, its ctx dropped unless training."""
+            return result if training else (*result[:-1], None)
+
+        pfeat = point_input_features(cloud, mapping, config.grid).astype(_dtype, copy=False)
+        h, c_mlp = kept(self.point_mlp.forward(pfeat, training))
+        x = scatter_features(h, mapping, config.grid)
         winners = scatter_max_winners(h, mapping) if training else None
 
         cache = RulebookCache()
-        x = vox
         skips, rulebooks, c_downs = [], [], []
         for down in self.downs:
-            x, skip, rb, c_d = down.forward(x, cache, training)
+            x, skip, rb, c_d = kept(down.forward(x, cache, training))
             skips.append(skip)
             rulebooks.append(rb)
             c_downs.append(c_d)
-        x, c_ddcm = self.ddcm.forward(x, cache, training)
+        del skip  # each skip goes as soon as its up block has used it
+        x, c_ddcm = kept(self.ddcm.forward(x, cache, training))
         c_ups = [None] * config.stages
         for i in reversed(range(config.stages)):
-            x, c_ups[i] = self.ups[i].forward(x, skips[i], rulebooks[i], cache, training)
-        logits, c_head = self.head.forward(x, cache.get(x, self.head.kernel), training)
+            x, c_ups[i] = kept(self.ups[i].forward(x, skips.pop(), rulebooks[i], cache, training))
+        logits, c_head = kept(self.head.forward(x, cache.get(x, self.head.kernel), training))
         gathered = logits.features[mapping.point_site]
         refine_in = np.hstack([gathered, h])
-        point_logits, c_refine = self.refine.forward(refine_in, training)
+        point_logits, c_refine = kept(self.refine.forward(refine_in, training))
         ctx = (winners, c_mlp, c_downs, c_ddcm, c_ups, c_head, c_refine) if training else None
         return ForwardResult(logits, point_logits, mapping, ctx)
 
@@ -570,8 +589,12 @@ class SegmentationNetwork(Module):
         self.point_mlp.backward(g_h + g_points, c_mlp)
 
     def predict(self, cloud: PointCloud) -> np.ndarray:
-        """Per-point class predictions (argmax of the refined logits)."""
-        return np.argmax(self.forward(cloud, training=False).point_logits, axis=1)
+        """Per-point class predictions (argmax of the refined logits).
+
+        The forward pass runs in float32: it is bound by memory traffic, and
+        its argmax agrees with the float64 pass's except at near-ties.
+        """
+        return np.argmax(self.forward(cloud, _dtype=np.float32).point_logits, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .metrics import ConfusionMatrix, compute_miou
 from .pointcloud import PointCloud
-from .sparse import SparseTensor
+from .sparse import SparseTensor, as_features
 
 TWO_PI = 2.0 * np.pi
 
@@ -241,13 +241,14 @@ def assign_cells(cloud, grid) -> VoxelMapping:
 def scatter_features(
     point_features: np.ndarray, mapping: VoxelMapping, grid=None
 ) -> SparseTensor:
-    """Reduce per-point features into their cells by elementwise maximum."""
-    feats = np.asarray(point_features, dtype=np.float64)
+    """Reduce per-point features into their cells by elementwise maximum,
+    in their dtype (float32 stays float32, anything else becomes float64)."""
+    feats = as_features(point_features)
     if feats.ndim != 2 or feats.shape[0] != mapping.point_site.shape[0]:
         raise ValueError("feature rows must match the mapped point count")
     if grid is not None and tuple(grid.resolution) != tuple(mapping.spatial_shape):
         raise ValueError("grid does not match the mapping's spatial shape")
-    out = np.full((mapping.num_cells, feats.shape[1]), -np.inf)
+    out = np.full((mapping.num_cells, feats.shape[1]), -np.inf, dtype=feats.dtype)
     np.maximum.at(out, mapping.point_site, feats)
     return SparseTensor(mapping.cells, out, mapping.spatial_shape)
 

@@ -37,6 +37,13 @@ import numpy as np
 _DTYPE = np.float64
 
 
+def as_features(features) -> np.ndarray:
+    """Features to compute on: float32 stays float32 (the inference route),
+    anything else becomes float64. Each op computes in its input's dtype."""
+    features = np.asarray(features)
+    return features if features.dtype == np.float32 else features.astype(_DTYPE, copy=False)
+
+
 def _as_triple(value) -> Tuple[int, int, int]:
     if isinstance(value, (int, np.integer)):
         return (int(value),) * 3
@@ -69,7 +76,7 @@ class SparseTensor:
     """Features attached to a set of unique, in-bounds voxel coordinates."""
 
     coords: np.ndarray  # (M, 3) int64
-    features: np.ndarray  # (M, C) float64
+    features: np.ndarray  # (M, C) float64, or float32 on the inference route
     spatial_shape: Tuple[int, int, int]
 
     def __post_init__(self):
@@ -77,7 +84,7 @@ class SparseTensor:
         if any(s < 1 for s in self.spatial_shape):
             raise ValueError("spatial_shape entries must be positive")
         self.coords = _validate_coords(self.coords, self.spatial_shape)
-        self.features = np.asarray(self.features, dtype=_DTYPE)
+        self.features = as_features(self.features)
         if self.features.ndim != 2 or self.features.shape[0] != self.coords.shape[0]:
             raise ValueError(
                 f"features must be (M, C) with M={self.coords.shape[0]}, "
@@ -97,7 +104,7 @@ class SparseTensor:
         out = SparseTensor.__new__(SparseTensor)
         out.coords = self.coords
         out.spatial_shape = self.spatial_shape
-        features = np.asarray(features, dtype=_DTYPE)
+        features = as_features(features)
         if features.ndim != 2 or features.shape[0] != self.coords.shape[0]:
             raise ValueError("feature row count must match site count")
         out.features = features
@@ -313,19 +320,21 @@ def sparse_conv_forward(
     """Gather-GEMM-scatter convolution over the rulebook's pair lists.
 
     Offsets accumulate in ascending order; the identity offset's GEMM runs
-    on the whole feature array in its place, with the same sums.
+    on the whole feature array in its place, with the same sums. It computes
+    in the dtype of ``x.features``; the float64 parameters are cast per call.
     """
     _check_rulebook_input(x, rulebook)
     kvol, c_in, c_out = params.weights.shape
     if kvol != rulebook.kernel.volume or c_in != x.num_channels:
         raise ValueError("weight shape does not match kernel/input channels")
-    out = np.empty((rulebook.out_coords.shape[0], c_out), dtype=_DTYPE)
+    weights = params.weights.astype(x.features.dtype, copy=False)
+    out = np.empty((rulebook.out_coords.shape[0], c_out), dtype=x.features.dtype)
     out[:] = params.bias
     for k, (in_idx, out_idx) in enumerate(rulebook.pairs):
         if k == rulebook.identity_offset:
-            out += x.features @ params.weights[k]
+            out += x.features @ weights[k]
         elif in_idx.size:
-            out[out_idx] += x.features[in_idx] @ params.weights[k]
+            out[out_idx] += x.features[in_idx] @ weights[k]
     result = SparseTensor.__new__(SparseTensor)
     result.coords = rulebook.out_coords
     result.features = out
@@ -408,9 +417,11 @@ def batch_norm_forward(features: np.ndarray, norm: NormParams, training: bool):
 
     Training mode uses batch statistics (biased variance) and updates the
     running buffers in place: running = momentum * running + (1 - momentum)
-    * batch. Inference mode uses the running buffers.
+    * batch. Inference mode uses the running buffers. It computes in the
+    dtype of ``features``.
     """
-    features = np.asarray(features, dtype=_DTYPE)
+    features = as_features(features)
+    dtype = features.dtype
     if training:
         if features.shape[0] == 0:
             raise ValueError("batch norm in training mode needs at least one site")
@@ -422,10 +433,11 @@ def batch_norm_forward(features: np.ndarray, norm: NormParams, training: bool):
         norm.running_var += (1 - norm.momentum) * var
     else:
         mean, var = norm.running_mean, norm.running_var
-    inv_std = 1.0 / np.sqrt(var + norm.eps)
-    xhat = (features - mean) * inv_std
-    out = norm.scale * xhat + norm.shift
-    ctx = (xhat, inv_std, norm.scale, training)
+    inv_std = (1.0 / np.sqrt(var + norm.eps)).astype(dtype, copy=False)
+    xhat = (features - mean.astype(dtype, copy=False)) * inv_std
+    scale = norm.scale.astype(dtype, copy=False)
+    out = scale * xhat + norm.shift.astype(dtype, copy=False)
+    ctx = (xhat, inv_std, scale, training)
     return out, ctx
 
 
@@ -446,7 +458,7 @@ def batch_norm_backward(grad_out: np.ndarray, ctx):
 
 
 def leaky_relu_forward(features: np.ndarray, slope: float = 0.1):
-    features = np.asarray(features, dtype=_DTYPE)
+    features = as_features(features)
     neg = features < 0
     out = np.where(neg, slope * features, features)
     return out, (neg, slope)
@@ -458,7 +470,10 @@ def leaky_relu_backward(grad_out: np.ndarray, ctx):
 
 
 def sigmoid_forward(features: np.ndarray):
-    out = 1.0 / (1.0 + np.exp(-np.asarray(features, dtype=_DTYPE)))
+    # exp(-x) overflows to inf for x below -88.7 in float32 (-709 in
+    # float64), and 1 / inf is the exact limit 0
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + np.exp(-as_features(features)))
     return out, out
 
 

@@ -5,10 +5,14 @@ measure wall time and fail when the budget is exceeded.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 
+import cylseg
 from cylseg.cli import _dataset, main
 from cylseg.config import load_config
 from cylseg.metrics import ConfusionMatrix, compute_miou
@@ -572,6 +576,45 @@ def test_08_cli_determinism(tmp_path, capsys):
         ok,
         f"checkpoint {same_ckpt}, metrics {same_metrics}, eval {same_eval}, "
         f"{len(artifacts[0][3])} prediction files identical",
+    )
+
+
+def _cli_in_fresh_process(args, blas_threads):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cylseg.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), PYTHONPATH=path)
+    code = "import sys; from cylseg.cli import main; sys.exit(main(sys.argv[1:]))"
+    subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                   check=True, capture_output=True, timeout=600)
+
+
+def test_08_cli_determinism_at_each_blas_thread_count(tmp_path):
+    # bytes are promised at a fixed OPENBLAS_NUM_THREADS only: the thread
+    # count can change the order of GEMM sums. OpenBLAS reads it when it
+    # loads, so each run is a fresh process.
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(_SMALL_CFG)
+    runs = {}
+    for threads in (1, 2):
+        for run in ("a", "b"):
+            out = tmp_path / f"threads{threads}_{run}"
+            (out / "preds").mkdir(parents=True)
+            _cli_in_fresh_process(["train", "--config", cfg, "--output", out / "net.ckpt",
+                                   "--metrics", out / "metrics.csv"], threads)
+            _cli_in_fresh_process(["infer", "--config", cfg, "--checkpoint", out / "net.ckpt",
+                                   "--output", out / "preds"], threads)
+            labels = {p.name: p.read_bytes() for p in sorted((out / "preds").glob("*.label"))}
+            assert labels
+            runs[threads, run] = ((out / "net.ckpt").read_bytes(),
+                                  (out / "metrics.csv").read_bytes(), labels)
+    same = {t: [a == b for a, b in zip(runs[t, "a"], runs[t, "b"])] for t in (1, 2)}
+    across = runs[1, "a"][0] == runs[2, "a"][0]
+    assert _report(
+        "train/infer determinism per BLAS thread count",
+        all(all(v) for v in same.values()),
+        "; ".join(f"{t} thread(s): checkpoint, metrics, labels identical {v}"
+                  for t, v in same.items())
+        + f"; checkpoint identical across counts {across} (not promised)",
     )
 
 

@@ -1,0 +1,211 @@
+"""The float32 inference route: ``predict`` runs every layer in float32.
+
+Each op computes in the dtype of its input features and casts its float64
+parameters per call, so the same layers serve both routes. The op tests feed
+float32 in and compare against the float64 result on the same (float32)
+values; the network tests check that nothing on ``predict``'s route upcasts
+and that its argmax agrees with the float64 forward pass.
+"""
+
+import os
+import warnings
+
+import numpy as np
+import pytest
+
+import cylseg.network as network_module
+from cylseg.cli import _dataset
+from cylseg.config import load_config
+from cylseg.network import Affine, SegmentationNetwork, load_checkpoint
+from cylseg.partition import CylGridSpec, assign_cells, scatter_features
+from cylseg.pointcloud import SyntheticSceneSpec, generate_synthetic_scene
+from cylseg.selftest import random_sparse
+from cylseg.sparse import (
+    KernelSpec,
+    NormParams,
+    SparseTensor,
+    batch_norm_forward,
+    build_rulebook,
+    init_conv_params,
+    inverse_conv_forward,
+    leaky_relu_forward,
+    sigmoid_forward,
+    sparse_conv_forward,
+)
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+ROOT = os.path.dirname(os.path.dirname(DATA))
+
+# float32 rounds to 2**-24 (6e-8) relative; a conv output sums at most a few
+# hundred products here, so its error stays below ~1e-5 of the largest
+# magnitude in the result
+RTOL = 1e-5
+
+
+def _close(out32, out64):
+    assert out32.dtype == np.float32
+    scale = max(float(np.abs(out64).max()), 1.0)
+    np.testing.assert_allclose(out32, out64, rtol=RTOL, atol=RTOL * scale)
+
+
+def _pair(rng, **kwargs):
+    """A float32 sparse tensor and the same values in float64."""
+    x = random_sparse(rng, **kwargs)
+    x32 = x.with_features(x.features.astype(np.float32))
+    return x32, x32.with_features(x32.features.astype(np.float64))
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec(3), KernelSpec((1, 3, 3)),
+                                    KernelSpec(3, 2, "strided")])
+def test_sparse_conv_forward_computes_in_float32(kernel):
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        x32, x64 = _pair(rng)
+        params = init_conv_params(kernel, x32.num_channels, 5, rng)
+        params.bias[:] = rng.standard_normal(5)
+        rb = build_rulebook(x32.coords, x32.spatial_shape, kernel)
+        out32 = sparse_conv_forward(x32, params, rb)
+        _close(out32.features, sparse_conv_forward(x64, params, rb).features)
+        assert params.weights.dtype == np.float64
+
+
+def test_inverse_conv_forward_computes_in_float32():
+    rng = np.random.default_rng(8)
+    kernel = KernelSpec(3, 2, "strided")
+    for _ in range(10):
+        x = random_sparse(rng)
+        rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+        y64 = SparseTensor(rb.out_coords, rng.standard_normal((len(rb.out_coords), 4)),
+                           rb.out_shape)
+        y32 = y64.with_features(y64.features.astype(np.float32))
+        y64 = y32.with_features(y32.features.astype(np.float64))
+        params = init_conv_params(kernel, 4, 3, rng)
+        out32 = inverse_conv_forward(y32, params, rb)
+        _close(out32.features, inverse_conv_forward(y64, params, rb).features)
+
+
+def test_inference_batch_norm_computes_in_float32():
+    rng = np.random.default_rng(9)
+    norm = NormParams(rng.uniform(0.5, 2, 6), rng.standard_normal(6),
+                      rng.standard_normal(6), rng.uniform(0.1, 3, 6))
+    feats32 = (3 * rng.standard_normal((50, 6))).astype(np.float32)
+    out32, ctx = batch_norm_forward(feats32, norm, training=False)
+    out64, _ = batch_norm_forward(feats32.astype(np.float64), norm, training=False)
+    _close(out32, out64)
+    assert all(a.dtype == np.float32 for a in ctx[:3])
+    assert norm.running_var.dtype == np.float64
+
+
+def test_activations_compute_in_float32():
+    rng = np.random.default_rng(10)
+    feats32 = (4 * rng.standard_normal((40, 5))).astype(np.float32)
+    feats64 = feats32.astype(np.float64)
+    _close(leaky_relu_forward(feats32, 0.1)[0], leaky_relu_forward(feats64, 0.1)[0])
+    _close(sigmoid_forward(feats32)[0], sigmoid_forward(feats64)[0])
+
+
+def test_float32_sigmoid_saturates_without_overflow_warnings():
+    # exp(-x) overflows float32 below x = -88.7 (float64 only below -709)
+    feats = np.array([[-1000.0, -100.0, -88.8, 0.0, 100.0]], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, _ = sigmoid_forward(feats)
+    assert out.dtype == np.float32
+    np.testing.assert_array_equal(out[0, [0, 1, 3, 4]], [0.0, 0.0, 0.5, 1.0])
+    assert 0.0 <= out[0, 2] < 1e-38
+
+
+def test_scatter_features_keeps_float32():
+    grid = CylGridSpec(rho_range=(0.0, 12.0), z_range=(-1.0, 6.0), resolution=(8, 8, 4))
+    cloud = generate_synthetic_scene(SyntheticSceneSpec(seed=2, num_points=300, max_range=12.0))
+    mapping = assign_cells(cloud, grid)
+    feats32 = np.random.default_rng(11).standard_normal((cloud.n, 6)).astype(np.float32)
+    out32 = scatter_features(feats32, mapping, grid)
+    out64 = scatter_features(feats32.astype(np.float64), mapping, grid)
+    assert out32.features.dtype == np.float32
+    # a maximum of float32 values is one of them: exact
+    np.testing.assert_array_equal(out32.features, out64.features)
+
+
+def test_affine_computes_in_float32():
+    rng = np.random.default_rng(12)
+    layer = Affine(9, 7, rng)
+    layer.bias[:] = rng.standard_normal(7)
+    feats32 = rng.standard_normal((30, 9)).astype(np.float32)
+    out32, _ = layer.forward(feats32, training=False)
+    out64, _ = layer.forward(feats32.astype(np.float64), training=False)
+    _close(out32, out64)
+    assert layer.weight.dtype == np.float64
+
+
+# ---------------------------------------------------------------- whole network
+
+# kernels looked up as ``cylseg.network`` attributes on the forward route
+_KERNELS = ("scatter_features", "sparse_conv_forward", "inverse_conv_forward",
+            "batch_norm_forward", "leaky_relu_forward", "sigmoid_forward",
+            "concat_features")
+
+
+def _float_arrays(value):
+    if isinstance(value, SparseTensor):
+        yield value.features
+    elif isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _float_arrays(item)
+
+
+def _watch_dtypes(monkeypatch):
+    """Wrap every forward kernel and ``Affine.forward``; record the dtypes of
+    the float arrays each call takes and returns, per kernel."""
+    seen = {}
+
+    def watch(name, fn):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            arrays = list(_float_arrays(args)) + list(_float_arrays(result))
+            seen.setdefault(name, set()).update(a.dtype for a in arrays)
+            return result
+        return wrapped
+
+    for name in _KERNELS:
+        monkeypatch.setattr(network_module, name, watch(name, getattr(network_module, name)))
+    monkeypatch.setattr(Affine, "forward", watch("Affine.forward", Affine.forward))
+    return seen
+
+
+def _check_predict(net, clouds, monkeypatch):
+    """``predict`` keeps every intermediate float32, warns about nothing and
+    agrees with the float64 forward; returns the agreeing point share."""
+    agree = total = 0
+    for cloud in clouds:
+        result = net.forward(cloud)
+        assert result.point_logits.dtype == np.float64
+        with monkeypatch.context() as patch:
+            seen = _watch_dtypes(patch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pred = net.predict(cloud)
+        assert set(seen) == {*_KERNELS, "Affine.forward"}
+        assert all(dtypes == {np.dtype(np.float32)} for dtypes in seen.values()), seen
+        agree += int((pred == result.point_logits.argmax(axis=1)).sum())
+        total += cloud.n
+    return agree / total
+
+
+def test_toy_predict_is_float32_and_agrees_with_float64(monkeypatch):
+    # the pinned checkpoint (trained 20 steps) on the toy config's validation
+    # scenes: 4 x 16,384 points
+    net = load_checkpoint(os.path.join(DATA, "toy_seed0.ckpt"))
+    cfg = load_config(os.path.join(ROOT, "configs", "toy_train.cfg"))
+    clouds = [cloud for _, cloud in _dataset(cfg, "val")]
+    assert _check_predict(net, clouds, monkeypatch) >= 0.999
+
+
+def test_full_config_predict_is_float32_and_agrees_with_float64(monkeypatch):
+    cfg = load_config(os.path.join(ROOT, "configs", "semantic_kitti.cfg"))
+    net = SegmentationNetwork(cfg.network, seed=0)
+    cloud = generate_synthetic_scene(
+        SyntheticSceneSpec(seed=3, num_points=20_000, max_range=50.0))
+    assert _check_predict(net, [cloud], monkeypatch) >= 0.999

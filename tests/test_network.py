@@ -7,6 +7,7 @@ accounting, determinism, and the checkpoint container.
 
 import os
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -282,6 +283,25 @@ def test_predict_returns_one_label_per_point():
     assert pred.shape == (cloud.n,)
     result = net.forward(cloud)
     np.testing.assert_array_equal(pred, result.point_logits.argmax(axis=1))
+
+
+def test_inference_forward_keeps_no_backward_context():
+    # a training forward keeps every layer's inputs, normalised features and
+    # masks for backward; an inference forward drops each as soon as it is
+    # made, and each skip tensor once used (at the parent both peaked alike)
+    cfg = load_config(os.path.join(ROOT, "configs", "toy_train.cfg"))
+    net = SegmentationNetwork(cfg.network, seed=0)
+    cloud = generate_synthetic_scene(SyntheticSceneSpec(seed=3, num_points=4096, max_range=20.0))
+
+    def peak_bytes(training):
+        tracemalloc.start()
+        try:
+            net.forward(cloud, training=training)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(False) < 0.75 * peak_bytes(True)
 
 
 def test_network_variants_swap_without_shape_changes():
