@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, network_header
 from .metrics import compute_miou, format_iou_table
 from .network import SegmentationNetwork, load_checkpoint, save_checkpoint
 from .partition import encoding_upper_bound_miou, occupancy_by_distance, write_occupancy_csv
@@ -152,6 +152,21 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _load_matching_checkpoint(path, cfg: RunConfig) -> SegmentationNetwork:
+    """The checkpoint at ``path``, whose header must equal the config's
+    [network] and [grid]: a mismatch names the first key that differs."""
+    network = load_checkpoint(path)
+    saved = network_header(network.config).splitlines()
+    for ours, theirs in zip(saved, network_header(cfg.network).splitlines()):
+        if ours != theirs:
+            key, _, value = ours.partition(" = ")
+            raise ValueError(
+                f"{path}: checkpoint and config disagree on {key}: {value} in the "
+                f"checkpoint, {theirs.partition(' = ')[2]} in the config"
+            )
+    return network
+
+
 def _print_eval(iou: np.ndarray, miou: float) -> None:
     print(format_iou_table(iou, miou))
     print("(classes with no truth and no predictions are excluded from the mean)")
@@ -159,30 +174,28 @@ def _print_eval(iou: np.ndarray, miou: float) -> None:
 
 def _cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    clouds = _dataset(cfg, "val")
     if args.predictions:
         from .metrics import ConfusionMatrix
 
         label_map = _label_map(cfg)
         cm = ConfusionMatrix(cfg.network.num_classes, cfg.ignore_id)
-        for name, cloud in clouds:
+        for name, cloud in _dataset(cfg, "val"):
             pred = read_kitti_labels(os.path.join(args.predictions, name + ".label"), label_map)
             cm.update(cloud.labels, pred)
         iou, miou = compute_miou(cm)
     else:
         if not args.checkpoint:
             raise ValueError("eval needs --checkpoint or --predictions")
-        network = load_checkpoint(args.checkpoint)
-        if network.config.num_classes != cfg.network.num_classes:
-            raise ValueError("checkpoint and config disagree on num_classes")
-        miou, iou, _ = evaluate_network(network, [c for _, c in clouds], cfg.ignore_id)
+        network = _load_matching_checkpoint(args.checkpoint, cfg)
+        clouds = [cloud for _, cloud in _dataset(cfg, "val")]
+        miou, iou, _ = evaluate_network(network, clouds, cfg.ignore_id)
     _print_eval(iou, miou)
     return 0
 
 
 def _cmd_infer(args) -> int:
     cfg = load_config(args.config)
-    network = load_checkpoint(args.checkpoint)
+    network = _load_matching_checkpoint(args.checkpoint, cfg)
     label_map = _label_map(cfg)
     clouds = _dataset(cfg, "val", with_labels=False)
     os.makedirs(args.output, exist_ok=True)

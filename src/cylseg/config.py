@@ -47,6 +47,8 @@ class NetworkConfig:
             raise ValueError(f"block_variant must be one of {BLOCK_VARIANTS}")
         if any(w < 1 for w in self.point_mlp_widths):
             raise ValueError("point_mlp_widths must be positive")
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ValueError("leaky_slope must be between 0 and 1")
         if self.grid.resolution[2] % (2**self.stages) != 0:
             raise ValueError("grid height bins must be divisible by 2**stages")
 

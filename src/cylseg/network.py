@@ -31,6 +31,7 @@ from .partition import (
 )
 from .pointcloud import PointCloud
 from .sparse import (
+    ConvParams,
     KernelSpec,
     Rulebook,
     SiteIndex,
@@ -142,24 +143,49 @@ class Module:
             arr[...] = value
 
 
+def predicting(feats, training) -> bool:
+    """Whether a layer is on ``predict``'s route: an inference forward in
+    float32. There each batch norm is folded into the layer before it and
+    activations overwrite the buffer that layer wrote; nothing is kept for
+    backward. The float64 inference forward runs every op unfolded."""
+    return not training and feats.dtype == np.float32
+
+
 class Affine(Module):
-    def __init__(self, c_in, c_out, rng):
+    """Per-point affine map, followed by its batch norm ``norm`` if given."""
+
+    def __init__(self, c_in, c_out, rng, norm: Optional[BatchNorm] = None):
         bound = np.sqrt(6.0 / (c_in + c_out))
         self.weight = rng.uniform(-bound, bound, (c_in, c_out))
         self.bias = np.zeros(c_out)
+        self.norm = norm
         self.declare({"weight": self.weight, "bias": self.bias})
 
     def forward(self, feats, training):
+        if self.norm is not None and predicting(feats, training):
+            weight, bias = self.norm.fold(self.weight, self.bias, feats.dtype)
+            out = feats @ weight
+            out += bias
+            return out, None
         weight = self.weight.astype(feats.dtype, copy=False)
-        return feats @ weight + self.bias.astype(feats.dtype, copy=False), feats
+        out = feats @ weight + self.bias.astype(feats.dtype, copy=False)
+        if self.norm is None:
+            return out, (feats, None)
+        out, c_norm = self.norm.forward(out, training)
+        return out, (feats, c_norm)
 
     def backward(self, grad, ctx):
-        self.grads["weight"] += ctx.T @ grad
+        feats, c_norm = ctx
+        if self.norm is not None:
+            grad = self.norm.backward(grad, c_norm)
+        self.grads["weight"] += feats.T @ grad
         self.grads["bias"] += grad.sum(axis=0)
         return grad @ self.weight.T
 
 
 class BatchNorm(Module):
+    """Batch norm, run by the ``Conv`` or ``Affine`` it follows (its ``norm``)."""
+
     def __init__(self, channels):
         self.norm = init_norm_params(channels)
         self.declare(
@@ -176,21 +202,34 @@ class BatchNorm(Module):
         self.grads["shift"] += g_shift
         return grad_in
 
+    def fold(self, weight, bias, dtype):
+        """The preceding layer's ``weight`` (output channels last) and
+        ``bias`` with this norm's inference map folded in, ``W * s`` and
+        ``(b - running_mean) * s + shift`` for ``s = scale / sqrt(running_var
+        + eps)``: computed in float64, rounded once to ``dtype``."""
+        norm = self.norm
+        s = norm.scale / np.sqrt(norm.running_var + norm.eps)
+        folded = np.multiply(weight, s, out=np.empty(weight.shape, dtype), casting="same_kind")
+        return folded, ((bias - norm.running_mean) * s + norm.shift).astype(dtype)
+
 
 DOWNSAMPLE = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
 
 
 class Conv(Module):
-    """Sparse convolution over a rulebook: submanifold, strided or inverse.
+    """Sparse convolution over a rulebook: submanifold, strided or inverse,
+    followed by its batch norm ``norm`` if given.
 
     The inverse variant runs the transposed convolution through the stored
     rulebook of the downsampling conv it mirrors, back to that conv's input
     sites; it is given that conv's kernel.
     """
 
-    def __init__(self, kernel: KernelSpec, c_in, c_out, rng, inverse=False):
+    def __init__(self, kernel: KernelSpec, c_in, c_out, rng, inverse=False,
+                 norm: Optional[BatchNorm] = None):
         self.kernel = kernel
         self.inverse = inverse
+        self.norm = norm
         self.conv_params = init_conv_params(kernel, c_in, c_out, rng)
         self.declare({"weights": self.conv_params.weights, "bias": self.conv_params.bias})
 
@@ -198,10 +237,20 @@ class Conv(Module):
         if rb.kernel != self.kernel:
             raise ValueError("rulebook kernel does not match the layer's")
         conv = inverse_conv_forward if self.inverse else sparse_conv_forward
-        return conv(x, self.conv_params, rb), (x, rb)
+        params = self.conv_params
+        if self.norm is not None and predicting(x.features, training):
+            folded = ConvParams(*self.norm.fold(params.weights, params.bias, x.features.dtype))
+            return conv(x, folded, rb), None
+        y = conv(x, params, rb)
+        if self.norm is None:
+            return y, (x, rb, None)
+        out, c_norm = self.norm.forward(y.features, training)
+        return y.with_features(out), (x, rb, c_norm)
 
     def backward(self, grad, ctx):
-        x, rb = ctx
+        x, rb, c_norm = ctx
+        if self.norm is not None:
+            grad = self.norm.backward(grad, c_norm)
         conv = inverse_conv_backward if self.inverse else sparse_conv_backward
         grad_in, gw, gb = conv(x, self.conv_params, rb, grad)
         self.grads["weights"] += gw
@@ -217,8 +266,8 @@ class PointMLP(Module):
         self.affines = []
         self.norms = []
         for c_in, c_out in zip(widths[:-1], widths[1:]):
-            self.affines.append(Affine(c_in, c_out, rng))
             self.norms.append(BatchNorm(c_out))
+            self.affines.append(Affine(c_in, c_out, rng, norm=self.norms[-1]))
 
     def children(self):
         out = []
@@ -228,20 +277,17 @@ class PointMLP(Module):
         return out
 
     def forward(self, feats, training):
+        inplace = predicting(feats, training)
         ctxs = []
-        for a, n in zip(self.affines, self.norms):
+        for a in self.affines:
             feats, ca = a.forward(feats, training)
-            feats, cn = n.forward(feats, training)
-            feats, cr = leaky_relu_forward(feats, self.slope)
-            ctxs.append((ca, cn, cr))
+            feats, cr = leaky_relu_forward(feats, self.slope, inplace)
+            ctxs.append((ca, cr))
         return feats, ctxs
 
     def backward(self, grad, ctxs):
-        for (ca, cn, cr), a, n in zip(
-            reversed(ctxs), reversed(self.affines), reversed(self.norms)
-        ):
+        for (ca, cr), a in zip(reversed(ctxs), reversed(self.affines)):
             grad = leaky_relu_backward(grad, cr)
-            grad = n.backward(grad, cn)
             grad = a.backward(grad, ca)
         return grad
 
@@ -251,10 +297,10 @@ class _ConvBNActConvBN(Module):
 
     def __init__(self, c_in, c_out, k1, k2, rng, slope):
         self.slope = slope
-        self.conv1 = Conv(KernelSpec(k1), c_in, c_out, rng)
         self.bn1 = BatchNorm(c_out)
-        self.conv2 = Conv(KernelSpec(k2), c_out, c_out, rng)
+        self.conv1 = Conv(KernelSpec(k1), c_in, c_out, rng, norm=self.bn1)
         self.bn2 = BatchNorm(c_out)
+        self.conv2 = Conv(KernelSpec(k2), c_out, c_out, rng, norm=self.bn2)
 
     def children(self):
         return [
@@ -266,19 +312,15 @@ class _ConvBNActConvBN(Module):
 
     def forward(self, x, cache, training):
         t1, c1 = self.conv1.forward(x, cache.get(x, self.conv1.kernel), training)
-        n1, c2 = self.bn1.forward(t1.features, training)
-        r1, c3 = leaky_relu_forward(n1, self.slope)
+        r1, c2 = leaky_relu_forward(t1.features, self.slope, predicting(x.features, training))
         h1 = t1.with_features(r1)
-        t2, c4 = self.conv2.forward(h1, cache.get(h1, self.conv2.kernel), training)
-        n2, c5 = self.bn2.forward(t2.features, training)
-        return t2.with_features(n2), (c1, c2, c3, c4, c5)
+        t2, c3 = self.conv2.forward(h1, cache.get(h1, self.conv2.kernel), training)
+        return t2, (c1, c2, c3)
 
     def backward(self, grad, ctx):
-        c1, c2, c3, c4, c5 = ctx
-        grad = self.bn2.backward(grad, c5)
-        grad = self.conv2.backward(grad, c4)
-        grad = leaky_relu_backward(grad, c3)
-        grad = self.bn1.backward(grad, c2)
+        c1, c2, c3 = ctx
+        grad = self.conv2.backward(grad, c3)
+        grad = leaky_relu_backward(grad, c2)
         return self.conv1.backward(grad, c1)
 
 
@@ -301,7 +343,9 @@ class AsymResBlock(Module):
     def forward(self, x, cache, training):
         ya, ca = self.branch_a.forward(x, cache, training)
         yb, cb = self.branch_b.forward(x, cache, training)
-        out, cr = leaky_relu_forward(ya.features + yb.features, self.slope)
+        total = ya.features  # a fresh buffer that no context holds
+        total += yb.features
+        out, cr = leaky_relu_forward(total, self.slope, predicting(x.features, training))
         return ya.with_features(out), (ca, cb, cr)
 
     def backward(self, grad, ctx):
@@ -333,7 +377,9 @@ class RegularResBlock(Module):
         else:
             cs = None
             res = x.features
-        out, cr = leaky_relu_forward(ym.features + res, self.slope)
+        total = ym.features  # a fresh buffer that no context holds
+        total += res
+        out, cr = leaky_relu_forward(total, self.slope, predicting(x.features, training))
         return ym.with_features(out), (cm, cs, cr)
 
     def backward(self, grad, ctx):
@@ -421,8 +467,11 @@ class DDCM(Module):
     SIZES = ((3, 1, 1), (1, 3, 1), (1, 1, 3))
 
     def __init__(self, channels, rng):
-        self.convs = [Conv(KernelSpec(s), channels, channels, rng) for s in self.SIZES]
         self.norms = [BatchNorm(channels) for _ in self.SIZES]
+        self.convs = [
+            Conv(KernelSpec(s), channels, channels, rng, norm=n)
+            for s, n in zip(self.SIZES, self.norms)
+        ]
 
     def children(self):
         out = []
@@ -434,21 +483,19 @@ class DDCM(Module):
     def forward(self, x, cache, training):
         total = np.zeros_like(x.features)
         branch_ctxs = []
-        for conv, norm in zip(self.convs, self.norms):
+        for conv in self.convs:
             t, c1 = conv.forward(x, cache.get(x, conv.kernel), training)
-            n, c2 = norm.forward(t.features, training)
-            s, c3 = sigmoid_forward(n)
+            s, c2 = sigmoid_forward(t.features)
             total += s
-            branch_ctxs.append((c1, c2, c3))
+            branch_ctxs.append((c1, c2))
         return x.with_features(x.features * total), (x, total, branch_ctxs)
 
     def backward(self, grad, ctx):
         x, total, branch_ctxs = ctx
         grad_in = grad * total
         g_gate = grad * x.features
-        for (c1, c2, c3), conv, norm in zip(branch_ctxs, self.convs, self.norms):
-            g = sigmoid_backward(g_gate, c3)
-            g = norm.backward(g, c2)
+        for (c1, c2), conv in zip(branch_ctxs, self.convs):
+            g = sigmoid_backward(g_gate, c2)
             grad_in = grad_in + conv.backward(g, c1)
         return grad_in
 
@@ -466,7 +513,7 @@ class RefineMLP(Module):
 
     def forward(self, feats, training):
         a, c1 = self.fc1.forward(feats, training)
-        r, c2 = leaky_relu_forward(a, self.slope)
+        r, c2 = leaky_relu_forward(a, self.slope, predicting(feats, training))
         y, c3 = self.fc2.forward(r, training)
         return y, (c1, c2, c3)
 
@@ -592,7 +639,9 @@ class SegmentationNetwork(Module):
         """Per-point class predictions (argmax of the refined logits).
 
         The forward pass runs in float32: it is bound by memory traffic, and
-        its argmax agrees with the float64 pass's except at near-ties.
+        its argmax agrees with the float64 pass's except at near-ties. Each
+        batch norm is folded into the conv or affine before it, once per
+        call, and activations and residual adds run in place.
         """
         return np.argmax(self.forward(cloud, _dtype=np.float32).point_logits, axis=1)
 

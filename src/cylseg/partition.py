@@ -21,13 +21,6 @@ from .sparse import SparseTensor, as_features
 TWO_PI = 2.0 * np.pi
 
 
-def wrap_angle(theta):
-    """Normalize angles into [-pi, pi). Adding 2*pi never changes the result
-    beyond floating round-off."""
-    theta = np.asarray(theta, dtype=np.float64)
-    return theta - TWO_PI * np.floor((theta + np.pi) / TWO_PI)
-
-
 def cart_to_cyl(xyz: np.ndarray) -> np.ndarray:
     """(x, y, z) -> (rho, theta, z) with rho >= 0 and theta in [-pi, pi)."""
     xyz = np.asarray(xyz, dtype=np.float64)

@@ -38,8 +38,9 @@ _DTYPE = np.float64
 
 
 def as_features(features) -> np.ndarray:
-    """Features to compute on: float32 stays float32 (the inference route),
-    anything else becomes float64. Each op computes in its input's dtype."""
+    """Features (or folded parameters) to compute on: float32 stays float32
+    (the inference route), anything else becomes float64. Each op computes in
+    its input's dtype."""
     features = np.asarray(features)
     return features if features.dtype == np.float32 else features.astype(_DTYPE, copy=False)
 
@@ -286,14 +287,18 @@ def build_rulebook(
 
 @dataclass
 class ConvParams:
-    """Weights per kernel offset, (volume, C_in, C_out), plus bias (C_out,)."""
+    """Weights per kernel offset, (volume, C_in, C_out), plus bias (C_out,).
+
+    They are float64, except a conv's float32 weights with its batch norm
+    folded in, which ``predict``'s route builds per call.
+    """
 
     weights: np.ndarray
     bias: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=_DTYPE)
-        self.bias = np.asarray(self.bias, dtype=_DTYPE)
+        self.weights = as_features(self.weights)
+        self.bias = as_features(self.bias)
         if self.weights.ndim != 3:
             raise ValueError("weights must be (kernel_volume, C_in, C_out)")
         if self.bias.shape != (self.weights.shape[2],):
@@ -457,8 +462,12 @@ def batch_norm_backward(grad_out: np.ndarray, ctx):
     return grad_in, grad_scale, grad_shift
 
 
-def leaky_relu_forward(features: np.ndarray, slope: float = 0.1):
+def leaky_relu_forward(features: np.ndarray, slope: float = 0.1, inplace: bool = False):
+    """``inplace`` overwrites ``features`` and keeps no mask, for a forward
+    that runs no backward; ``max(x, slope * x)`` needs ``0 <= slope <= 1``."""
     features = as_features(features)
+    if inplace:
+        return np.maximum(features, slope * features, out=features), None
     neg = features < 0
     out = np.where(neg, slope * features, features)
     return out, (neg, slope)
@@ -637,11 +646,6 @@ def unpack_tensor_views(blob) -> dict:
     if pos != len(view):
         raise ValueError("trailing bytes in tensor container")
     return out
-
-
-def save_tensors(path, tensors: dict) -> None:
-    with open(path, "wb") as fh:
-        fh.write(pack_tensors(tensors))
 
 
 def load_tensors(path) -> dict:

@@ -3,8 +3,9 @@
 Each op computes in the dtype of its input features and casts its float64
 parameters per call, so the same layers serve both routes. The op tests feed
 float32 in and compare against the float64 result on the same (float32)
-values; the network tests check that nothing on ``predict``'s route upcasts
-and that its argmax agrees with the float64 forward pass.
+values; the network tests check that nothing on ``predict``'s route upcasts,
+that every batch norm there is folded into the layer before it, and that its
+argmax agrees with the float64 forward pass.
 """
 
 import os
@@ -16,11 +17,12 @@ import pytest
 import cylseg.network as network_module
 from cylseg.cli import _dataset
 from cylseg.config import load_config
-from cylseg.network import Affine, SegmentationNetwork, load_checkpoint
+from cylseg.network import Affine, BatchNorm, Conv, SegmentationNetwork, load_checkpoint
 from cylseg.partition import CylGridSpec, assign_cells, scatter_features
 from cylseg.pointcloud import SyntheticSceneSpec, generate_synthetic_scene
 from cylseg.selftest import random_sparse
 from cylseg.sparse import (
+    ConvParams,
     KernelSpec,
     NormParams,
     SparseTensor,
@@ -176,8 +178,9 @@ def _watch_dtypes(monkeypatch):
 
 
 def _check_predict(net, clouds, monkeypatch):
-    """``predict`` keeps every intermediate float32, warns about nothing and
-    agrees with the float64 forward; returns the agreeing point share."""
+    """``predict`` keeps every intermediate float32, runs no batch norm (each
+    is folded into the layer before it), warns about nothing and agrees with
+    the float64 forward; returns the agreeing point share."""
     agree = total = 0
     for cloud in clouds:
         result = net.forward(cloud)
@@ -187,7 +190,8 @@ def _check_predict(net, clouds, monkeypatch):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 pred = net.predict(cloud)
-        assert set(seen) == {*_KERNELS, "Affine.forward"}
+        assert "batch_norm_forward" not in seen
+        assert set(seen) == {*_KERNELS, "Affine.forward"} - {"batch_norm_forward"}
         assert all(dtypes == {np.dtype(np.float32)} for dtypes in seen.values()), seen
         agree += int((pred == result.point_logits.argmax(axis=1)).sum())
         total += cloud.n
@@ -209,3 +213,117 @@ def test_full_config_predict_is_float32_and_agrees_with_float64(monkeypatch):
     cloud = generate_synthetic_scene(
         SyntheticSceneSpec(seed=3, num_points=20_000, max_range=50.0))
     assert _check_predict(net, [cloud], monkeypatch) >= 0.999
+
+
+# ------------------------------------------------------------ batch-norm fold
+
+
+def _randomise_norms(module, rng):
+    """Non-trivial batch norms: a seed-0 network's are nearly the identity."""
+    draws = {
+        "scale": lambda shape: rng.uniform(0.5, 2.0, shape),
+        "shift": lambda shape: rng.normal(0.0, 0.5, shape),
+        "running_mean": lambda shape: rng.normal(0.0, 0.5, shape),
+        "running_var": lambda shape: rng.uniform(0.2, 3.0, shape),
+    }
+    for name, arr in {**module.named_params(), **module.named_state()}.items():
+        draw = draws.get(name.rpartition(".")[2])
+        if draw is not None:
+            arr[...] = draw(arr.shape)
+
+
+def _random_norm(rng, channels):
+    norm = BatchNorm(channels)
+    _randomise_norms(norm, rng)
+    return norm
+
+
+def test_fold_matches_the_unfolded_conv_and_affine_in_float64():
+    rng = np.random.default_rng(14)
+    kernel = KernelSpec((1, 3, 3))
+    for _ in range(5):
+        x = random_sparse(rng)
+        conv = Conv(kernel, x.num_channels, 5, rng)
+        conv.conv_params.bias[:] = rng.standard_normal(5)
+        norm = _random_norm(rng, 5)
+        rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+        y, _ = conv.forward(x, rb, training=False)
+        unfolded, _ = norm.forward(y.features, training=False)
+        params = conv.conv_params
+        folded = ConvParams(*norm.fold(params.weights, params.bias, np.float64))
+        out = sparse_conv_forward(x, folded, rb).features
+        np.testing.assert_allclose(out, unfolded, rtol=0, atol=1e-10)
+
+    affine = Affine(9, 7, rng)
+    affine.bias[:] = rng.standard_normal(7)
+    norm = _random_norm(rng, 7)
+    feats = 3 * rng.standard_normal((40, 9))
+    unfolded, _ = norm.forward(affine.forward(feats, training=False)[0], training=False)
+    weight, bias = norm.fold(affine.weight, affine.bias, np.float64)
+    np.testing.assert_allclose(feats @ weight + bias, unfolded, rtol=0, atol=1e-10)
+
+
+def test_float32_conv_and_affine_fold_their_norm_and_keep_no_context(monkeypatch):
+    rng = np.random.default_rng(15)
+    kernel = KernelSpec(3)
+    x32, x64 = _pair(rng)
+    norm = _random_norm(rng, 5)
+    conv = Conv(kernel, x32.num_channels, 5, rng, norm=norm)
+    affine = Affine(x32.num_channels, 5, rng, norm=norm)
+    rb = build_rulebook(x32.coords, x32.spatial_shape, kernel)
+    expected = {
+        "conv": conv.forward(x64, rb, training=False)[0].features,
+        "affine": affine.forward(x64.features, training=False)[0],
+    }
+
+    def no_norm(*args, **kwargs):
+        raise AssertionError("batch_norm_forward ran on the float32 route")
+
+    monkeypatch.setattr(network_module, "batch_norm_forward", no_norm)
+    out, ctx = conv.forward(x32, rb, training=False)
+    assert ctx is None
+    _close(out.features, expected["conv"])
+    out, ctx = affine.forward(x32.features, training=False)
+    assert ctx is None
+    _close(out, expected["affine"])
+
+
+def _toy_net():
+    cfg = load_config(os.path.join(ROOT, "configs", "toy_train.cfg"))
+    return SegmentationNetwork(cfg.network, seed=0), [c for _, c in _dataset(cfg, "val")]
+
+
+def _full_net():
+    cfg = load_config(os.path.join(ROOT, "configs", "semantic_kitti.cfg"))
+    cloud = generate_synthetic_scene(
+        SyntheticSceneSpec(seed=5, num_points=20_000, max_range=50.0))
+    return SegmentationNetwork(cfg.network, seed=0), [cloud]
+
+
+@pytest.mark.parametrize("make", [_toy_net, _full_net], ids=["toy", "full"])
+def test_folded_predict_agrees_with_float64_under_random_norms(make, monkeypatch):
+    net, clouds = make()
+    _randomise_norms(net, np.random.default_rng(16))
+    assert _check_predict(net, clouds, monkeypatch) >= 0.999
+
+
+def test_predict_leaves_parameters_state_and_gradients_untouched():
+    # ``train`` validates through ``predict`` between epochs, with live Adam
+    # state and gradient buffers
+    net = load_checkpoint(os.path.join(DATA, "toy_seed0.ckpt"))
+    cfg = load_config(os.path.join(ROOT, "configs", "toy_train.cfg"))
+    cloud = _dataset(cfg, "val")[0][1]
+    rng = np.random.default_rng(17)
+    result = net.forward(cloud, training=True)
+    net.backward(result, rng.standard_normal(result.voxel_logits.features.shape),
+                 rng.standard_normal(result.point_logits.shape))
+
+    def snapshot():
+        tensors = {**net.named_params(), **net.named_state(),
+                   **{f"grad {k}": v for k, v in net.named_grads().items()}}
+        return {name: (arr.dtype, arr.shape, arr.tobytes()) for name, arr in tensors.items()}
+
+    before = snapshot()
+    assert any(np.any(g) for g in net.named_grads().values())
+    net.predict(cloud)
+    assert snapshot() == before

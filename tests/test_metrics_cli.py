@@ -1,4 +1,5 @@
 import math
+import os
 import struct
 
 import numpy as np
@@ -8,7 +9,14 @@ from cylseg.cli import main
 from cylseg.config import ConfigError, load_config
 from cylseg.metrics import ConfusionMatrix, compute_miou, format_iou_table
 from cylseg.network import SegmentationNetwork, save_checkpoint
-from cylseg.pointcloud import read_raw_label_ids
+from cylseg.pointcloud import (
+    SyntheticSceneSpec,
+    generate_synthetic_scene,
+    read_raw_label_ids,
+    write_kitti_bin,
+)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TINY_CFG = """\
 [grid]
@@ -232,6 +240,16 @@ def test_config_rejects_non_finite_numbers(tmp_path, capsys, section, key, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize("slope", ["-0.1", "1.5"])
+def test_config_rejects_leaky_slope_outside_0_to_1(tmp_path, capsys, slope):
+    # inference runs leaky ReLU as max(x, slope * x), which needs 0 <= slope <= 1
+    path = tmp_path / "bad.cfg"
+    path.write_text(_tiny_cfg_with("network", "leaky_slope", slope))
+    assert main(["stats", "--config", str(path), "--output", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "leaky_slope" in err[0]
+
+
 def test_config_labelmap_parses_ignore(tmp_path):
     path = tmp_path / "lm.cfg"
     path.write_text(
@@ -400,3 +418,42 @@ def test_cli_rejects_malformed_checkpoint_in_one_line(
     assert len(lines) == 1, captured.err
     assert lines[0].startswith("error:") and str(bad) in lines[0]
 
+
+
+def test_cli_rejects_the_toy_checkpoint_with_the_full_scale_config(tmp_path, capsys):
+    # the 3-class toy checkpoint would otherwise predict car/bicycle/motorcycle
+    # ids on a 19-class config's scans
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    cloud = generate_synthetic_scene(SyntheticSceneSpec(seed=1, num_points=256))
+    write_kitti_bin(scans / "000000.bin", cloud)
+    with open(os.path.join(ROOT, "configs", "semantic_kitti.cfg")) as fh:
+        text = fh.read().replace("scans = data/scans", f"scans = {scans}")
+    cfg = tmp_path / "kitti.cfg"
+    cfg.write_text(text)
+    ckpt = os.path.join(ROOT, "tests", "data", "toy_seed0.ckpt")
+    out = tmp_path / "preds"
+    code = main(["infer", "--config", str(cfg), "--checkpoint", ckpt, "--output", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err == [
+        f"error: {ckpt}: checkpoint and config disagree on num_classes: "
+        "3 in the checkpoint, 19 in the config"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "eval"])
+def test_cli_rejects_a_checkpoint_of_another_grid(command, tiny_checkpoint, tmp_path, capsys):
+    ckpt = tmp_path / "net.ckpt"
+    ckpt.write_bytes(tiny_checkpoint)
+    cfg = tmp_path / "wider.cfg"
+    cfg.write_text(_tiny_cfg_with("grid", "rho_max", "13"))
+    extra = ["--output", str(tmp_path / "preds")] if command == "infer" else []
+    code = main([command, "--config", str(cfg), "--checkpoint", str(ckpt), *extra])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err == [
+        f"error: {ckpt}: checkpoint and config disagree on rho_max: "
+        "12.0 in the checkpoint, 13.0 in the config"
+    ]
