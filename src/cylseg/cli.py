@@ -180,7 +180,10 @@ def _cmd_eval(args) -> int:
         label_map = _label_map(cfg)
         cm = ConfusionMatrix(cfg.network.num_classes, cfg.ignore_id)
         for name, cloud in _dataset(cfg, "val"):
-            pred = read_kitti_labels(os.path.join(args.predictions, name + ".label"), label_map)
+            path = os.path.join(args.predictions, name + ".label")
+            pred = read_kitti_labels(path, label_map)
+            if len(pred) != cloud.n:
+                raise ValueError(f"{path}: {len(pred)} labels for a scan of {cloud.n} points")
             cm.update(cloud.labels, pred)
         iou, miou = compute_miou(cm)
     else:

@@ -21,13 +21,17 @@ Conventions, fixed across the package:
 For a fixed offset the input site determines the output site uniquely and
 vice versa, so scatter targets within one offset never repeat; accumulating
 offsets in ascending order makes every forward and backward pass bitwise
-deterministic and independent of input site ordering.
+deterministic and independent of input site ordering. A large forward conv
+runs in blocks of output rows, each on one thread: every output row is still
+summed by one thread in ascending offset order, and the number of blocks
+depends on the conv's size alone, never on the number of CPUs.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -319,6 +323,80 @@ def _check_rulebook_input(x: SparseTensor, rulebook: Rulebook) -> None:
         raise ValueError("tensor sites do not match the rulebook's input sites")
 
 
+# A conv runs in blocks of output rows of at least _BLOCK_MACS multiply-adds
+# (pairs x C_in x C_out) each: one block below 2 x _BLOCK_MACS, which keeps
+# the toy network's convs (7.6M at most) whole, and a power of two up to
+# _MAX_BLOCKS above. Each block's per-offset GEMMs then stay large enough
+# that the BLAS gives every row the bytes of the whole-offset GEMM, as
+# OpenBLAS does above 10^6 multiply-adds but not below. The count depends
+# on the conv alone, never on the CPUs, which run the blocks round-robin.
+_BLOCK_MACS = 1 << 26
+_MAX_BLOCKS = 8
+_POOL = None  # runs every lane but the caller's; made on first use
+
+
+def _block_count(macs: int) -> int:
+    blocks = 1
+    while blocks < _MAX_BLOCKS and macs >= 2 * blocks * _BLOCK_MACS:
+        blocks *= 2
+    return blocks
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool():
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _POOL = ThreadPoolExecutor(min(_cpu_count(), _MAX_BLOCKS) - 1, "cylseg-conv")
+    return _POOL
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _row_blocks(rows: int, blocks: int) -> List[Tuple[int, int]]:
+    """``blocks`` contiguous, near-equal ``(lo, hi)`` ranges covering ``rows``."""
+    edges = [rows * b // blocks for b in range(blocks + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _conv_rows(features, weights, bias, rulebook: Rulebook, out, lo: int, hi: int) -> None:
+    """Output rows ``lo:hi`` of the convolution, written into ``out``: the
+    offsets in ascending order, each on its pairs whose output site lies in
+    the block (``out_idx`` need not be sorted; a transposed one is not)."""
+    block = out[lo:hi]
+    block[:] = bias
+    whole = lo == 0 and hi == out.shape[0]
+    for k, (in_idx, out_idx) in enumerate(rulebook.pairs):
+        if k == rulebook.identity_offset:
+            block += features[lo:hi] @ weights[k]
+            continue
+        if in_idx.size and not whole:
+            keep = (out_idx >= lo) & (out_idx < hi)
+            in_idx, out_idx = in_idx[keep], out_idx[keep]
+        if in_idx.size:
+            out[out_idx] += features[in_idx] @ weights[k]
+
+
+def _conv_lane(blocks, lanes: int, lane: int, *args) -> None:
+    """Lane ``lane`` of ``lanes`` runs every ``lanes``-th block from its own."""
+    for lo, hi in blocks[lane::lanes]:
+        _conv_rows(*args, lo, hi)
+
+
 def sparse_conv_forward(
     x: SparseTensor, params: ConvParams, rulebook: Rulebook
 ) -> SparseTensor:
@@ -327,6 +405,8 @@ def sparse_conv_forward(
     Offsets accumulate in ascending order; the identity offset's GEMM runs
     on the whole feature array in its place, with the same sums. It computes
     in the dtype of ``x.features``; the float64 parameters are cast per call.
+    A large conv runs in blocks of output rows (``_block_count``), spread
+    over the CPUs the process may use; the bytes do not depend on how many.
     """
     _check_rulebook_input(x, rulebook)
     kvol, c_in, c_out = params.weights.shape
@@ -334,12 +414,15 @@ def sparse_conv_forward(
         raise ValueError("weight shape does not match kernel/input channels")
     weights = params.weights.astype(x.features.dtype, copy=False)
     out = np.empty((rulebook.out_coords.shape[0], c_out), dtype=x.features.dtype)
-    out[:] = params.bias
-    for k, (in_idx, out_idx) in enumerate(rulebook.pairs):
-        if k == rulebook.identity_offset:
-            out += x.features @ weights[k]
-        elif in_idx.size:
-            out[out_idx] += x.features[in_idx] @ weights[k]
+    blocks = _row_blocks(out.shape[0], _block_count(rulebook.num_pairs * c_in * c_out))
+    lanes = min(_cpu_count(), len(blocks))
+    args = (x.features, weights, params.bias, rulebook, out)
+    waiting = [_pool().submit(_conv_lane, blocks, lanes, lane, *args) for lane in range(1, lanes)]
+    try:
+        _conv_lane(blocks, lanes, 0, *args)
+    finally:
+        for lane in waiting:
+            lane.result()
     result = SparseTensor.__new__(SparseTensor)
     result.coords = rulebook.out_coords
     result.features = out

@@ -14,6 +14,7 @@ from cylseg.pointcloud import (
     generate_synthetic_scene,
     read_raw_label_ids,
     write_kitti_bin,
+    write_kitti_labels,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -339,6 +340,21 @@ def test_cli_train_eval_infer_round_trip(tiny_cfg, tmp_path, capsys):
     ]) == 0
     pred_out = capsys.readouterr().out
     assert pred_out == eval_out
+
+
+@pytest.mark.parametrize("count", [511, 513, 0])
+def test_cli_eval_rejects_predictions_of_another_length_in_one_line(
+    count, tiny_cfg, tmp_path, capsys
+):
+    # the tiny config's one validation scene has 512 points
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    label = preds / "scene_0000.label"
+    write_kitti_labels(label, np.zeros(count, dtype=np.int64))
+    code = main(["eval", "--config", str(tiny_cfg), "--predictions", str(preds)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err == [f"error: {label}: {count} labels for a scan of 512 points"]
 
 
 def test_cli_selftest_passes(capsys):
