@@ -88,13 +88,15 @@ class RulebookCache:
 class Module:
     """Parameter bookkeeping shared by all layers and blocks.
 
-    A leaf layer registers its tensors once with ``declare``; blocks list
-    their sub-modules in ``children``. Blocks own no tensors themselves.
+    A leaf layer registers its tensors once with ``declare``; a block
+    registers each sub-module with ``add`` where it builds it. Blocks own no
+    tensors themselves.
     """
 
     params: dict = {}
     grads: dict = {}
     state: dict = {}
+    _children: tuple = ()
 
     def declare(self, params: dict, state: Optional[dict] = None) -> None:
         """Register parameters (with zeroed gradient buffers) and running state.
@@ -107,8 +109,13 @@ class Module:
         self.grads = {name: np.zeros(arr.shape) for name, arr in params.items()}
         self.state = state or {}
 
+    def add(self, name: str, child: Module) -> Module:
+        """Register ``child`` under ``name``, after the children added before it."""
+        self._children += ((name, child),)
+        return child
+
     def children(self):
-        return []
+        return list(self._children)
 
     def _collect(self, attr, prefix=""):
         out = {prefix + key: value for key, value in getattr(self, attr).items()}
@@ -264,17 +271,10 @@ class PointMLP(Module):
     def __init__(self, widths, rng, slope):
         self.slope = slope
         self.affines = []
-        self.norms = []
-        for c_in, c_out in zip(widths[:-1], widths[1:]):
-            self.norms.append(BatchNorm(c_out))
-            self.affines.append(Affine(c_in, c_out, rng, norm=self.norms[-1]))
-
-    def children(self):
-        out = []
-        for i, (a, n) in enumerate(zip(self.affines, self.norms)):
-            out.append((f"l{i}.affine", a))
-            out.append((f"l{i}.norm", n))
-        return out
+        for i, (c_in, c_out) in enumerate(zip(widths[:-1], widths[1:])):
+            affine = self.add(f"l{i}.affine", Affine(c_in, c_out, rng, norm=BatchNorm(c_out)))
+            self.add(f"l{i}.norm", affine.norm)
+            self.affines.append(affine)
 
     def forward(self, feats, training):
         inplace = predicting(feats, training)
@@ -297,18 +297,12 @@ class _ConvBNActConvBN(Module):
 
     def __init__(self, c_in, c_out, k1, k2, rng, slope):
         self.slope = slope
-        self.bn1 = BatchNorm(c_out)
-        self.conv1 = Conv(KernelSpec(k1), c_in, c_out, rng, norm=self.bn1)
-        self.bn2 = BatchNorm(c_out)
-        self.conv2 = Conv(KernelSpec(k2), c_out, c_out, rng, norm=self.bn2)
-
-    def children(self):
-        return [
-            ("conv1", self.conv1),
-            ("bn1", self.bn1),
-            ("conv2", self.conv2),
-            ("bn2", self.bn2),
-        ]
+        conv1 = Conv(KernelSpec(k1), c_in, c_out, rng, norm=BatchNorm(c_out))
+        self.conv1 = self.add("conv1", conv1)
+        self.add("bn1", conv1.norm)
+        conv2 = Conv(KernelSpec(k2), c_out, c_out, rng, norm=BatchNorm(c_out))
+        self.conv2 = self.add("conv2", conv2)
+        self.add("bn2", conv2.norm)
 
     def forward(self, x, cache, training):
         t1, c1 = self.conv1.forward(x, cache.get(x, self.conv1.kernel), training)
@@ -334,11 +328,8 @@ class AsymResBlock(Module):
 
     def __init__(self, c_in, c_out, k_a, k_b, rng, slope):
         self.slope = slope
-        self.branch_a = _ConvBNActConvBN(c_in, c_out, k_a, k_b, rng, slope)
-        self.branch_b = _ConvBNActConvBN(c_in, c_out, k_b, k_a, rng, slope)
-
-    def children(self):
-        return [("a", self.branch_a), ("b", self.branch_b)]
+        self.branch_a = self.add("a", _ConvBNActConvBN(c_in, c_out, k_a, k_b, rng, slope))
+        self.branch_b = self.add("b", _ConvBNActConvBN(c_in, c_out, k_b, k_a, rng, slope))
 
     def forward(self, x, cache, training):
         ya, ca = self.branch_a.forward(x, cache, training)
@@ -360,14 +351,11 @@ class RegularResBlock(Module):
 
     def __init__(self, c_in, c_out, rng, slope):
         self.slope = slope
-        self.main = _ConvBNActConvBN(c_in, c_out, (3, 3, 3), (3, 3, 3), rng, slope)
-        self.shortcut = None if c_in == c_out else Conv(KernelSpec(1), c_in, c_out, rng)
-
-    def children(self):
-        out = [("main", self.main)]
-        if self.shortcut is not None:
-            out.append(("shortcut", self.shortcut))
-        return out
+        main = _ConvBNActConvBN(c_in, c_out, (3, 3, 3), (3, 3, 3), rng, slope)
+        self.main = self.add("main", main)
+        self.shortcut = None
+        if c_in != c_out:
+            self.shortcut = self.add("shortcut", Conv(KernelSpec(1), c_in, c_out, rng))
 
     def forward(self, x, cache, training):
         ym, cm = self.main.forward(x, cache, training)
@@ -414,11 +402,8 @@ class DownBlock(Module):
     """Residual block at constant width, then a stride-2 conv doubling it."""
 
     def __init__(self, c_in, c_out, variant, rng, slope):
-        self.res = make_res_block(variant, c_in, c_in, rng, slope)
-        self.down = Conv(DOWNSAMPLE, c_in, c_out, rng)
-
-    def children(self):
-        return [("res", self.res), ("down", self.down)]
+        self.res = self.add("res", make_res_block(variant, c_in, c_in, rng, slope))
+        self.down = self.add("down", Conv(DOWNSAMPLE, c_in, c_out, rng))
 
     def forward(self, x, cache, training):
         skip, c_res = self.res.forward(x, cache, training)
@@ -437,11 +422,8 @@ class UpBlock(Module):
 
     def __init__(self, c_in, c_out, variant, rng, slope):
         self.c_out = c_out
-        self.up = Conv(DOWNSAMPLE, c_in, c_out, rng, inverse=True)
-        self.fuse = make_res_block(variant, 2 * c_out, c_out, rng, slope)
-
-    def children(self):
-        return [("up", self.up), ("fuse", self.fuse)]
+        self.up = self.add("up", Conv(DOWNSAMPLE, c_in, c_out, rng, inverse=True))
+        self.fuse = self.add("fuse", make_res_block(variant, 2 * c_out, c_out, rng, slope))
 
     def forward(self, x, skip, stored_rulebook, cache, training):
         u, c_up = self.up.forward(x, stored_rulebook, training)
@@ -467,18 +449,11 @@ class DDCM(Module):
     SIZES = ((3, 1, 1), (1, 3, 1), (1, 1, 3))
 
     def __init__(self, channels, rng):
-        self.norms = [BatchNorm(channels) for _ in self.SIZES]
-        self.convs = [
-            Conv(KernelSpec(s), channels, channels, rng, norm=n)
-            for s, n in zip(self.SIZES, self.norms)
-        ]
-
-    def children(self):
-        out = []
-        for i, (c, n) in enumerate(zip(self.convs, self.norms)):
-            out.append((f"g{i}.conv", c))
-            out.append((f"g{i}.norm", n))
-        return out
+        self.convs = []
+        for i, size in enumerate(self.SIZES):
+            conv = Conv(KernelSpec(size), channels, channels, rng, norm=BatchNorm(channels))
+            self.convs.append(self.add(f"g{i}.conv", conv))
+            self.add(f"g{i}.norm", conv.norm)
 
     def forward(self, x, cache, training):
         total = np.zeros_like(x.features)
@@ -505,11 +480,8 @@ class RefineMLP(Module):
 
     def __init__(self, c_in, hidden, c_out, rng, slope):
         self.slope = slope
-        self.fc1 = Affine(c_in, hidden, rng)
-        self.fc2 = Affine(hidden, c_out, rng)
-
-    def children(self):
-        return [("fc1", self.fc1), ("fc2", self.fc2)]
+        self.fc1 = self.add("fc1", Affine(c_in, hidden, rng))
+        self.fc2 = self.add("fc2", Affine(hidden, c_out, rng))
 
     def forward(self, feats, training):
         a, c1 = self.fc1.forward(feats, training)
@@ -543,27 +515,20 @@ class SegmentationNetwork(Module):
         c0 = config.base_channels
         slope = config.leaky_slope
         variant = config.block_variant
-        self.point_mlp = PointMLP((9, *config.point_mlp_widths, c0), rng, slope)
+        point_mlp = PointMLP((9, *config.point_mlp_widths, c0), rng, slope)
+        self.point_mlp = self.add("point_mlp", point_mlp)
         self.downs = []
         c = c0
-        for _ in range(config.stages):
-            self.downs.append(DownBlock(c, 2 * c, variant, rng, slope))
+        for i in range(config.stages):
+            self.downs.append(self.add(f"down{i}", DownBlock(c, 2 * c, variant, rng, slope)))
             c *= 2
-        self.ddcm = DDCM(c, rng)
+        self.ddcm = self.add("ddcm", DDCM(c, rng))
         self.ups = []
         for i in range(config.stages):
             width = c0 * 2**i
-            self.ups.append(UpBlock(2 * width, width, variant, rng, slope))
-        self.head = Conv(KernelSpec(1), c0, k, rng)
-        self.refine = RefineMLP(k + c0, 2 * k, k, rng, slope)
-
-    def children(self):
-        out = [("point_mlp", self.point_mlp)]
-        out += [(f"down{i}", d) for i, d in enumerate(self.downs)]
-        out.append(("ddcm", self.ddcm))
-        out += [(f"up{i}", u) for i, u in enumerate(self.ups)]
-        out += [("head", self.head), ("refine", self.refine)]
-        return out
+            self.ups.append(self.add(f"up{i}", UpBlock(2 * width, width, variant, rng, slope)))
+        self.head = self.add("head", Conv(KernelSpec(1), c0, k, rng))
+        self.refine = self.add("refine", RefineMLP(k + c0, 2 * k, k, rng, slope))
 
     def forward(
         self, cloud: PointCloud, training: bool = False, *, _dtype=np.float64

@@ -42,8 +42,42 @@ def _bin_axis(values, lo, delta, count):
     return np.clip(idx, 0, count - 1)
 
 
+class _Grid:
+    """What the cylindrical and cubic grids share. A subclass defines its
+    ranges, ``resolution``, ``lowers``, ``uppers`` and ``axis_values``."""
+
+    def __post_init__(self):
+        resolution = tuple(int(r) for r in self.resolution)
+        if any(r < 1 for r in resolution):
+            raise ValueError(f"bad resolution {self.resolution}")
+        object.__setattr__(self, "resolution", resolution)
+        if self.num_cells >= 2**63:
+            raise ValueError(f"resolution {resolution} has 2^63 cells or more (64-bit keys)")
+
+    @property
+    def deltas(self) -> np.ndarray:
+        return (self.uppers - self.lowers) / np.array(self.resolution, dtype=np.float64)
+
+    @property
+    def num_cells(self) -> int:
+        h, w, l = self.resolution
+        return h * w * l
+
+    def bin_points(self, xyz: np.ndarray) -> np.ndarray:
+        values = self.axis_values(xyz)
+        lows, dels = self.lowers, self.deltas
+        cols = [
+            _bin_axis(values[:, a], lows[a], dels[a], self.resolution[a]) for a in range(3)
+        ]
+        return np.stack(cols, axis=1)
+
+    def cell_centers(self, cells: np.ndarray) -> np.ndarray:
+        """Axis-space centers of the given cells."""
+        return self.lowers + (np.asarray(cells, dtype=np.float64) + 0.5) * self.deltas
+
+
 @dataclass(frozen=True)
-class CylGridSpec:
+class CylGridSpec(_Grid):
     """Cylindrical grid: radius/height ranges and (radius, azimuth, height)
     bin counts. Azimuth spans [-pi, pi) implicitly."""
 
@@ -56,9 +90,7 @@ class CylGridSpec:
             raise ValueError(f"bad radius range {self.rho_range}")
         if self.z_range[1] <= self.z_range[0]:
             raise ValueError(f"bad height range {self.z_range}")
-        if any(int(r) < 1 for r in self.resolution):
-            raise ValueError(f"bad resolution {self.resolution}")
-        object.__setattr__(self, "resolution", tuple(int(r) for r in self.resolution))
+        super().__post_init__()
 
     @property
     def lowers(self) -> np.ndarray:
@@ -68,29 +100,8 @@ class CylGridSpec:
     def uppers(self) -> np.ndarray:
         return np.array([self.rho_range[1], np.pi, self.z_range[1]])
 
-    @property
-    def deltas(self) -> np.ndarray:
-        return (self.uppers - self.lowers) / np.array(self.resolution, dtype=np.float64)
-
-    @property
-    def num_cells(self) -> int:
-        h, w, l = self.resolution
-        return h * w * l
-
     def axis_values(self, xyz: np.ndarray) -> np.ndarray:
         return cart_to_cyl(xyz)
-
-    def bin_points(self, xyz: np.ndarray) -> np.ndarray:
-        values = self.axis_values(xyz)
-        lows, dels = self.lowers, self.deltas
-        cols = [
-            _bin_axis(values[:, a], lows[a], dels[a], self.resolution[a]) for a in range(3)
-        ]
-        return np.stack(cols, axis=1)
-
-    def cell_centers(self, cells: np.ndarray) -> np.ndarray:
-        """Axis-space (rho, theta, z) centers of the given cells."""
-        return self.lowers + (np.asarray(cells, dtype=np.float64) + 0.5) * self.deltas
 
     def radial_cell_volume(self, h) -> np.ndarray:
         """Volume of a cell in radius bin h: (dtheta/2)(rho_out^2 - rho_in^2) dz."""
@@ -109,15 +120,11 @@ class CylGridSpec:
     def distance_cell_counts(self, edges: np.ndarray) -> np.ndarray:
         h, w, l = self.resolution
         centers = self.rho_range[0] + (np.arange(h) + 0.5) * self.deltas[0]
-        bins = _bin_by_edges(centers, edges)
-        counts = np.zeros(len(edges) - 1, dtype=np.int64)
-        hit = bins >= 0
-        np.add.at(counts, bins[hit], w * l)
-        return counts
+        return _count_in_bins(centers, edges) * (w * l)
 
 
 @dataclass(frozen=True)
-class CubicGridSpec:
+class CubicGridSpec(_Grid):
     """Axis-aligned Cartesian grid used as the comparison partition."""
 
     x_range: Tuple[float, float] = (-50.0, 50.0)
@@ -129,9 +136,7 @@ class CubicGridSpec:
         for rng in (self.x_range, self.y_range, self.z_range):
             if rng[1] <= rng[0]:
                 raise ValueError(f"bad axis range {rng}")
-        if any(int(r) < 1 for r in self.resolution):
-            raise ValueError(f"bad resolution {self.resolution}")
-        object.__setattr__(self, "resolution", tuple(int(r) for r in self.resolution))
+        super().__post_init__()
 
     @property
     def lowers(self) -> np.ndarray:
@@ -141,28 +146,8 @@ class CubicGridSpec:
     def uppers(self) -> np.ndarray:
         return np.array([self.x_range[1], self.y_range[1], self.z_range[1]])
 
-    @property
-    def deltas(self) -> np.ndarray:
-        return (self.uppers - self.lowers) / np.array(self.resolution, dtype=np.float64)
-
-    @property
-    def num_cells(self) -> int:
-        h, w, l = self.resolution
-        return h * w * l
-
     def axis_values(self, xyz: np.ndarray) -> np.ndarray:
         return np.asarray(xyz, dtype=np.float64)
-
-    def bin_points(self, xyz: np.ndarray) -> np.ndarray:
-        values = self.axis_values(xyz)
-        lows, dels = self.lowers, self.deltas
-        cols = [
-            _bin_axis(values[:, a], lows[a], dels[a], self.resolution[a]) for a in range(3)
-        ]
-        return np.stack(cols, axis=1)
-
-    def cell_centers(self, cells: np.ndarray) -> np.ndarray:
-        return self.lowers + (np.asarray(cells, dtype=np.float64) + 0.5) * self.deltas
 
     def cell_planar_distance(self, cells: np.ndarray) -> np.ndarray:
         centers = self.cell_centers(cells)
@@ -173,11 +158,7 @@ class CubicGridSpec:
         xc = self.x_range[0] + (np.arange(nx) + 0.5) * self.deltas[0]
         yc = self.y_range[0] + (np.arange(ny) + 0.5) * self.deltas[1]
         dist = np.hypot(xc[:, None], yc[None, :]).ravel()
-        bins = _bin_by_edges(dist, edges)
-        counts = np.zeros(len(edges) - 1, dtype=np.int64)
-        hit = bins >= 0
-        np.add.at(counts, bins[hit], nz)
-        return counts
+        return _count_in_bins(dist, edges) * nz
 
 
 DEFAULT_CYL_GRID = CylGridSpec()
@@ -209,9 +190,17 @@ class VoxelMapping:
         """Per cell, the indices of its points in ascending order (built on each access)."""
         if self.num_cells == 0:
             return []
-        order = np.argsort(self.point_site, kind="stable")
-        counts = np.bincount(self.point_site, minlength=self.num_cells)
-        return np.split(order, np.cumsum(counts)[:-1])
+        order, _, starts = _group_by_cell(self)
+        return np.split(order, starts[1:])
+
+
+def _group_by_cell(mapping: VoxelMapping):
+    """The mapping's points grouped by cell: the stable argsort of
+    ``point_site``, each cell's point count, and where each cell's run of
+    points starts in that order."""
+    order = np.argsort(mapping.point_site, kind="stable")
+    counts = np.bincount(mapping.point_site, minlength=mapping.num_cells)
+    return order, counts, np.cumsum(counts) - counts
 
 
 def assign_cells(cloud, grid) -> VoxelMapping:
@@ -235,14 +224,17 @@ def scatter_features(
     point_features: np.ndarray, mapping: VoxelMapping, grid=None
 ) -> SparseTensor:
     """Reduce per-point features into their cells by elementwise maximum,
-    in their dtype (float32 stays float32, anything else becomes float64)."""
+    in their dtype (float32 stays float32, anything else becomes float64).
+
+    Each cell's points are reduced in storage order; every cell of a mapping
+    holds at least one point."""
     feats = as_features(point_features)
     if feats.ndim != 2 or feats.shape[0] != mapping.point_site.shape[0]:
         raise ValueError("feature rows must match the mapped point count")
     if grid is not None and tuple(grid.resolution) != tuple(mapping.spatial_shape):
         raise ValueError("grid does not match the mapping's spatial shape")
-    out = np.full((mapping.num_cells, feats.shape[1]), -np.inf, dtype=feats.dtype)
-    np.maximum.at(out, mapping.point_site, feats)
+    order, _, starts = _group_by_cell(mapping)
+    out = np.maximum.reduceat(feats[order], starts, axis=0)
     return SparseTensor(mapping.cells, out, mapping.spatial_shape)
 
 
@@ -253,9 +245,7 @@ def scatter_max_winners(point_features: np.ndarray, mapping: VoxelMapping) -> np
     to the point latest in storage order, which only pins determinism.
     """
     feats = np.asarray(point_features, dtype=np.float64)
-    order = np.argsort(mapping.point_site, kind="stable")
-    counts = np.bincount(mapping.point_site, minlength=mapping.num_cells)
-    starts = np.cumsum(counts) - counts
+    order, counts, starts = _group_by_cell(mapping)
     grouped = feats[order]
     cell_max = np.maximum.reduceat(grouped, starts, axis=0)
     rows = np.arange(len(order))[:, None]
@@ -284,8 +274,9 @@ def encode_cell_labels(
     valid = labels != ignore_id
     if valid.any() and (labels[valid].min() < 0 or labels[valid].max() >= num_classes):
         raise ValueError("labels out of range")
-    counts = np.zeros((mapping.num_cells, num_classes), dtype=np.int64)
-    np.add.at(counts, (mapping.point_site[valid], labels[valid]), 1)
+    keys = mapping.point_site[valid] * num_classes + labels[valid]
+    counts = np.bincount(keys, minlength=mapping.num_cells * num_classes)
+    counts = counts.reshape(mapping.num_cells, num_classes)
     any_valid = counts.sum(axis=1) > 0
     if mode == "majority":
         encoded = np.argmax(counts, axis=1)  # first max = smallest id
@@ -320,12 +311,11 @@ def encoding_upper_bound_miou(
 # occupancy statistics
 
 
-def _bin_by_edges(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Half-open binning: bin b covers [edges[b], edges[b+1]). Outside -> -1."""
-    edges = np.asarray(edges, dtype=np.float64)
-    idx = np.searchsorted(edges, values, side="right") - 1
-    idx[(values < edges[0]) | (values >= edges[-1])] = -1
-    return idx
+def _count_in_bins(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """How many ``values`` fall in each half-open bin [edges[b], edges[b+1]);
+    values below ``edges[0]`` or at or above ``edges[-1]`` count nowhere."""
+    slot = np.searchsorted(np.asarray(edges, dtype=np.float64), values, side="right")
+    return np.bincount(slot, minlength=len(edges) + 1)[1:-1]
 
 
 @dataclass
@@ -359,10 +349,7 @@ def occupancy_by_distance(
         acc = np.zeros(len(edges) - 1, dtype=np.float64)
         for cloud in clouds:
             mapping = assign_cells(cloud, grid)
-            bins = _bin_by_edges(grid.cell_planar_distance(mapping.cells), edges)
-            occ = np.zeros(len(edges) - 1, dtype=np.int64)
-            hit = bins >= 0
-            np.add.at(occ, bins[hit], 1)
+            occ = _count_in_bins(grid.cell_planar_distance(mapping.cells), edges)
             nonzero = totals > 0
             acc[nonzero] += occ[nonzero] / totals[nonzero]
         acc /= len(clouds)

@@ -1,12 +1,13 @@
 import math
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from cylseg.cli import main
-from cylseg.config import ConfigError, load_config
+from cylseg.config import ConfigError, load_config, network_header, parse_network_header
 from cylseg.metrics import ConfusionMatrix, compute_miou, format_iou_table
 from cylseg.network import SegmentationNetwork, save_checkpoint
 from cylseg.pointcloud import (
@@ -239,6 +240,58 @@ def test_config_rejects_non_finite_numbers(tmp_path, capsys, section, key, value
     assert len(err) == 1 and err[0].startswith("error:")
     assert f"[{section}] {key}" in err[0]
     assert not out.exists()
+
+
+MALFORMED_CONFIGS = {
+    "binary_bytes": b"\x89PNG\r\n\x1a\n" + bytes(range(256)),
+    "duplicate_section": (TINY_CFG + "\n[network]\nnum_classes = 3\n").encode(),
+    "duplicate_key": TINY_CFG.replace("[network]\n", "[network]\nstages = 2\n").encode(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_config_rejects_malformed_files_in_one_line(tmp_path, capsys, case):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(MALFORMED_CONFIGS[case])
+    out = tmp_path / "occ.csv"
+    assert main(["stats", "--config", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot parse")
+    assert not out.exists()
+
+
+# 2^22 * 2^22 * 2^20 = 2^64 cells: the flat int64 cell keys would overflow
+HUGE_BINS = ("4194304", "4194304", "1048576")
+
+
+def _with_huge_bins(text, keys):
+    """``text`` with each ``key = ...`` line of ``keys`` set to its HUGE_BINS value."""
+    for key, value in zip(keys, HUGE_BINS):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    return text
+
+
+def test_stats_rejects_a_grid_of_2_to_the_63_cells_or_more(tmp_path, capsys):
+    text = TINY_CFG.replace("scenes = 2\npoints = 2048", "scenes = 1\npoints = 64")
+    path = tmp_path / "huge.cfg"
+    path.write_text(_with_huge_bins(text, ("radius_bins", "azimuth_bins", "height_bins")))
+    out = tmp_path / "occ.csv"
+    assert main(["stats", "--config", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [grid]") and "2^63" in err[0]
+    assert not out.exists()
+
+
+def test_cubic_section_and_checkpoint_header_reject_2_to_the_63_cells_or_more(tmp_path):
+    path = tmp_path / "huge.cfg"
+    path.write_text(TINY_CFG + "\n[cubic]\nx_bins = 1\ny_bins = 1\nz_bins = 1\n")
+    header = network_header(load_config(path).network)
+    path.write_text(_with_huge_bins(path.read_text(), ("x_bins", "y_bins", "z_bins")))
+    with pytest.raises(ConfigError, match=r"^\[cubic\].*2\^63"):
+        load_config(path)
+    header = _with_huge_bins(header, ("radius_bins", "azimuth_bins", "height_bins"))
+    with pytest.raises(ConfigError, match=r"^\[grid\].*2\^63"):
+        parse_network_header(header)
 
 
 @pytest.mark.parametrize("slope", ["-0.1", "1.5"])

@@ -5,6 +5,7 @@ suite; here the focus is wiring: shapes, coordinate sets, parameter
 accounting, determinism, and the checkpoint container.
 """
 
+import dataclasses
 import os
 import struct
 import tracemalloc
@@ -13,10 +14,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cylseg.config import ConfigError, load_config, network_header, parse_network_header
+from cylseg.config import (
+    BLOCK_VARIANTS,
+    ConfigError,
+    load_config,
+    network_header,
+    parse_network_header,
+)
 from cylseg.network import (
     DDCM,
+    Affine,
+    Conv,
     DownBlock,
+    Module,
     NetworkConfig,
     PointMLP,
     RulebookCache,
@@ -313,6 +323,42 @@ def test_network_variants_swap_without_shape_changes():
         shapes.add(result.point_logits.shape)
         shapes.add(result.voxel_logits.features.shape)
     assert len(shapes) == 2  # one point shape, one voxel shape, shared by all
+
+
+def _held_modules(module):
+    """The modules ``module`` holds: in an attribute, in a list attribute, or
+    as the ``norm`` of a held ``Conv`` or ``Affine`` (which runs that norm, but
+    whose owner registers it)."""
+    held = []
+    for key, value in vars(module).items():
+        if key == "norm" and isinstance(module, (Conv, Affine)):
+            continue
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, Module):
+                held.append(item)
+                if isinstance(item, (Conv, Affine)) and item.norm is not None:
+                    held.append(item.norm)
+    return held
+
+
+@pytest.mark.parametrize("variant", BLOCK_VARIANTS)
+@pytest.mark.parametrize("cfg", ["toy_train.cfg", "semantic_kitti.cfg"])
+def test_every_sub_module_is_a_registered_child(cfg, variant):
+    # a sub-module built but never added would drop out of named_params,
+    # the optimizer and checkpoints without an error
+    config = load_config(os.path.join(ROOT, "configs", cfg)).network
+    config = dataclasses.replace(config, block_variant=variant)
+    no_draw = SimpleNamespace(uniform=lambda low, high, size: np.empty(size))
+    stack, walked = [SegmentationNetwork(config, seed=no_draw)], 0
+    while stack:
+        module = stack.pop()
+        children = [child for _, child in module.children()]
+        registered = {id(child) for child in children}
+        for held in _held_modules(module):
+            assert id(held) in registered, f"{type(held).__name__} in {type(module).__name__}"
+        stack.extend(children)
+        walked += 1
+    assert walked > 30
 
 
 def test_rulebook_cache_reuses_by_coords_identity():

@@ -16,6 +16,7 @@ from cylseg.partition import (
     scatter_features,
     scatter_max_winners,
     write_occupancy_csv,
+    _count_in_bins,
 )
 from cylseg.pointcloud import PointCloud, SyntheticSceneSpec, generate_synthetic_scene
 
@@ -175,6 +176,25 @@ def test_scatter_matches_group_by_max_oracle():
         np.testing.assert_array_equal(out.features[site], feats[members].max(axis=0))
 
 
+@pytest.mark.parametrize("n", [0, 1, 400])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scatter_equals_the_maximum_at_reference_bit_for_bit(dtype, n):
+    grid = CylGridSpec(rho_range=(0.0, 8.0), z_range=(-2.0, 2.0), resolution=(3, 3, 2))
+    rng = np.random.default_rng(16)
+    mapping = assign_cells(_cloud(rng.uniform(-5, 5, size=(n, 3))), grid)
+    # three channels of exact -1.0, -0.0 and +0.0, so most cell maxima tie
+    # between signed zeros, and three of random values
+    ties = rng.choice(np.array([-1.0, -0.0, 0.0]), size=(n, 3))
+    feats = np.hstack([ties, rng.standard_normal((n, 3))]).astype(dtype)
+    # reference: the per-point maximum that scatter_features took before
+    reference = np.full((mapping.num_cells, 6), -np.inf, dtype=dtype)
+    np.maximum.at(reference, mapping.point_site, feats)
+    out = scatter_features(feats, mapping, grid).features
+    assert out.dtype == dtype and out.shape == reference.shape
+    np.testing.assert_array_equal(out, reference)
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(reference))
+
+
 def test_scatter_max_winners_select_the_max_rows():
     grid = CylGridSpec(rho_range=(0.0, 8.0), z_range=(-2.0, 2.0), resolution=(2, 2, 2))
     rng = np.random.default_rng(14)
@@ -314,6 +334,27 @@ def test_bound_requires_labels():
 
 
 # ---------------------------------------------------------------- occupancy
+
+
+def test_count_in_bins_equals_the_bin_then_add_at_reference():
+    edges = np.array([0.0, 5.0, 10.0, 12.5, 50.0])
+    rng = np.random.default_rng(17)
+    values = np.concatenate([
+        [-7.0, np.nextafter(0.0, -1.0)],  # below edges[0]
+        edges,  # exactly on every edge, edges[-1] included
+        [np.nextafter(50.0, 60.0), 80.0],  # above edges[-1]
+        rng.uniform(-10.0, 60.0, 500),
+    ])
+    # reference: the half-open binning to -1 outside, then np.add.at, that
+    # the occupancy counters used before
+    idx = np.searchsorted(edges, values, side="right") - 1
+    idx[(values < edges[0]) | (values >= edges[-1])] = -1
+    reference = np.zeros(len(edges) - 1, dtype=np.int64)
+    np.add.at(reference, idx[idx >= 0], 1)
+    got = _count_in_bins(values, edges)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, reference)
+    np.testing.assert_array_equal(_count_in_bins(edges, edges), [1, 1, 1, 1])
 
 
 def test_occupancy_saturated_tiny_grid():
