@@ -147,7 +147,7 @@ def _take(section, keys, key, conv, default):
 
 def _reject_unknown(section, keys):
     if keys:
-        raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(sorted(keys))}")
+        raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(map(repr, sorted(keys)))}")
 
 
 def _read(section, keys: dict, cls, required=False, **given):
@@ -188,7 +188,7 @@ def _ini_sections(text: str, source, known) -> dict:
         raise ConfigError(f"cannot parse {source}: {' '.join(str(exc).split())}") from None
     for section in cp.sections():
         if section not in known:
-            raise ConfigError(f"unknown section [{section}]")
+            raise ConfigError(f"unknown section {section!r}")
     return {section: dict(cp[section]) for section in cp.sections()}
 
 

@@ -227,9 +227,10 @@ class Conv(Module):
     """Sparse convolution over a rulebook: submanifold, strided or inverse,
     followed by its batch norm ``norm`` if given.
 
-    The inverse variant runs the transposed convolution through the stored
-    rulebook of the downsampling conv it mirrors, back to that conv's input
-    sites; it is given that conv's kernel.
+    Its rulebook comes from the pass's ``RulebookCache``, for the sites of
+    ``x``. The inverse variant is given the kernel of the downsampling conv it
+    mirrors and the tensor ``to`` that conv read: it runs the transposed
+    convolution through that conv's cached rulebook, back to ``to``'s sites.
     """
 
     def __init__(self, kernel: KernelSpec, c_in, c_out, rng, inverse=False,
@@ -240,9 +241,8 @@ class Conv(Module):
         self.conv_params = init_conv_params(kernel, c_in, c_out, rng)
         self.declare({"weights": self.conv_params.weights, "bias": self.conv_params.bias})
 
-    def forward(self, x, rb, training):
-        if rb.kernel != self.kernel:
-            raise ValueError("rulebook kernel does not match the layer's")
+    def forward(self, x, cache, training, to=None):
+        rb = cache.get(x if to is None else to, self.kernel)
         conv = inverse_conv_forward if self.inverse else sparse_conv_forward
         params = self.conv_params
         if self.norm is not None and predicting(x.features, training):
@@ -305,10 +305,10 @@ class _ConvBNActConvBN(Module):
         self.add("bn2", conv2.norm)
 
     def forward(self, x, cache, training):
-        t1, c1 = self.conv1.forward(x, cache.get(x, self.conv1.kernel), training)
+        t1, c1 = self.conv1.forward(x, cache, training)
         r1, c2 = leaky_relu_forward(t1.features, self.slope, predicting(x.features, training))
         h1 = t1.with_features(r1)
-        t2, c3 = self.conv2.forward(h1, cache.get(h1, self.conv2.kernel), training)
+        t2, c3 = self.conv2.forward(h1, cache, training)
         return t2, (c1, c2, c3)
 
     def backward(self, grad, ctx):
@@ -318,77 +318,56 @@ class _ConvBNActConvBN(Module):
         return self.conv1.backward(grad, c1)
 
 
-class AsymResBlock(Module):
-    """Two asymmetric-kernel branches added and activated.
+class ResBlock(Module):
+    """``act(first(x) + second(x))``, or ``act(first(x) + x)`` without a
+    second term. ``first`` and ``second`` are ``(name, module)`` pairs.
 
-    Branch A applies k_a then k_b, branch B the mirror order; both kernels
-    factor a cube into rank-deficient shapes, which is what saves a third of
-    the weights relative to two full 3x3x3 convs.
+    The asymmetrical block adds two branches: branch ``a`` applies k_a then
+    k_b, branch ``b`` the mirror order. Both kernels factor a cube into
+    rank-deficient shapes, which saves a third of the weights relative to
+    the regular block's two full 3x3x3 convs (``main``), whose ``shortcut``
+    is a 1x1x1 projection when the widths differ.
     """
 
-    def __init__(self, c_in, c_out, k_a, k_b, rng, slope):
+    def __init__(self, slope, first, second=None):
         self.slope = slope
-        self.branch_a = self.add("a", _ConvBNActConvBN(c_in, c_out, k_a, k_b, rng, slope))
-        self.branch_b = self.add("b", _ConvBNActConvBN(c_in, c_out, k_b, k_a, rng, slope))
+        self.first = self.add(*first)
+        self.second = None if second is None else self.add(*second)
 
     def forward(self, x, cache, training):
-        ya, ca = self.branch_a.forward(x, cache, training)
-        yb, cb = self.branch_b.forward(x, cache, training)
-        total = ya.features  # a fresh buffer that no context holds
-        total += yb.features
+        y, c_first = self.first.forward(x, cache, training)
+        if self.second is None:
+            res, c_second = x, None
+        else:
+            res, c_second = self.second.forward(x, cache, training)
+        total = y.features  # a fresh buffer that no context holds
+        total += res.features
         out, cr = leaky_relu_forward(total, self.slope, predicting(x.features, training))
-        return ya.with_features(out), (ca, cb, cr)
+        return y.with_features(out), (c_first, c_second, cr)
 
     def backward(self, grad, ctx):
-        ca, cb, cr = ctx
+        c_first, c_second, cr = ctx
         g = leaky_relu_backward(grad, cr)
-        return self.branch_a.backward(g, ca) + self.branch_b.backward(g, cb)
+        grad_in = self.first.backward(g, c_first)
+        return grad_in + (g if self.second is None else self.second.backward(g, c_second))
 
 
-class RegularResBlock(Module):
-    """Two full 3x3x3 convs with a residual add (projection shortcut when
-    the widths differ)."""
-
-    def __init__(self, c_in, c_out, rng, slope):
-        self.slope = slope
-        main = _ConvBNActConvBN(c_in, c_out, (3, 3, 3), (3, 3, 3), rng, slope)
-        self.main = self.add("main", main)
-        self.shortcut = None
-        if c_in != c_out:
-            self.shortcut = self.add("shortcut", Conv(KernelSpec(1), c_in, c_out, rng))
-
-    def forward(self, x, cache, training):
-        ym, cm = self.main.forward(x, cache, training)
-        if self.shortcut is not None:
-            ys, cs = self.shortcut.forward(x, cache.get(x, self.shortcut.kernel), training)
-            res = ys.features
-        else:
-            cs = None
-            res = x.features
-        total = ym.features  # a fresh buffer that no context holds
-        total += res
-        out, cr = leaky_relu_forward(total, self.slope, predicting(x.features, training))
-        return ym.with_features(out), (cm, cs, cr)
-
-    def backward(self, grad, ctx):
-        cm, cs, cr = ctx
-        g = leaky_relu_backward(grad, cr)
-        grad_in = self.main.backward(g, cm)
-        if self.shortcut is not None:
-            grad_in = grad_in + self.shortcut.backward(g, cs)
-        else:
-            grad_in = grad_in + g
-        return grad_in
+ASYM_KERNELS = {"asym": ((1, 3, 3), (3, 1, 3)), "asym1d": ((1, 3, 1), (3, 1, 1))}
 
 
 def make_res_block(variant, c_in, c_out, rng, slope):
-    if variant == "asym":
-        return AsymResBlock(c_in, c_out, (1, 3, 3), (3, 1, 3), rng, slope)
-    if variant == "asym1d":
-        return AsymResBlock(c_in, c_out, (1, 3, 1), (3, 1, 1), rng, slope)
+    """The residual block of ``variant``. Its children draw their init in
+    the order they are named: ``a`` before ``b``, ``main`` before ``shortcut``."""
     if variant == "regular":
-        return RegularResBlock(c_in, c_out, rng, slope)
-    raise ValueError(f"unknown block variant {variant!r}")
+        main = ("main", _ConvBNActConvBN(c_in, c_out, (3, 3, 3), (3, 3, 3), rng, slope))
+        if c_in == c_out:
+            return ResBlock(slope, main)
+        return ResBlock(slope, main, ("shortcut", Conv(KernelSpec(1), c_in, c_out, rng)))
+    if variant not in ASYM_KERNELS:
+        raise ValueError(f"unknown block variant {variant!r}")
+    k_a, k_b = ASYM_KERNELS[variant]
+    a = _ConvBNActConvBN(c_in, c_out, k_a, k_b, rng, slope)
+    return ResBlock(slope, ("a", a), ("b", _ConvBNActConvBN(c_in, c_out, k_b, k_a, rng, slope)))
 
 
 def conv_weight_count(module: Module) -> int:
@@ -407,9 +386,8 @@ class DownBlock(Module):
 
     def forward(self, x, cache, training):
         skip, c_res = self.res.forward(x, cache, training)
-        rb = cache.get(skip, self.down.kernel)
-        y, c_down = self.down.forward(skip, rb, training)
-        return y, skip, rb, (c_res, c_down)
+        y, c_down = self.down.forward(skip, cache, training)
+        return y, skip, (c_res, c_down)
 
     def backward(self, grad, grad_skip, ctx):
         c_res, c_down = ctx
@@ -425,8 +403,8 @@ class UpBlock(Module):
         self.up = self.add("up", Conv(DOWNSAMPLE, c_in, c_out, rng, inverse=True))
         self.fuse = self.add("fuse", make_res_block(variant, 2 * c_out, c_out, rng, slope))
 
-    def forward(self, x, skip, stored_rulebook, cache, training):
-        u, c_up = self.up.forward(x, stored_rulebook, training)
+    def forward(self, x, skip, cache, training):
+        u, c_up = self.up.forward(x, cache, training, to=skip)
         cat = concat_features(u, skip)
         y, c_fuse = self.fuse.forward(cat, cache, training)
         return y, (c_up, c_fuse)
@@ -459,7 +437,7 @@ class DDCM(Module):
         total = np.zeros_like(x.features)
         branch_ctxs = []
         for conv in self.convs:
-            t, c1 = conv.forward(x, cache.get(x, conv.kernel), training)
+            t, c1 = conv.forward(x, cache, training)
             s, c2 = sigmoid_forward(t.features)
             total += s
             branch_ctxs.append((c1, c2))
@@ -555,18 +533,17 @@ class SegmentationNetwork(Module):
         winners = scatter_max_winners(h, mapping) if training else None
 
         cache = RulebookCache()
-        skips, rulebooks, c_downs = [], [], []
+        skips, c_downs = [], []
         for down in self.downs:
-            x, skip, rb, c_d = kept(down.forward(x, cache, training))
+            x, skip, c_d = kept(down.forward(x, cache, training))
             skips.append(skip)
-            rulebooks.append(rb)
             c_downs.append(c_d)
         del skip  # each skip goes as soon as its up block has used it
         x, c_ddcm = kept(self.ddcm.forward(x, cache, training))
         c_ups = [None] * config.stages
         for i in reversed(range(config.stages)):
-            x, c_ups[i] = kept(self.ups[i].forward(x, skips.pop(), rulebooks[i], cache, training))
-        logits, c_head = kept(self.head.forward(x, cache.get(x, self.head.kernel), training))
+            x, c_ups[i] = kept(self.ups[i].forward(x, skips.pop(), cache, training))
+        logits, c_head = kept(self.head.forward(x, cache, training))
         gathered = logits.features[mapping.point_site]
         refine_in = np.hstack([gathered, h])
         point_logits, c_refine = kept(self.refine.forward(refine_in, training))

@@ -9,6 +9,7 @@ cell. Cell index along an axis is ``floor((v - v_min) / delta_v)``.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -38,8 +39,17 @@ def cyl_to_cart(cyl: np.ndarray) -> np.ndarray:
 
 
 def _bin_axis(values, lo, delta, count):
-    idx = np.floor((values - lo) / delta).astype(np.int64)
-    return np.clip(idx, 0, count - 1)
+    """``floor((v - lo) / delta)`` clipped to [0, count - 1] while still a
+    float: past 2^63 the int64 cast would wrap to bin 0."""
+    idx = np.floor((values - lo) / delta)
+    np.clip(idx, 0, count - 1, out=idx)
+    if count - 1 <= 2**53:  # every bin is exact as a float64
+        return idx.astype(np.int64)
+    top = idx >= count - 1  # count - 1 as a float64 rounds, maybe up to 2^63
+    idx[top] = 0
+    bins = idx.astype(np.int64)
+    bins[top] = count - 1
+    return bins
 
 
 class _Grid:
@@ -185,22 +195,22 @@ class VoxelMapping:
     def num_cells(self) -> int:
         return self.cells.shape[0]
 
+    @functools.cached_property
+    def grouping(self):
+        """The points grouped by cell, made once per mapping: the stable
+        argsort of ``point_site``, each cell's point count, and where each
+        cell's run of points starts in that order."""
+        order = np.argsort(self.point_site, kind="stable")
+        counts = np.bincount(self.point_site, minlength=self.num_cells)
+        return order, counts, np.cumsum(counts) - counts
+
     @property
     def cell_points(self) -> List[np.ndarray]:
-        """Per cell, the indices of its points in ascending order (built on each access)."""
+        """Per cell, the indices of its points in ascending order (split on each access)."""
         if self.num_cells == 0:
             return []
-        order, _, starts = _group_by_cell(self)
+        order, _, starts = self.grouping
         return np.split(order, starts[1:])
-
-
-def _group_by_cell(mapping: VoxelMapping):
-    """The mapping's points grouped by cell: the stable argsort of
-    ``point_site``, each cell's point count, and where each cell's run of
-    points starts in that order."""
-    order = np.argsort(mapping.point_site, kind="stable")
-    counts = np.bincount(mapping.point_site, minlength=mapping.num_cells)
-    return order, counts, np.cumsum(counts) - counts
 
 
 def assign_cells(cloud, grid) -> VoxelMapping:
@@ -233,7 +243,7 @@ def scatter_features(
         raise ValueError("feature rows must match the mapped point count")
     if grid is not None and tuple(grid.resolution) != tuple(mapping.spatial_shape):
         raise ValueError("grid does not match the mapping's spatial shape")
-    order, _, starts = _group_by_cell(mapping)
+    order, _, starts = mapping.grouping
     out = np.maximum.reduceat(feats[order], starts, axis=0)
     return SparseTensor(mapping.cells, out, mapping.spatial_shape)
 
@@ -245,7 +255,7 @@ def scatter_max_winners(point_features: np.ndarray, mapping: VoxelMapping) -> np
     to the point latest in storage order, which only pins determinism.
     """
     feats = np.asarray(point_features, dtype=np.float64)
-    order, counts, starts = _group_by_cell(mapping)
+    order, counts, starts = mapping.grouping
     grouped = feats[order]
     cell_max = np.maximum.reduceat(grouped, starts, axis=0)
     rows = np.arange(len(order))[:, None]

@@ -17,7 +17,14 @@ import pytest
 import cylseg.network as network_module
 from cylseg.cli import _dataset
 from cylseg.config import load_config
-from cylseg.network import Affine, BatchNorm, Conv, SegmentationNetwork, load_checkpoint
+from cylseg.network import (
+    Affine,
+    BatchNorm,
+    Conv,
+    RulebookCache,
+    SegmentationNetwork,
+    load_checkpoint,
+)
 from cylseg.partition import CylGridSpec, assign_cells, scatter_features
 from cylseg.pointcloud import SyntheticSceneSpec, generate_synthetic_scene
 from cylseg.selftest import random_sparse
@@ -247,7 +254,7 @@ def test_fold_matches_the_unfolded_conv_and_affine_in_float64():
         conv.conv_params.bias[:] = rng.standard_normal(5)
         norm = _random_norm(rng, 5)
         rb = build_rulebook(x.coords, x.spatial_shape, kernel)
-        y, _ = conv.forward(x, rb, training=False)
+        y, _ = conv.forward(x, RulebookCache(), training=False)
         unfolded, _ = norm.forward(y.features, training=False)
         params = conv.conv_params
         folded = ConvParams(*norm.fold(params.weights, params.bias, np.float64))
@@ -270,9 +277,9 @@ def test_float32_conv_and_affine_fold_their_norm_and_keep_no_context(monkeypatch
     norm = _random_norm(rng, 5)
     conv = Conv(kernel, x32.num_channels, 5, rng, norm=norm)
     affine = Affine(x32.num_channels, 5, rng, norm=norm)
-    rb = build_rulebook(x32.coords, x32.spatial_shape, kernel)
+    cache = RulebookCache()
     expected = {
-        "conv": conv.forward(x64, rb, training=False)[0].features,
+        "conv": conv.forward(x64, cache, training=False)[0].features,
         "affine": affine.forward(x64.features, training=False)[0],
     }
 
@@ -280,7 +287,7 @@ def test_float32_conv_and_affine_fold_their_norm_and_keep_no_context(monkeypatch
         raise AssertionError("batch_norm_forward ran on the float32 route")
 
     monkeypatch.setattr(network_module, "batch_norm_forward", no_norm)
-    out, ctx = conv.forward(x32, rb, training=False)
+    out, ctx = conv.forward(x32, cache, training=False)
     assert ctx is None
     _close(out.features, expected["conv"])
     out, ctx = affine.forward(x32.features, training=False)

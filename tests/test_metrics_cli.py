@@ -1,7 +1,10 @@
+import contextlib
+import io
 import math
 import os
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from cylseg.config import ConfigError, load_config, network_header, parse_networ
 from cylseg.metrics import ConfusionMatrix, compute_miou, format_iou_table
 from cylseg.network import SegmentationNetwork, save_checkpoint
 from cylseg.pointcloud import (
+    PointCloud,
     SyntheticSceneSpec,
     generate_synthetic_scene,
     read_raw_label_ids,
@@ -260,6 +264,26 @@ def test_config_rejects_malformed_files_in_one_line(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        TINY_CFG.replace("[data]\n", "[data]\nk\x0cey = 1\n"),
+        TINY_CFG + "\n[da\x1cta]\nkind = synthetic\n",
+    ],
+    ids=["key", "section"],
+)
+def test_config_errors_quote_names_from_the_file(tmp_path, capsys, text):
+    # \x0c and \x1c end a line for str.splitlines(): printed raw, the one
+    # error line would read as two
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    out = tmp_path / "occ.csv"
+    assert main(["stats", "--config", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown")
+    assert err[0].isprintable()
+
+
 # 2^22 * 2^22 * 2^20 = 2^64 cells: the flat int64 cell keys would overflow
 HUGE_BINS = ("4194304", "4194304", "1048576")
 
@@ -346,6 +370,23 @@ def test_cli_stats_writes_csv(tiny_cfg, tmp_path, capsys):
     assert any(line.startswith("cylindrical,") for line in lines[1:])
     assert any(line.startswith("cubic,") for line in lines[1:])
     capsys.readouterr()
+
+
+def test_cli_stats_takes_a_scan_with_a_point_far_out(tiny_cfg, tmp_path, capsys):
+    # x = 3e38 is finite in float32; its bin index overflows int64 before
+    # the clamp into the last bin
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    xyz = np.array([[3e38, 0.0, 0.0], [1.0, 1.0, 0.0], [-2.0, 3.0, 1.0]])
+    write_kitti_bin(scans / "000000.bin", PointCloud(xyz, np.zeros(3)))
+    out = tmp_path / "occ.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["stats", "--config", str(tiny_cfg), "--scans", str(scans),
+                     "--output", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert not [str(w.message) for w in caught]
 
 
 def test_cli_bound_reports_both_modes(tiny_cfg, tmp_path, capsys):
@@ -526,3 +567,97 @@ def test_cli_rejects_a_checkpoint_of_another_grid(command, tiny_checkpoint, tmp_
         f"error: {ckpt}: checkpoint and config disagree on rho_max: "
         "12.0 in the checkpoint, 13.0 in the config"
     ]
+
+
+# ------------------------------------------------- seeded byte cuts and flips
+
+
+def _cuts_and_flips(blob, seed, count):
+    """``count`` mutations of ``blob``, alternately a cut at a random length
+    and a random single-bit flip."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        if i % 2:
+            yield blob[: rng.integers(len(blob))]
+        else:
+            out = bytearray(blob)
+            out[rng.integers(len(blob))] ^= 1 << rng.integers(8)
+            yield bytes(out)
+
+
+def _exponent_flips(blob, seed, count):
+    """``count`` copies of a ``.bin`` scan, each with the top exponent bit of
+    one random coordinate flipped: a value below 2 in magnitude becomes huge
+    (or inf or nan), any other tiny. Random flips reach that bit only about
+    once in 90 cases."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        out = bytearray(blob)
+        point, axis = rng.integers(len(blob) // 16), rng.integers(3)
+        out[16 * point + 4 * axis + 3] ^= 0x40  # little-endian float32: bit 30
+        yield bytes(out)
+
+
+def _run_cli(argv):
+    """Exit code, stderr and the messages of the warnings raised, of one
+    in-process run. Warnings are recorded, not raised: as errors they would
+    turn the fault into an exit-1 line."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(
+        err
+    ), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+def _assert_clean_outcome(argv, path, blobs):
+    """Every blob written to ``path`` gives exit 0 with an empty stderr and no
+    warning, or exit 1 or 2 with one printable ``error:`` line."""
+    for case, blob in enumerate(blobs):
+        path.write_bytes(blob)
+        code, err, caught = _run_cli(argv)
+        where = f"case {case}: {blob[:80]!r}"
+        assert code in (0, 1, 2), where
+        if code == 0:
+            assert err == "" and not caught, (where, err, caught)
+        else:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (where, err)
+            assert lines[0].isprintable(), (where, err)
+
+
+@pytest.fixture
+def tiny_scan(tmp_path):
+    """A directory holding one 512-point ``.bin`` scan in the tiny grid's range."""
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    cloud = generate_synthetic_scene(SyntheticSceneSpec(seed=0, num_points=512, max_range=12.0))
+    write_kitti_bin(scans / "000000.bin", cloud)
+    return scans / "000000.bin"
+
+
+def test_cut_and_flipped_configs_fail_cleanly(tmp_path, tiny_scan):
+    # --scans keeps each run to the one small scan, whatever [stats] asks for
+    path = tmp_path / "fuzz.cfg"
+    argv = ["stats", "--config", str(path), "--scans", str(tiny_scan.parent),
+            "--output", str(tmp_path / "occ.csv")]
+    _assert_clean_outcome(argv, path, _cuts_and_flips(TINY_CFG.encode(), 101, 300))
+
+
+def test_cut_and_flipped_scans_fail_cleanly(tiny_cfg, tmp_path, tiny_scan):
+    argv = ["stats", "--config", str(tiny_cfg), "--scans", str(tiny_scan.parent),
+            "--output", str(tmp_path / "occ.csv")]
+    blob = tiny_scan.read_bytes()
+    _assert_clean_outcome(argv, tiny_scan, _cuts_and_flips(blob, 102, 300))
+    _assert_clean_outcome(argv, tiny_scan, _exponent_flips(blob, 103, 60))
+
+
+def test_cut_and_flipped_label_files_fail_cleanly(tiny_cfg, tmp_path):
+    # the tiny config's one validation scene has 512 points
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    label = preds / "scene_0000.label"
+    write_kitti_labels(label, np.random.default_rng(104).integers(0, 3, 512))
+    argv = ["eval", "--config", str(tiny_cfg), "--predictions", str(preds)]
+    _assert_clean_outcome(argv, label, _cuts_and_flips(label.read_bytes(), 105, 300))

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import cylseg.network as network_module
 from cylseg.config import (
     BLOCK_VARIANTS,
     ConfigError,
@@ -189,7 +190,7 @@ def test_down_block_halves_shape_and_doubles_channels():
 
     x = SparseTensor(coords, rng.standard_normal((3, 4)), (8, 8, 8))
     block = DownBlock(4, 8, "asym", np.random.default_rng(3), 0.1)
-    y, skip, rb, _ = block.forward(x, RulebookCache(), training=False)
+    y, skip, _ = block.forward(x, RulebookCache(), training=False)
     assert y.spatial_shape == (4, 4, 4)
     assert y.features.shape[1] == 8
     np.testing.assert_array_equal(skip.coords, x.coords)
@@ -202,8 +203,8 @@ def test_up_block_restores_skip_coordinates():
     down = DownBlock(c, 2 * c, "asym", np.random.default_rng(4), 0.1)
     up = UpBlock(2 * c, c, "asym", np.random.default_rng(5), 0.1)
     cache = RulebookCache()
-    y, skip, rb, _ = down.forward(x, cache, training=False)
-    out, _ = up.forward(y, skip, rb, cache, training=False)
+    y, skip, _ = down.forward(x, cache, training=False)
+    out, _ = up.forward(y, skip, cache, training=False)
     assert out.coords is skip.coords
     assert out.features.shape == (len(skip.coords), c)
 
@@ -217,13 +218,13 @@ def test_up_block_ignores_skip_weights_when_skip_is_zero():
     down = DownBlock(c, 2 * c, "asym", np.random.default_rng(6), 0.1)
     up = UpBlock(2 * c, c, "asym", np.random.default_rng(7), 0.1)
     cache = RulebookCache()
-    y, skip, rb, _ = down.forward(x, cache, training=False)
+    y, skip, _ = down.forward(x, cache, training=False)
     zero_skip = skip.with_features(np.zeros_like(skip.features))
-    a, _ = up.forward(y, zero_skip, rb, cache, training=False)
+    a, _ = up.forward(y, zero_skip, cache, training=False)
     for name, arr in up.named_params().items():
         if name.startswith("fuse.") and name.endswith("weights") and arr.shape[1] == 2 * c:
             arr[:, c:, :] += rng.standard_normal((arr.shape[0], c, arr.shape[2]))
-    b, _ = up.forward(y, zero_skip, rb, cache, training=False)
+    b, _ = up.forward(y, zero_skip, cache, training=False)
     np.testing.assert_array_equal(a.features, b.features)
 
 
@@ -371,6 +372,44 @@ def test_rulebook_cache_reuses_by_coords_identity():
     rb1 = cache.get(x, kernel)
     rb2 = cache.get(x, kernel)
     assert rb1 is rb2
+
+
+def test_each_rulebook_is_built_once_per_forward(monkeypatch):
+    # every conv fetches its rulebook from the pass's cache, and an up block's
+    # inverse conv reads the strided rulebook its down block built
+    cfg = load_config(os.path.join(ROOT, "configs", "toy_train.cfg"))
+    assert cfg.network.block_variant == "asym"
+    net = SegmentationNetwork(cfg.network, seed=0)
+    cloud = generate_synthetic_scene(
+        SyntheticSceneSpec(seed=3, num_points=cfg.data.points, max_range=cfg.data.max_range)
+    )
+    builds, in_up = [], [False]
+    build_rulebook = network_module.build_rulebook
+
+    def counted(coords, shape, kernel, sites=None):
+        builds.append((coords.tobytes(), tuple(shape), kernel, in_up[0]))
+        return build_rulebook(coords, shape, kernel, sites)
+
+    def flagged(forward):
+        def run(*args, **kwargs):
+            in_up[0] = True
+            try:
+                return forward(*args, **kwargs)
+            finally:
+                in_up[0] = False
+        return run
+
+    monkeypatch.setattr(network_module, "build_rulebook", counted)
+    for up in net.ups:
+        monkeypatch.setattr(up, "forward", flagged(up.forward))
+    for run in (lambda: net.forward(cloud, training=True), lambda: net.predict(cloud)):
+        builds.clear()
+        run()
+        # per stage: the res block's two kernels and the downsampling conv;
+        # then the three DDCM kernels and the head
+        assert len(builds) == 10
+        assert len({build[:3] for build in builds}) == 10
+        assert not any(build[3] for build in builds)
 
 
 def test_config_rejects_indivisible_height():

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cylseg.partition import (
+    DEFAULT_CUBIC_GRID,
     DEFAULT_CYL_GRID,
     CubicGridSpec,
     CylGridSpec,
@@ -91,6 +93,34 @@ def test_assign_cells_clamps_out_of_range_radius():
     assert mapping.cells[0, 0] == DEFAULT_CYL_GRID.resolution[0] - 1
 
 
+def test_far_out_points_land_in_the_boundary_bin_on_their_side():
+    # (v - lo) / delta beyond 2^63 used to wrap in the int64 cast, so the
+    # clip put these points in bin 0 and numpy warned of an invalid cast
+    far = 1e30
+    cyl_points = [[far, 0, 0], [-far, 0, 0], [0, far, 0], [0, -far, 0], [1, 0, far], [1, 0, -far]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cyl = DEFAULT_CYL_GRID.bin_points(np.array(cyl_points, dtype=np.float64))
+        cubic = DEFAULT_CUBIC_GRID.bin_points(np.vstack([far * np.eye(3), -far * np.eye(3)]))
+    assert not [str(w.message) for w in caught]
+    assert cyl[:4, 0].tolist() == [DEFAULT_CYL_GRID.resolution[0] - 1] * 4
+    assert cyl[4:, 2].tolist() == [DEFAULT_CYL_GRID.resolution[2] - 1, 0]
+    np.testing.assert_array_equal(np.diag(cubic[:3]), np.array(DEFAULT_CUBIC_GRID.resolution) - 1)
+    np.testing.assert_array_equal(np.diag(cubic[3:]), 0)
+
+
+@pytest.mark.parametrize("bins", [2**60, 2**63 - 1])
+def test_an_axis_of_more_than_2_to_the_53_bins_keeps_far_points_in_its_last_bin(bins):
+    # the float64 nearest to bins - 1 is bins (or 2^63), one past the last bin;
+    # bin_points allocates per point only, so such a grid costs nothing here
+    grid = CylGridSpec(resolution=(bins, 1, 1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cells = grid.bin_points(np.array([[1e30, 0.0, 0.0], [0.0, -1e30, 0.0], [0.0, 0.0, 0.0]]))
+    assert not [str(w.message) for w in caught]
+    assert cells[:, 0].tolist() == [bins - 1, bins - 1, 0]
+
+
 def test_assign_cells_matches_brute_force_binning():
     grid = CylGridSpec(rho_range=(0.0, 8.0), z_range=(-2.0, 2.0), resolution=(4, 4, 4))
     rng = np.random.default_rng(11)
@@ -133,6 +163,27 @@ def test_cell_points_equal_the_eager_split_lists():
             np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(a, np.flatnonzero(mapping.point_site == site))
             assert a.dtype == b.dtype
+
+
+def test_pooling_and_its_winners_share_one_grouping_sort(monkeypatch):
+    grid = CylGridSpec(rho_range=(0.0, 8.0), z_range=(-2.0, 2.0), resolution=(6, 5, 4))
+    rng = np.random.default_rng(16)
+    mapping = assign_cells(_cloud(rng.uniform(-6, 6, size=(200, 3))), grid)
+    feats = rng.standard_normal((200, 3))
+    sorts = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        sorts.append(args)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    pooled = scatter_features(feats, mapping, grid)
+    winners = scatter_max_winners(feats, mapping)
+    cells = mapping.cell_points
+    assert len(sorts) == 1
+    np.testing.assert_array_equal(feats[winners, np.arange(3)], pooled.features)
+    assert all(np.all(mapping.point_site[c] == site) for site, c in enumerate(cells))
 
 
 def test_empty_cloud_gives_empty_mapping():
