@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config, network_header
-from .metrics import compute_miou, format_iou_table
+from .metrics import ConfusionMatrix, compute_miou, format_iou_table
 from .network import SegmentationNetwork, load_checkpoint, save_checkpoint
 from .partition import encoding_upper_bound_miou, occupancy_by_distance, write_occupancy_csv
 from .pointcloud import (
@@ -56,20 +56,28 @@ def _synthetic_clouds(cfg: RunConfig, count: int, seed_base: int) -> List[Tuple[
     return out
 
 
+def _scan_names(directory, source: str, cfg_path) -> List[str]:
+    """Sorted stems of the ``.bin`` scans in ``directory``, named by ``source``."""
+    try:
+        names = sorted(f[:-4] for f in os.listdir(directory) if f.endswith(".bin"))
+    except OSError as exc:
+        raise ValueError(f"{source} {directory!r} (config {cfg_path}): {exc.strerror}") from None
+    if not names:
+        raise ValueError(f"no .bin scans under {directory}")
+    return names
+
+
 def _file_clouds(cfg: RunConfig, with_labels: bool) -> List[Tuple[str, PointCloud]]:
     scans_dir = cfg.data.scans
-    names = sorted(f[:-4] for f in os.listdir(scans_dir) if f.endswith(".bin"))
-    if not names:
-        raise ValueError(f"no .bin scans under {scans_dir}")
     label_map = _label_map(cfg)
     out = []
-    for name in names:
+    for name in _scan_names(scans_dir, "[data] scans", cfg.path):
         cloud = read_kitti_bin(os.path.join(scans_dir, name + ".bin"))
         if with_labels:
             if not cfg.data.labels:
                 raise ValueError("[data] labels directory is required for labeled runs")
-            labels = read_kitti_labels(os.path.join(cfg.data.labels, name + ".label"), label_map)
-            cloud = cloud.with_labels(labels)
+            path = os.path.join(cfg.data.labels, name + ".label")
+            cloud = cloud.with_labels(read_kitti_labels(path, label_map, cloud.n))
         out.append((name, cloud))
     return out
 
@@ -95,10 +103,8 @@ def _stats_clouds(cfg: RunConfig) -> List[PointCloud]:
 def _cmd_stats(args) -> int:
     cfg = load_config(args.config)
     if args.scans:
-        clouds = [read_kitti_bin(os.path.join(args.scans, f))
-                  for f in sorted(os.listdir(args.scans)) if f.endswith(".bin")]
-        if not clouds:
-            raise ValueError(f"no .bin scans under {args.scans}")
+        clouds = [read_kitti_bin(os.path.join(args.scans, name + ".bin"))
+                  for name in _scan_names(args.scans, "--scans", args.config)]
     else:
         clouds = _stats_clouds(cfg)
     rows = occupancy_by_distance(clouds, cfg.grid, cfg.cubic, cfg.stats.edges)
@@ -175,16 +181,11 @@ def _print_eval(iou: np.ndarray, miou: float) -> None:
 def _cmd_eval(args) -> int:
     cfg = load_config(args.config)
     if args.predictions:
-        from .metrics import ConfusionMatrix
-
         label_map = _label_map(cfg)
         cm = ConfusionMatrix(cfg.network.num_classes, cfg.ignore_id)
         for name, cloud in _dataset(cfg, "val"):
             path = os.path.join(args.predictions, name + ".label")
-            pred = read_kitti_labels(path, label_map)
-            if len(pred) != cloud.n:
-                raise ValueError(f"{path}: {len(pred)} labels for a scan of {cloud.n} points")
-            cm.update(cloud.labels, pred)
+            cm.update(cloud.labels, read_kitti_labels(path, label_map, cloud.n))
         iou, miou = compute_miou(cm)
     else:
         if not args.checkpoint:

@@ -107,6 +107,7 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     stats: StatsConfig = field(default_factory=StatsConfig)
+    path: Optional[str] = None  # the file it was read from
 
     @property
     def grid(self) -> CylGridSpec:
@@ -300,4 +301,5 @@ def load_config(path) -> RunConfig:
         data=data,
         train=train,
         stats=stats,
+        path=os.fspath(path),
     )

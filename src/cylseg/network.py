@@ -109,9 +109,12 @@ class Module:
         self.grads = {name: np.zeros(arr.shape) for name, arr in params.items()}
         self.state = state or {}
 
-    def add(self, name: str, child: Module) -> Module:
-        """Register ``child`` under ``name``, after the children added before it."""
+    def add(self, name: str, child: Module, norm: Optional[str] = None) -> Module:
+        """Register ``child`` under ``name``, after the children added before
+        it, then, given ``norm``, its batch norm ``child.norm`` under ``norm``."""
         self._children += ((name, child),)
+        if norm is not None:
+            self._children += ((norm, child.norm),)
         return child
 
     def children(self):
@@ -156,6 +159,14 @@ def predicting(feats, training) -> bool:
     activations overwrite the buffer that layer wrote; nothing is kept for
     backward. The float64 inference forward runs every op unfolded."""
     return not training and feats.dtype == np.float32
+
+
+def activate(x, slope, training):
+    """Leaky ReLU of a point array or of a tensor's features, in place on
+    ``predict``'s route: ``(out, ctx)`` with ``out`` of ``x``'s kind."""
+    feats = x if isinstance(x, np.ndarray) else x.features
+    out, ctx = leaky_relu_forward(feats, slope, predicting(feats, training))
+    return (out if x is feats else x.with_features(out)), ctx
 
 
 class Affine(Module):
@@ -228,94 +239,83 @@ class Conv(Module):
     followed by its batch norm ``norm`` if given.
 
     Its rulebook comes from the pass's ``RulebookCache``, for the sites of
-    ``x``. The inverse variant is given the kernel of the downsampling conv it
-    mirrors and the tensor ``to`` that conv read: it runs the transposed
-    convolution through that conv's cached rulebook, back to ``to``'s sites.
+    ``x``. Given the tensor ``to`` that a downsampling conv of the same kernel
+    read, it is that conv's inverse: it runs the transposed convolution
+    through that conv's cached rulebook, back to ``to``'s sites.
     """
 
-    def __init__(self, kernel: KernelSpec, c_in, c_out, rng, inverse=False,
-                 norm: Optional[BatchNorm] = None):
+    def __init__(self, kernel: KernelSpec, c_in, c_out, rng, norm: Optional[BatchNorm] = None):
         self.kernel = kernel
-        self.inverse = inverse
         self.norm = norm
         self.conv_params = init_conv_params(kernel, c_in, c_out, rng)
         self.declare({"weights": self.conv_params.weights, "bias": self.conv_params.bias})
 
     def forward(self, x, cache, training, to=None):
         rb = cache.get(x if to is None else to, self.kernel)
-        conv = inverse_conv_forward if self.inverse else sparse_conv_forward
+        conv = sparse_conv_forward if to is None else inverse_conv_forward
+        back = sparse_conv_backward if to is None else inverse_conv_backward
         params = self.conv_params
         if self.norm is not None and predicting(x.features, training):
             folded = ConvParams(*self.norm.fold(params.weights, params.bias, x.features.dtype))
             return conv(x, folded, rb), None
         y = conv(x, params, rb)
         if self.norm is None:
-            return y, (x, rb, None)
+            return y, (x, rb, back, None)
         out, c_norm = self.norm.forward(y.features, training)
-        return y.with_features(out), (x, rb, c_norm)
+        return y.with_features(out), (x, rb, back, c_norm)
 
     def backward(self, grad, ctx):
-        x, rb, c_norm = ctx
+        x, rb, back, c_norm = ctx
         if self.norm is not None:
             grad = self.norm.backward(grad, c_norm)
-        conv = inverse_conv_backward if self.inverse else sparse_conv_backward
-        grad_in, gw, gb = conv(x, self.conv_params, rb, grad)
+        grad_in, gw, gb = back(x, self.conv_params, rb, grad)
         self.grads["weights"] += gw
         self.grads["bias"] += gb
         return grad_in
 
 
-class PointMLP(Module):
-    """Stack of affine + batch norm + LeakyReLU layers applied per point."""
+class Chain(Module):
+    """Layers that only follow one another: each ``(layer, act)`` pair runs
+    ``layer``, then a leaky ReLU if ``act`` is set. Extra forward arguments
+    (the rulebook cache, for sparse layers) go to every layer."""
 
-    def __init__(self, widths, rng, slope):
+    def __init__(self, slope, layers):
         self.slope = slope
-        self.affines = []
-        for i, (c_in, c_out) in enumerate(zip(widths[:-1], widths[1:])):
-            affine = self.add(f"l{i}.affine", Affine(c_in, c_out, rng, norm=BatchNorm(c_out)))
-            self.add(f"l{i}.norm", affine.norm)
-            self.affines.append(affine)
+        self.layers = layers
 
-    def forward(self, feats, training):
-        inplace = predicting(feats, training)
+    def forward(self, x, *args, training):
         ctxs = []
-        for a in self.affines:
-            feats, ca = a.forward(feats, training)
-            feats, cr = leaky_relu_forward(feats, self.slope, inplace)
-            ctxs.append((ca, cr))
-        return feats, ctxs
+        for layer, act in self.layers:
+            x, c_layer = layer.forward(x, *args, training=training)
+            x, c_act = activate(x, self.slope, training) if act else (x, None)
+            ctxs.append((c_layer, c_act))
+        return x, ctxs
 
     def backward(self, grad, ctxs):
-        for (ca, cr), a in zip(reversed(ctxs), reversed(self.affines)):
-            grad = leaky_relu_backward(grad, cr)
-            grad = a.backward(grad, ca)
+        for (layer, act), (c_layer, c_act) in zip(reversed(self.layers), reversed(ctxs)):
+            grad = leaky_relu_backward(grad, c_act) if act else grad
+            grad = layer.backward(grad, c_layer)
         return grad
 
 
-class _ConvBNActConvBN(Module):
+class PointMLP(Chain):
+    """Stack of affine + batch norm + LeakyReLU layers applied per point."""
+
+    def __init__(self, widths, rng, slope):
+        layers = []
+        for i, (c_in, c_out) in enumerate(zip(widths[:-1], widths[1:])):
+            affine = Affine(c_in, c_out, rng, norm=BatchNorm(c_out))
+            layers.append((self.add(f"l{i}.affine", affine, f"l{i}.norm"), True))
+        super().__init__(slope, layers)
+
+
+class _ConvBNActConvBN(Chain):
     """conv(k1) -> BN -> act -> conv(k2) -> BN, on a fixed site set."""
 
     def __init__(self, c_in, c_out, k1, k2, rng, slope):
-        self.slope = slope
-        conv1 = Conv(KernelSpec(k1), c_in, c_out, rng, norm=BatchNorm(c_out))
-        self.conv1 = self.add("conv1", conv1)
-        self.add("bn1", conv1.norm)
-        conv2 = Conv(KernelSpec(k2), c_out, c_out, rng, norm=BatchNorm(c_out))
-        self.conv2 = self.add("conv2", conv2)
-        self.add("bn2", conv2.norm)
-
-    def forward(self, x, cache, training):
-        t1, c1 = self.conv1.forward(x, cache, training)
-        r1, c2 = leaky_relu_forward(t1.features, self.slope, predicting(x.features, training))
-        h1 = t1.with_features(r1)
-        t2, c3 = self.conv2.forward(h1, cache, training)
-        return t2, (c1, c2, c3)
-
-    def backward(self, grad, ctx):
-        c1, c2, c3 = ctx
-        grad = self.conv2.backward(grad, c3)
-        grad = leaky_relu_backward(grad, c2)
-        return self.conv1.backward(grad, c1)
+        conv1 = self.add("conv1", Conv(KernelSpec(k1), c_in, c_out, rng, BatchNorm(c_out)), "bn1")
+        conv2 = self.add("conv2", Conv(KernelSpec(k2), c_out, c_out, rng, BatchNorm(c_out)), "bn2")
+        super().__init__(slope, [(conv1, True), (conv2, False)])
 
 
 class ResBlock(Module):
@@ -335,15 +335,14 @@ class ResBlock(Module):
         self.second = None if second is None else self.add(*second)
 
     def forward(self, x, cache, training):
-        y, c_first = self.first.forward(x, cache, training)
+        y, c_first = self.first.forward(x, cache, training=training)
         if self.second is None:
             res, c_second = x, None
         else:
-            res, c_second = self.second.forward(x, cache, training)
-        total = y.features  # a fresh buffer that no context holds
-        total += res.features
-        out, cr = leaky_relu_forward(total, self.slope, predicting(x.features, training))
-        return y.with_features(out), (c_first, c_second, cr)
+            res, c_second = self.second.forward(x, cache, training=training)
+        y.features += res.features  # a fresh buffer that no context holds
+        out, cr = activate(y, self.slope, training)
+        return out, (c_first, c_second, cr)
 
     def backward(self, grad, ctx):
         c_first, c_second, cr = ctx
@@ -400,7 +399,7 @@ class UpBlock(Module):
 
     def __init__(self, c_in, c_out, variant, rng, slope):
         self.c_out = c_out
-        self.up = self.add("up", Conv(DOWNSAMPLE, c_in, c_out, rng, inverse=True))
+        self.up = self.add("up", Conv(DOWNSAMPLE, c_in, c_out, rng))
         self.fuse = self.add("fuse", make_res_block(variant, 2 * c_out, c_out, rng, slope))
 
     def forward(self, x, skip, cache, training):
@@ -430,8 +429,7 @@ class DDCM(Module):
         self.convs = []
         for i, size in enumerate(self.SIZES):
             conv = Conv(KernelSpec(size), channels, channels, rng, norm=BatchNorm(channels))
-            self.convs.append(self.add(f"g{i}.conv", conv))
-            self.add(f"g{i}.norm", conv.norm)
+            self.convs.append(self.add(f"g{i}.conv", conv, f"g{i}.norm"))
 
     def forward(self, x, cache, training):
         total = np.zeros_like(x.features)
@@ -453,25 +451,13 @@ class DDCM(Module):
         return grad_in
 
 
-class RefineMLP(Module):
+class RefineMLP(Chain):
     """Two-layer point head: affine -> LeakyReLU -> affine."""
 
     def __init__(self, c_in, hidden, c_out, rng, slope):
-        self.slope = slope
-        self.fc1 = self.add("fc1", Affine(c_in, hidden, rng))
-        self.fc2 = self.add("fc2", Affine(hidden, c_out, rng))
-
-    def forward(self, feats, training):
-        a, c1 = self.fc1.forward(feats, training)
-        r, c2 = leaky_relu_forward(a, self.slope, predicting(feats, training))
-        y, c3 = self.fc2.forward(r, training)
-        return y, (c1, c2, c3)
-
-    def backward(self, grad, ctx):
-        c1, c2, c3 = ctx
-        g = self.fc2.backward(grad, c3)
-        g = leaky_relu_backward(g, c2)
-        return self.fc1.backward(g, c1)
+        fc1 = self.add("fc1", Affine(c_in, hidden, rng))
+        fc2 = self.add("fc2", Affine(hidden, c_out, rng))
+        super().__init__(slope, [(fc1, True), (fc2, False)])
 
 
 @dataclass
@@ -528,7 +514,7 @@ class SegmentationNetwork(Module):
             return result if training else (*result[:-1], None)
 
         pfeat = point_input_features(cloud, mapping, config.grid).astype(_dtype, copy=False)
-        h, c_mlp = kept(self.point_mlp.forward(pfeat, training))
+        h, c_mlp = kept(self.point_mlp.forward(pfeat, training=training))
         x = scatter_features(h, mapping, config.grid)
         winners = scatter_max_winners(h, mapping) if training else None
 
@@ -546,7 +532,7 @@ class SegmentationNetwork(Module):
         logits, c_head = kept(self.head.forward(x, cache, training))
         gathered = logits.features[mapping.point_site]
         refine_in = np.hstack([gathered, h])
-        point_logits, c_refine = kept(self.refine.forward(refine_in, training))
+        point_logits, c_refine = kept(self.refine.forward(refine_in, training=training))
         ctx = (winners, c_mlp, c_downs, c_ddcm, c_ups, c_head, c_refine) if training else None
         return ForwardResult(logits, point_logits, mapping, ctx)
 
@@ -583,9 +569,14 @@ class SegmentationNetwork(Module):
         The forward pass runs in float32: it is bound by memory traffic, and
         its argmax agrees with the float64 pass's except at near-ties. Each
         batch norm is folded into the conv or affine before it, once per
-        call, and activations and residual adds run in place.
+        call, and activations and residual adds run in place. Where float32
+        overflows (a point at x = y = 3e38, say) the float64 logits are used.
         """
-        return np.argmax(self.forward(cloud, _dtype=np.float32).point_logits, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = self.forward(cloud, _dtype=np.float32).point_logits
+        if not np.isfinite(logits).all():
+            logits = self.forward(cloud).point_logits
+        return np.argmax(logits, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ File formats:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -100,9 +100,13 @@ def read_raw_label_ids(path) -> np.ndarray:
     return (raw & 0xFFFF).astype(np.int64)
 
 
-def read_kitti_labels(path, label_map: "LabelMap") -> np.ndarray:
-    """Read a ``.label`` file and remap raw semantic ids to training ids."""
-    return label_map.remap(read_raw_label_ids(path))
+def read_kitti_labels(path, label_map: "LabelMap", points: Optional[int] = None) -> np.ndarray:
+    """Read a ``.label`` file and remap raw semantic ids to training ids;
+    given the scan's number of ``points``, the file must hold one per point."""
+    ids = read_raw_label_ids(path)
+    if points is not None and len(ids) != points:
+        raise FileFormatError(f"{path}: {len(ids)} labels for a scan of {points} points")
+    return label_map.remap(ids)
 
 
 def write_kitti_labels(path, raw_ids: np.ndarray) -> None:

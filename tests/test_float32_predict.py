@@ -8,6 +8,8 @@ that every batch norm there is folded into the layer before it, and that its
 argmax agrees with the float64 forward pass.
 """
 
+import contextlib
+import io
 import os
 import warnings
 
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 import cylseg.network as network_module
-from cylseg.cli import _dataset
+from cylseg.cli import _dataset, main
 from cylseg.config import load_config
 from cylseg.network import (
     Affine,
@@ -26,7 +28,14 @@ from cylseg.network import (
     load_checkpoint,
 )
 from cylseg.partition import CylGridSpec, assign_cells, scatter_features
-from cylseg.pointcloud import SyntheticSceneSpec, generate_synthetic_scene
+from cylseg.pointcloud import (
+    PointCloud,
+    SyntheticSceneSpec,
+    generate_synthetic_scene,
+    read_kitti_bin,
+    read_raw_label_ids,
+    write_kitti_bin,
+)
 from cylseg.selftest import random_sparse
 from cylseg.sparse import (
     ConvParams,
@@ -334,3 +343,49 @@ def test_predict_leaves_parameters_state_and_gradients_untouched():
     assert any(np.any(g) for g in net.named_grads().values())
     net.predict(cloud)
     assert snapshot() == before
+
+
+def _far_point_cloud():
+    # x = y = 3e38 is a finite float32 and so a valid .bin value, but the
+    # point's radius, 4.2e38, overflows float32
+    xyz = np.array([[3e38, 3e38, 0.0], [1.0, 1.0, 0.0], [-2.0, 3.0, 1.0], [4.0, -1.0, 0.5]])
+    return PointCloud(xyz, np.zeros(4))
+
+
+def test_predict_falls_back_to_float64_when_float32_overflows():
+    net = load_checkpoint(os.path.join(DATA, "toy_seed0.ckpt"))
+    cloud = _far_point_cloud()
+    logits = net.forward(cloud).point_logits
+    assert np.isfinite(logits).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pred = net.predict(cloud)
+    np.testing.assert_array_equal(pred, logits.argmax(axis=1))
+
+
+def test_infer_on_a_scan_that_overflows_float32_is_clean(tmp_path):
+    net = load_checkpoint(os.path.join(DATA, "toy_seed0.ckpt"))
+    cloud = _far_point_cloud()
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    write_kitti_bin(scans / "000000.bin", cloud)
+    cfg = tmp_path / "files.cfg"  # the checkpoint's [grid] and [network]
+    cfg.write_text(
+        "[grid]\nrho_min = 0\nrho_max = 12\nz_min = -1\nz_max = 6\n"
+        "radius_bins = 8\nazimuth_bins = 8\nheight_bins = 4\n"
+        "[network]\nnum_classes = 3\nbase_channels = 4\nstages = 2\n"
+        "block_variant = asym\npoint_mlp_widths = 8\n"
+        f"[data]\nkind = files\nscans = {scans}\n"
+    )
+    out = tmp_path / "preds"
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(
+        err
+    ), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(["infer", "--config", str(cfg), "--checkpoint",
+                     os.path.join(DATA, "toy_seed0.ckpt"), "--output", str(out)])
+    assert code == 0
+    assert err.getvalue() == "" and not [str(w.message) for w in caught]
+    expected = net.forward(read_kitti_bin(scans / "000000.bin")).point_logits.argmax(axis=1)
+    np.testing.assert_array_equal(read_raw_label_ids(out / "000000.label"), expected)

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import math
 import os
@@ -449,6 +450,47 @@ def test_cli_eval_rejects_predictions_of_another_length_in_one_line(
     err = capsys.readouterr().err.splitlines()
     assert code == 1
     assert err == [f"error: {label}: {count} labels for a scan of 512 points"]
+
+
+def _files_cfg(tmp_path, data_lines):
+    """TINY_CFG reading its scans from files, as ``data_lines`` say."""
+    path = tmp_path / "files.cfg"
+    path.write_text(TINY_CFG.replace("kind = synthetic", "kind = files\n" + data_lines))
+    return path
+
+
+def test_cli_rejects_a_data_label_file_of_another_length_in_one_line(
+    tmp_path, tiny_scan, capsys
+):
+    labels = tmp_path / "labels"
+    labels.mkdir()
+    label = labels / "000000.label"
+    write_kitti_labels(label, np.zeros(511, dtype=np.int64))
+    path = _files_cfg(tmp_path, f"scans = {tiny_scan.parent}\nlabels = {labels}")
+    code = main(["bound", "--config", str(path), "--output", str(tmp_path / "bound.csv")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err == [f"error: {label}: 511 labels for a scan of 512 points"]
+
+
+def test_cli_names_the_config_key_of_a_missing_scans_directory(tmp_path, monkeypatch, capsys):
+    # a relative directory resolves against the working directory
+    path = _files_cfg(tmp_path, "scans = data/scans")
+    monkeypatch.chdir(tmp_path)
+    code = main(["bound", "--config", str(path), "--output", "bound.csv"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err == [
+        f"error: [data] scans 'data/scans' (config {path}): {os.strerror(errno.ENOENT)}"
+    ]
+
+
+def test_cli_names_the_flag_of_a_missing_scans_directory(tiny_cfg, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["stats", "--config", str(tiny_cfg), "--scans", "missing", "--output", "o.csv"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err == [f"error: --scans 'missing' (config {tiny_cfg}): {os.strerror(errno.ENOENT)}"]
 
 
 def test_cli_selftest_passes(capsys):

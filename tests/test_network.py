@@ -136,6 +136,30 @@ def test_point_mlp_gradient_finite_differences():
     assert finite_diff_check(objective, arrays, analytic) < 1e-6
 
 
+def test_point_mlp_frees_each_training_buffer_when_it_is_done():
+    # Units of one 16,384 x 64 float64 array. A batch norm output must die
+    # once its activation has run, and a layer must return before the
+    # activation's gradient is made: keeping either alive costs one unit
+    # more (forward 7.13, or backward 8.26).
+    n, unit = 16_384, 16_384 * 64 * 8
+    rng = np.random.default_rng(0)
+    mlp = PointMLP((9, 64, 64), rng, slope=0.1)
+    feats = rng.standard_normal((n, 9))
+    probe = rng.standard_normal((n, 64))
+    mlp.forward(feats, training=True)
+    tracemalloc.start()
+    try:
+        out, ctx = mlp.forward(feats, training=True)
+        forward_peak = tracemalloc.get_traced_memory()[1] / unit
+        tracemalloc.reset_peak()
+        mlp.backward(probe, ctx)
+        backward_peak = tracemalloc.get_traced_memory()[1] / unit
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < 6.7
+    assert backward_peak < 7.6
+
+
 # ------------------------------------------------------------------ res blocks
 
 
