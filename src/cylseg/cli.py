@@ -56,12 +56,17 @@ def _synthetic_clouds(cfg: RunConfig, count: int, seed_base: int) -> List[Tuple[
     return out
 
 
-def _scan_names(directory, source: str, cfg_path) -> List[str]:
-    """Sorted stems of the ``.bin`` scans in ``directory``, named by ``source``."""
+def _list_dir(directory, source: str, cfg_path) -> List[str]:
+    """The entries of ``directory``; a failure names ``source`` and the config."""
     try:
-        names = sorted(f[:-4] for f in os.listdir(directory) if f.endswith(".bin"))
+        return os.listdir(directory)
     except OSError as exc:
         raise ValueError(f"{source} {directory!r} (config {cfg_path}): {exc.strerror}") from None
+
+
+def _scan_names(directory, source: str, cfg_path) -> List[str]:
+    """Sorted stems of the ``.bin`` scans in ``directory``, named by ``source``."""
+    names = sorted(f[:-4] for f in _list_dir(directory, source, cfg_path) if f.endswith(".bin"))
     if not names:
         raise ValueError(f"no .bin scans under {directory}")
     return names
@@ -70,12 +75,15 @@ def _scan_names(directory, source: str, cfg_path) -> List[str]:
 def _file_clouds(cfg: RunConfig, with_labels: bool) -> List[Tuple[str, PointCloud]]:
     scans_dir = cfg.data.scans
     label_map = _label_map(cfg)
+    names = _scan_names(scans_dir, "[data] scans", cfg.path)
+    if with_labels:
+        if not cfg.data.labels:
+            raise ValueError("[data] labels directory is required for labeled runs")
+        _list_dir(cfg.data.labels, "[data] labels", cfg.path)
     out = []
-    for name in _scan_names(scans_dir, "[data] scans", cfg.path):
+    for name in names:
         cloud = read_kitti_bin(os.path.join(scans_dir, name + ".bin"))
         if with_labels:
-            if not cfg.data.labels:
-                raise ValueError("[data] labels directory is required for labeled runs")
             path = os.path.join(cfg.data.labels, name + ".label")
             cloud = cloud.with_labels(read_kitti_labels(path, label_map, cloud.n))
         out.append((name, cloud))

@@ -17,19 +17,24 @@ import numpy as np
 
 from .metrics import ConfusionMatrix, compute_miou
 from .pointcloud import PointCloud
-from .sparse import SparseTensor, as_features
+from .sparse import SparseTensor, as_features, check_shape, occupied_keys
 
 TWO_PI = 2.0 * np.pi
 
 
-def cart_to_cyl(xyz: np.ndarray) -> np.ndarray:
-    """(x, y, z) -> (rho, theta, z) with rho >= 0 and theta in [-pi, pi)."""
+def _cyl_columns(xyz) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rho, theta and z of (..., 3) positions, as three arrays."""
     xyz = np.asarray(xyz, dtype=np.float64)
     rho = np.hypot(xyz[..., 0], xyz[..., 1])
     theta = np.arctan2(xyz[..., 1], xyz[..., 0])
     # arctan2 returns values in [-pi, pi]; fold the single closed endpoint
     theta = np.where(theta >= np.pi, theta - TWO_PI, theta)
-    return np.stack([rho, theta, xyz[..., 2]], axis=-1)
+    return rho, theta, xyz[..., 2]
+
+
+def cart_to_cyl(xyz: np.ndarray) -> np.ndarray:
+    """(x, y, z) -> (rho, theta, z) with rho >= 0 and theta in [-pi, pi)."""
+    return np.stack(_cyl_columns(xyz), axis=-1)
 
 
 def cyl_to_cart(cyl: np.ndarray) -> np.ndarray:
@@ -43,26 +48,16 @@ def _bin_axis(values, lo, delta, count):
     float: past 2^63 the int64 cast would wrap to bin 0."""
     idx = np.floor((values - lo) / delta)
     np.clip(idx, 0, count - 1, out=idx)
-    if count - 1 <= 2**53:  # every bin is exact as a float64
-        return idx.astype(np.int64)
-    top = idx >= count - 1  # count - 1 as a float64 rounds, maybe up to 2^63
-    idx[top] = 0
-    bins = idx.astype(np.int64)
-    bins[top] = count - 1
-    return bins
+    return idx.astype(np.int64)
 
 
 class _Grid:
     """What the cylindrical and cubic grids share. A subclass defines its
-    ranges, ``resolution``, ``lowers``, ``uppers`` and ``axis_values``."""
+    ranges, ``resolution``, ``lowers``, ``uppers`` and ``axis_values`` (the
+    three per-axis value columns of some positions)."""
 
     def __post_init__(self):
-        resolution = tuple(int(r) for r in self.resolution)
-        if any(r < 1 for r in resolution):
-            raise ValueError(f"bad resolution {self.resolution}")
-        object.__setattr__(self, "resolution", resolution)
-        if self.num_cells >= 2**63:
-            raise ValueError(f"resolution {resolution} has 2^63 cells or more (64-bit keys)")
+        object.__setattr__(self, "resolution", check_shape(self.resolution))
 
     @property
     def deltas(self) -> np.ndarray:
@@ -73,13 +68,24 @@ class _Grid:
         h, w, l = self.resolution
         return h * w * l
 
+    def _axis_bins(self, xyz: np.ndarray) -> List[np.ndarray]:
+        columns = zip(self.axis_values(xyz), self.lowers, self.deltas, self.resolution)
+        return [_bin_axis(values, lo, delta, count) for values, lo, delta, count in columns]
+
     def bin_points(self, xyz: np.ndarray) -> np.ndarray:
-        values = self.axis_values(xyz)
-        lows, dels = self.lowers, self.deltas
-        cols = [
-            _bin_axis(values[:, a], lows[a], dels[a], self.resolution[a]) for a in range(3)
-        ]
-        return np.stack(cols, axis=1)
+        """(N, 3) cell coordinates of the positions."""
+        return np.stack(self._axis_bins(xyz), axis=1)
+
+    def cell_keys(self, xyz: np.ndarray) -> np.ndarray:
+        """Flat cell index ``(h * W + w) * L + l`` of each position, made in
+        place from the per-axis bins."""
+        h, w, l = self._axis_bins(xyz)
+        _, width, length = self.resolution
+        h *= width
+        h += w
+        h *= length
+        h += l
+        return h
 
     def cell_centers(self, cells: np.ndarray) -> np.ndarray:
         """Axis-space centers of the given cells."""
@@ -110,8 +116,8 @@ class CylGridSpec(_Grid):
     def uppers(self) -> np.ndarray:
         return np.array([self.rho_range[1], np.pi, self.z_range[1]])
 
-    def axis_values(self, xyz: np.ndarray) -> np.ndarray:
-        return cart_to_cyl(xyz)
+    def axis_values(self, xyz: np.ndarray):
+        return _cyl_columns(xyz)
 
     def radial_cell_volume(self, h) -> np.ndarray:
         """Volume of a cell in radius bin h: (dtheta/2)(rho_out^2 - rho_in^2) dz."""
@@ -156,8 +162,9 @@ class CubicGridSpec(_Grid):
     def uppers(self) -> np.ndarray:
         return np.array([self.x_range[1], self.y_range[1], self.z_range[1]])
 
-    def axis_values(self, xyz: np.ndarray) -> np.ndarray:
-        return np.asarray(xyz, dtype=np.float64)
+    def axis_values(self, xyz: np.ndarray):
+        xyz = np.asarray(xyz, dtype=np.float64)
+        return xyz[:, 0], xyz[:, 1], xyz[:, 2]
 
     def cell_planar_distance(self, cells: np.ndarray) -> np.ndarray:
         centers = self.cell_centers(cells)
@@ -223,11 +230,11 @@ def assign_cells(cloud, grid) -> VoxelMapping:
     if xyz.ndim != 2 or xyz.shape[1] != 3:
         raise ValueError(f"expected (N, 3) positions, got {xyz.shape}")
     res = grid.resolution
-    cells3 = grid.bin_points(xyz)
-    flat = (cells3[:, 0] * res[1] + cells3[:, 1]) * res[2] + cells3[:, 2]
-    uniq, point_site = np.unique(flat, return_inverse=True)
-    cells = np.stack(np.unravel_index(uniq, res), axis=1).astype(np.int64)
-    return VoxelMapping(flat, point_site.astype(np.int64, copy=False), cells, tuple(res))
+    flat = grid.cell_keys(xyz)
+    keys, rank = occupied_keys(flat, grid.num_cells)
+    point_site = rank[flat].astype(np.int64)
+    cells = np.stack(np.unravel_index(keys, res), axis=1).astype(np.int64)
+    return VoxelMapping(flat, point_site, cells, tuple(res))
 
 
 def scatter_features(

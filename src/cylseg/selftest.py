@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .network import NetworkConfig, SegmentationNetwork
-from .partition import CylGridSpec, assign_cells, encode_cell_labels
+from .partition import CubicGridSpec, CylGridSpec, assign_cells, encode_cell_labels
 from .pointcloud import SyntheticSceneSpec, generate_synthetic_scene
 from .sparse import (
     KernelSpec,
@@ -252,17 +252,25 @@ def _check_training_step():
 
 
 def _check_partition_roundtrip():
+    # the points reach past rho_max and both ends of the z range, so some
+    # are clamped into the boundary bins
     rng = np.random.default_rng(9)
-    grid = CylGridSpec(rho_range=(0.0, 10.0), z_range=(-2.0, 2.0), resolution=(10, 12, 4))
-    xyz = rng.uniform(-7, 7, size=(500, 3))
-    mapping = assign_cells(xyz, grid)
-    assert mapping.cells.shape[0] >= 1
-    sites = mapping.cells[mapping.point_site]
-    assert np.array_equal(sites, grid.bin_points(xyz)), "site lookup disagrees with binning"
-    dense = densify(
-        SparseTensor(mapping.cells, np.ones((mapping.num_cells, 1)), grid.resolution)
-    )
-    assert int((dense != 0).sum()) == mapping.num_cells
+    xyz = rng.uniform(-9, 9, size=(500, 3))
+    for grid in (
+        CylGridSpec(rho_range=(0.0, 10.0), z_range=(-2.0, 2.0), resolution=(10, 12, 4)),
+        CubicGridSpec((-6.0, 6.0), (-6.0, 6.0), (-2.0, 2.0), (8, 6, 4)),
+    ):
+        mapping = assign_cells(xyz, grid)
+        assert mapping.cells.shape[0] >= 1
+        binned = grid.bin_points(xyz)
+        sites = mapping.cells[mapping.point_site]
+        assert np.array_equal(sites, binned), f"{grid}: site lookup disagrees with binning"
+        flat = np.ravel_multi_index(binned.T, grid.resolution)
+        assert np.array_equal(mapping.point_cell, flat), f"{grid}: cell keys disagree"
+        dense = densify(
+            SparseTensor(mapping.cells, np.ones((mapping.num_cells, 1)), grid.resolution)
+        )
+        assert int((dense != 0).sum()) == mapping.num_cells
 
 
 CHECKS = (

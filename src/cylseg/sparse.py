@@ -58,6 +58,36 @@ def _as_triple(value) -> Tuple[int, int, int]:
     return t
 
 
+# The most cells a grid or a sparse tensor's shape may have: 48 times the
+# paper's 480 x 360 x 32 grid. ``occupied_keys``'s tables over the cells (a
+# bool mark and an int32 rank each) then take at most 1.25 GiB.
+MAX_CELLS = 1 << 28
+
+
+def check_shape(shape) -> Tuple[int, int, int]:
+    """``shape`` as three ints, each positive, with at most ``MAX_CELLS`` cells."""
+    shape = _as_triple(shape)
+    if any(s < 1 for s in shape):
+        raise ValueError(f"bad resolution {shape}: every axis needs at least one cell")
+    cells = math.prod(shape)
+    if cells > MAX_CELLS:
+        raise ValueError(f"resolution {shape} has {cells} cells, more than 2^28")
+    return shape
+
+
+def occupied_keys(keys: np.ndarray, cells: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` (each in [0, cells)) in ascending order, and an
+    int32 table giving each of them its rank there. Only the entries at
+    ``keys`` are written; the rest of the table is left unset."""
+    seen = np.zeros(cells, dtype=bool)
+    seen[keys] = True
+    distinct = np.flatnonzero(seen)
+    del seen
+    rank = np.empty(cells, dtype=np.int32)
+    rank[distinct] = np.arange(distinct.size, dtype=np.int32)
+    return distinct, rank
+
+
 def _flatten_coords(coords: np.ndarray, shape: Sequence[int]) -> np.ndarray:
     h, w, l = shape
     return (coords[:, 0] * w + coords[:, 1]) * l + coords[:, 2]
@@ -71,7 +101,8 @@ def _validate_coords(coords: np.ndarray, shape) -> np.ndarray:
         if coords.min() < 0 or (coords >= np.array(shape)).any():
             raise ValueError("coords out of bounds")
         flat = _flatten_coords(coords, shape)
-        if np.unique(flat).size != flat.size:
+        # strictly increasing keys are distinct; the engine's site sets are
+        if not (np.diff(flat) > 0).all() and np.unique(flat).size != flat.size:
             raise ValueError("coords contain duplicate sites")
     return coords
 
@@ -85,9 +116,7 @@ class SparseTensor:
     spatial_shape: Tuple[int, int, int]
 
     def __post_init__(self):
-        self.spatial_shape = _as_triple(self.spatial_shape)
-        if any(s < 1 for s in self.spatial_shape):
-            raise ValueError("spatial_shape entries must be positive")
+        self.spatial_shape = check_shape(self.spatial_shape)
         self.coords = _validate_coords(self.coords, self.spatial_shape)
         self.features = as_features(self.features)
         if self.features.ndim != 2 or self.features.shape[0] != self.coords.shape[0]:
@@ -253,7 +282,7 @@ def build_rulebook(
     if sites is None:
         in_shape = _as_triple(in_shape)
         sites = SiteIndex(_validate_coords(in_coords, in_shape), in_shape)
-    in_coords, in_shape = sites.coords, sites.shape
+    in_coords, in_shape = sites.coords, check_shape(sites.shape)
     offsets = kernel.offsets()
 
     if kernel.mode == "submanifold":
@@ -269,7 +298,7 @@ def build_rulebook(
     residue_id = np.array([4, 2, 1])  # per-axis residues are 0 or 1
     residue = (in_coords % stride) @ residue_id
     by_residue = np.argsort(residue, kind="stable")
-    starts = np.searchsorted(residue[by_residue], np.arange(9))
+    starts = np.concatenate([[0], np.cumsum(np.bincount(residue, minlength=8))])
     out_hi = np.array(out_shape)
     per_offset = []
     for d in offsets:
@@ -279,11 +308,13 @@ def build_rulebook(
         down = target // stride
         ok = (target >= 0).all(axis=1) & (down < out_hi).all(axis=1)
         per_offset.append((src[ok], _flatten_coords(down[ok], out_shape)))
-    out_keys = np.unique(np.concatenate([keys for _, keys in per_offset]))
+    out_keys, rank = occupied_keys(
+        np.concatenate([keys for _, keys in per_offset]), math.prod(out_shape)
+    )
     out_coords = np.stack(np.unravel_index(out_keys, out_shape), axis=1).astype(np.int64)
     pairs = []
     for src, keys in per_offset:
-        out_idx = np.searchsorted(out_keys, keys)
+        out_idx = rank[keys].astype(np.int64)
         perm = np.argsort(out_idx, kind="stable")
         pairs.append((src[perm], out_idx[perm]))
     return Rulebook(kernel, in_coords, in_shape, out_coords, out_shape, pairs)

@@ -287,11 +287,15 @@ def test_config_errors_quote_names_from_the_file(tmp_path, capsys, text):
 
 # 2^22 * 2^22 * 2^20 = 2^64 cells: the flat int64 cell keys would overflow
 HUGE_BINS = ("4194304", "4194304", "1048576")
+# 2^28 + 1 cells, one more than the cell bound (a 17 x 15,790,321 plane)
+OVER_BOUND_BINS = ("17", "15790321", "1")
+GRID_KEYS = ("radius_bins", "azimuth_bins", "height_bins")
+CUBIC_KEYS = ("x_bins", "y_bins", "z_bins")
 
 
-def _with_huge_bins(text, keys):
-    """``text`` with each ``key = ...`` line of ``keys`` set to its HUGE_BINS value."""
-    for key, value in zip(keys, HUGE_BINS):
+def _with_huge_bins(text, keys, values=HUGE_BINS):
+    """``text`` with each ``key = ...`` line of ``keys`` set to its ``values`` entry."""
+    for key, value in zip(keys, values):
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
     return text
 
@@ -303,7 +307,7 @@ def test_stats_rejects_a_grid_of_2_to_the_63_cells_or_more(tmp_path, capsys):
     out = tmp_path / "occ.csv"
     assert main(["stats", "--config", str(path), "--output", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: [grid]") and "2^63" in err[0]
+    assert len(err) == 1 and err[0].startswith("error: [grid]") and "2^28" in err[0]
     assert not out.exists()
 
 
@@ -312,10 +316,34 @@ def test_cubic_section_and_checkpoint_header_reject_2_to_the_63_cells_or_more(tm
     path.write_text(TINY_CFG + "\n[cubic]\nx_bins = 1\ny_bins = 1\nz_bins = 1\n")
     header = network_header(load_config(path).network)
     path.write_text(_with_huge_bins(path.read_text(), ("x_bins", "y_bins", "z_bins")))
-    with pytest.raises(ConfigError, match=r"^\[cubic\].*2\^63"):
+    with pytest.raises(ConfigError, match=r"^\[cubic\].*2\^28"):
         load_config(path)
     header = _with_huge_bins(header, ("radius_bins", "azimuth_bins", "height_bins"))
-    with pytest.raises(ConfigError, match=r"^\[grid\].*2\^63"):
+    with pytest.raises(ConfigError, match=r"^\[grid\].*2\^28"):
+        parse_network_header(header)
+
+
+@pytest.mark.parametrize("command", ["stats", "train"])
+def test_a_grid_one_cell_over_the_bound_exits_2_in_one_line(tmp_path, capsys, command):
+    # rejected when the config loads, before anything is allocated per cell
+    path = tmp_path / "big.cfg"
+    path.write_text(_with_huge_bins(TINY_CFG, GRID_KEYS, OVER_BOUND_BINS))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [grid]") and "2^28" in err[0]
+    assert not out.exists()
+
+
+def test_cubic_section_and_checkpoint_header_one_cell_over_the_bound_are_rejected(tmp_path):
+    path = tmp_path / "big.cfg"
+    path.write_text(TINY_CFG + "\n[cubic]\nx_bins = 1\ny_bins = 1\nz_bins = 1\n")
+    header = network_header(load_config(path).network)
+    path.write_text(_with_huge_bins(path.read_text(), CUBIC_KEYS, OVER_BOUND_BINS))
+    with pytest.raises(ConfigError, match=r"^\[cubic\].*268435457 cells, more than 2\^28"):
+        load_config(path)
+    header = _with_huge_bins(header, GRID_KEYS, OVER_BOUND_BINS)
+    with pytest.raises(ConfigError, match=r"^\[grid\].*268435457 cells, more than 2\^28"):
         parse_network_header(header)
 
 
@@ -482,6 +510,19 @@ def test_cli_names_the_config_key_of_a_missing_scans_directory(tmp_path, monkeyp
     assert code == 1
     assert err == [
         f"error: [data] scans 'data/scans' (config {path}): {os.strerror(errno.ENOENT)}"
+    ]
+
+
+def test_cli_names_the_config_key_of_a_missing_labels_directory(
+    tmp_path, tiny_scan, monkeypatch, capsys
+):
+    path = _files_cfg(tmp_path, f"scans = {tiny_scan.parent}\nlabels = nolabels")
+    monkeypatch.chdir(tmp_path)
+    code = main(["bound", "--config", str(path), "--output", "bound.csv"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err == [
+        f"error: [data] labels 'nolabels' (config {path}): {os.strerror(errno.ENOENT)}"
     ]
 
 

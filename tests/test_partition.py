@@ -21,6 +21,7 @@ from cylseg.partition import (
     _count_in_bins,
 )
 from cylseg.pointcloud import PointCloud, SyntheticSceneSpec, generate_synthetic_scene
+from cylseg.sparse import MAX_CELLS
 
 
 def _cloud(xyz, labels=None):
@@ -111,14 +112,68 @@ def test_far_out_points_land_in_the_boundary_bin_on_their_side():
 
 @pytest.mark.parametrize("bins", [2**60, 2**63 - 1])
 def test_an_axis_of_more_than_2_to_the_53_bins_keeps_far_points_in_its_last_bin(bins):
-    # the float64 nearest to bins - 1 is bins (or 2^63), one past the last bin;
-    # bin_points allocates per point only, so such a grid costs nothing here
-    grid = CylGridSpec(resolution=(bins, 1, 1))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cells = grid.bin_points(np.array([[1e30, 0.0, 0.0], [0.0, -1e30, 0.0], [0.0, 0.0, 0.0]]))
-    assert not [str(w.message) for w in caught]
-    assert cells[:, 0].tolist() == [bins - 1, bins - 1, 0]
+    # such an axis, whose last bin float64 cannot hold, no longer exists: the
+    # cell bound rejects its grid when built, so no far point can miss its bin
+    with pytest.raises(ValueError, match=r"more than 2\^28"):
+        CylGridSpec(resolution=(bins, 1, 1))
+
+
+@pytest.mark.parametrize("grid_class", [CylGridSpec, CubicGridSpec])
+def test_grids_hold_at_most_2_to_the_28_cells(grid_class):
+    # building a grid allocates nothing per cell
+    assert grid_class(resolution=(2**14, 2**7, 2**7)).num_cells == MAX_CELLS == 2**28
+    for resolution in [(2**28 + 1, 1, 1), (17, 15790321, 1), (2**22, 2**22, 2**20)]:
+        with pytest.raises(ValueError, match=r"more than 2\^28"):
+            grid_class(resolution=resolution)
+
+
+def _unique_reference(xyz, grid):
+    """assign_cells's point_cell, point_site and cells as np.unique over the
+    stacked bins gives them."""
+    bins = grid.bin_points(xyz)
+    _, w, l = grid.resolution
+    flat = (bins[:, 0] * w + bins[:, 1]) * l + bins[:, 2]
+    keys, site = np.unique(flat, return_inverse=True)
+    cells = np.stack(np.unravel_index(keys, grid.resolution), axis=1).astype(np.int64)
+    return flat, site.astype(np.int64), cells
+
+
+def _corner_points(grid, cyl):
+    """Points at the centres of the grid's first and last cells."""
+    corners = grid.cell_centers(np.array([[0, 0, 0], np.array(grid.resolution) - 1]))
+    return cyl_to_cart(corners) if cyl else corners
+
+
+_CLAMPED = {  # beyond rho_max (or x/y range), and above and below the z range
+    True: [[80.0, 0.0, 0.0], [0.0, -60.0, 1.0], [1.0, 1.0, 9.0], [1.0, -1.0, -9.0],
+           [-55.0, -55.0, 50.0]],
+    False: [[80.0, 0.0, 0.0], [0.0, -80.0, 1.0], [1.0, 1.0, 9.0], [1.0, -1.0, -9.0],
+            [-75.0, 75.0, -50.0]],
+}
+
+
+@pytest.mark.parametrize("cyl", [True, False], ids=["cylindrical", "cubic"])
+@pytest.mark.parametrize("case", ["empty", "one", "corners", "clamped", "all"])
+def test_assign_cells_equals_the_unique_reference_on_edge_cases(cyl, case):
+    grid = DEFAULT_CYL_GRID if cyl else DEFAULT_CUBIC_GRID
+    xyz = {
+        "empty": np.zeros((0, 3)),
+        "one": np.array([[3.0, -2.0, 0.5]]),
+        "corners": _corner_points(grid, cyl),
+        "clamped": np.array(_CLAMPED[cyl]),
+    }
+    xyz["all"] = np.vstack([xyz["corners"], xyz["clamped"], xyz["one"], xyz["clamped"]])
+    mapping = assign_cells(xyz[case], grid)
+    for got, want in zip((mapping.point_cell, mapping.point_site, mapping.cells),
+                         _unique_reference(xyz[case], grid)):
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype == np.int64
+    if case == "corners":
+        assert mapping.point_cell.tolist() == [0, grid.num_cells - 1]
+    if case == "clamped":
+        sites = mapping.cells[mapping.point_site]
+        on_edge = (sites == 0) | (sites == np.array(grid.resolution) - 1)
+        assert on_edge.any(axis=1).all()
 
 
 def test_assign_cells_matches_brute_force_binning():

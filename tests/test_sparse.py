@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from cylseg.selftest import NETWORK_KERNELS, conv_oracle_error, random_sparse
 from cylseg.sparse import (
+    MAX_CELLS,
     ConvParams,
     KernelSpec,
     SiteIndex,
@@ -414,6 +416,39 @@ def test_strided_out_coords_equal_unique_rows_of_the_candidates():
             _assert_same_rulebook(rb, _old_build_rulebook(x.coords, x.spatial_shape, kernel))
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 1), (5, 7, 3), (3, 1, 9), (9, 5, 1)])
+def test_strided_builds_on_odd_shapes_reach_the_last_output_cell(shape):
+    # the output-cell table covers exactly ceil(shape / stride) cells, and the
+    # input's last cell (even on every odd axis) feeds the last of them
+    rng = np.random.default_rng(sum(shape))
+    total = math.prod(shape)
+    flat = np.union1d(rng.choice(total, size=min(total, 6), replace=False), [0, total - 1])
+    coords = np.stack(np.unravel_index(flat, shape), axis=1).astype(np.int64)
+    kernels = [
+        KernelSpec((3, 3, 3), (2, 2, 2), "strided"),
+        KernelSpec((3, 1, 3), (2, 1, 2), "strided"),
+        KernelSpec((1, 1, 1), (2, 2, 2), "strided"),
+    ]
+    for order in (np.arange(len(coords)), rng.permutation(len(coords))):
+        for kernel in kernels:
+            rb = build_rulebook(coords[order], shape, kernel)
+            _assert_same_rulebook(rb, _old_build_rulebook(coords[order], shape, kernel))
+            assert rb.out_coords[-1].tolist() == [s - 1 for s in rb.out_shape]
+
+
+def test_shapes_over_the_cell_bound_are_rejected_before_any_table():
+    huge = (2**28 + 1, 1, 1)
+    site = np.zeros((1, 3), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"more than 2\^28"):
+        SparseTensor(site, np.ones((1, 1)), huge)
+    strided = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
+    with pytest.raises(ValueError, match=r"more than 2\^28"):
+        build_rulebook(site, huge, strided)
+    with pytest.raises(ValueError, match=r"more than 2\^28"):
+        build_rulebook(site, huge, strided, SiteIndex(site, huge))
+    assert SparseTensor(site, np.ones((1, 1)), (MAX_CELLS, 1, 1)).num_sites == 1
+
+
 def _gather_gemm_scatter(x, params, rb, grad):
     # reference: every offset, the centre too, through gather and scatter
     out = np.empty((len(rb.out_coords), params.weights.shape[2]))
@@ -513,6 +548,19 @@ def test_sigmoid_bounds():
     rng = np.random.default_rng(30)
     out, _ = sigmoid_forward(rng.standard_normal((100, 4)) * 10)
     assert np.all(out > 0.0) and np.all(out < 1.0)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [[0, 0, 1], [0, 0, 1], [1, 0, 0]],  # sorted: the keys do not increase strictly
+        [[1, 0, 0], [0, 0, 1], [1, 0, 0]],  # unsorted
+        [[1, 1, 1], [0, 1, 0], [0, 1, 0]],
+    ],
+)
+def test_sparse_tensor_rejects_duplicate_sites(coords):
+    with pytest.raises(ValueError, match="duplicate sites"):
+        _tensor(coords, np.zeros((3, 1)), (2, 2, 2))
 
 
 def test_add_of_negation_is_zero():
