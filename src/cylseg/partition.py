@@ -16,10 +16,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .metrics import ConfusionMatrix, compute_miou
-from .pointcloud import PointCloud
+from .pointcloud import TWO_PI, PointCloud
 from .sparse import SparseTensor, as_features, check_shape, occupied_keys
-
-TWO_PI = 2.0 * np.pi
 
 
 def _cyl_columns(xyz) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

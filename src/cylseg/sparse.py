@@ -3,7 +3,8 @@
 A sparse tensor stores features only at occupied voxel sites. Convolutions
 are organised around a *rulebook*: for every kernel offset, the list of
 (input site, output site) index pairs it connects. The forward pass is then
-gather -> small GEMM -> scatter per offset.
+gather -> small GEMM -> scatter per offset, and the input gradient is that
+kernel over the transposed rulebook, with each ``W_k`` transposed and no bias.
 
 Conventions, fixed across the package:
 
@@ -15,16 +16,16 @@ Conventions, fixed across the package:
 * strided mode creates an output site at ``c`` iff some input site lies in
   its receptive field ``{stride * c + d}``; output shape is
   ``ceil(input_shape / stride)``. There is no wraparound on any axis;
-* the inverse convolution runs the same forward/backward kernels over a
-  stored rulebook read backwards (``Rulebook.transposed``).
+* the inverse convolution runs the same forward and backward over a stored
+  rulebook read backwards (``Rulebook.transposed``).
 
 For a fixed offset the input site determines the output site uniquely and
 vice versa, so scatter targets within one offset never repeat; accumulating
 offsets in ascending order makes every forward and backward pass bitwise
-deterministic and independent of input site ordering. A large forward conv
-runs in blocks of output rows, each on one thread: every output row is still
-summed by one thread in ascending offset order, and the number of blocks
-depends on the conv's size alone, never on the number of CPUs.
+deterministic and independent of input site ordering. A large conv (an
+input gradient too) runs in blocks of output rows, each on one thread: every
+output row is still summed by one thread in ascending offset order, and the
+block count depends on the conv's size alone, never on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -428,35 +429,39 @@ def _conv_lane(blocks, lanes: int, lane: int, *args) -> None:
         _conv_rows(*args, lo, hi)
 
 
-def sparse_conv_forward(
-    x: SparseTensor, params: ConvParams, rulebook: Rulebook
-) -> SparseTensor:
-    """Gather-GEMM-scatter convolution over the rulebook's pair lists.
-
-    Offsets accumulate in ascending order; the identity offset's GEMM runs
-    on the whole feature array in its place, with the same sums. It computes
-    in the dtype of ``x.features``; the float64 parameters are cast per call.
-    A large conv runs in blocks of output rows (``_block_count``), spread
-    over the CPUs the process may use; the bytes do not depend on how many.
-    """
-    _check_rulebook_input(x, rulebook)
-    kvol, c_in, c_out = params.weights.shape
-    if kvol != rulebook.kernel.volume or c_in != x.num_channels:
-        raise ValueError("weight shape does not match kernel/input channels")
-    weights = params.weights.astype(x.features.dtype, copy=False)
-    out = np.empty((rulebook.out_coords.shape[0], c_out), dtype=x.features.dtype)
+def _run_conv(features, weights, bias, rulebook: Rulebook) -> np.ndarray:
+    """The gather-GEMM-scatter kernel: output rows in the dtype of
+    ``features``, offsets accumulated in ascending order (the identity
+    offset's GEMM on the whole feature array, with the same sums). A large
+    conv runs in blocks of output rows (``_block_count``), spread over the
+    CPUs the process may use; the bytes do not depend on how many."""
+    _, c_in, c_out = weights.shape
+    out = np.empty((rulebook.out_coords.shape[0], c_out), dtype=features.dtype)
     blocks = _row_blocks(out.shape[0], _block_count(rulebook.num_pairs * c_in * c_out))
     lanes = min(_cpu_count(), len(blocks))
-    args = (x.features, weights, params.bias, rulebook, out)
+    args = (features, weights, bias, rulebook, out)
     waiting = [_pool().submit(_conv_lane, blocks, lanes, lane, *args) for lane in range(1, lanes)]
     try:
         _conv_lane(blocks, lanes, 0, *args)
     finally:
         for lane in waiting:
             lane.result()
+    return out
+
+
+def sparse_conv_forward(
+    x: SparseTensor, params: ConvParams, rulebook: Rulebook
+) -> SparseTensor:
+    """Convolution over the rulebook's pair lists, in the dtype of
+    ``x.features``; the float64 parameters are cast per call."""
+    _check_rulebook_input(x, rulebook)
+    kvol, c_in, _ = params.weights.shape
+    if kvol != rulebook.kernel.volume or c_in != x.num_channels:
+        raise ValueError("weight shape does not match kernel/input channels")
+    weights = params.weights.astype(x.features.dtype, copy=False)
     result = SparseTensor.__new__(SparseTensor)
     result.coords = rulebook.out_coords
-    result.features = out
+    result.features = _run_conv(x.features, weights, params.bias, rulebook)
     result.spatial_shape = rulebook.out_shape
     return result
 
@@ -464,22 +469,21 @@ def sparse_conv_forward(
 def sparse_conv_backward(
     x: SparseTensor, params: ConvParams, rulebook: Rulebook, grad_out: np.ndarray
 ):
-    """Gradients of the convolution w.r.t. input features, weights and bias."""
+    """Gradients of the convolution w.r.t. input features, weights and bias;
+    the input gradient is the conv's kernel run as its adjoint."""
     grad_out = np.asarray(grad_out, dtype=_DTYPE)
-    if grad_out.shape != (rulebook.out_coords.shape[0], params.weights.shape[2]):
+    _, c_in, c_out = params.weights.shape
+    if grad_out.shape != (rulebook.out_coords.shape[0], c_out):
         raise ValueError("grad_out shape mismatch")
-    grad_in = np.zeros_like(x.features)
+    adjoint = params.weights.transpose(0, 2, 1)
+    grad_in = _run_conv(grad_out, adjoint, np.zeros(c_in), rulebook.transposed())
     grad_w = np.zeros_like(params.weights)
-    grad_b = grad_out.sum(axis=0)
     for k, (in_idx, out_idx) in enumerate(rulebook.pairs):
         if k == rulebook.identity_offset:
             grad_w[k] = x.features.T @ grad_out
-            grad_in += grad_out @ params.weights[k].T
         elif in_idx.size:
-            g = grad_out[out_idx]
-            grad_w[k] = x.features[in_idx].T @ g
-            grad_in[in_idx] += g @ params.weights[k].T
-    return grad_in, grad_w, grad_b
+            grad_w[k] = x.features[in_idx].T @ grad_out[out_idx]
+    return grad_in, grad_w, grad_out.sum(axis=0)
 
 
 def inverse_conv_forward(
@@ -610,14 +614,6 @@ def _check_same_sites(x: SparseTensor, y: SparseTensor) -> None:
         raise ValueError("operands live on different site sets")
 
 
-def add_sparse(x: SparseTensor, y: SparseTensor) -> SparseTensor:
-    """Elementwise sum of two tensors on the same site set (same ordering)."""
-    _check_same_sites(x, y)
-    if x.num_channels != y.num_channels:
-        raise ValueError("channel mismatch in add")
-    return x.with_features(x.features + y.features)
-
-
 def concat_features(x: SparseTensor, y: SparseTensor) -> SparseTensor:
     """Channel-wise concatenation on the same site set (same ordering)."""
     _check_same_sites(x, y)
@@ -713,15 +709,10 @@ def pack_tensors(tensors: dict) -> bytes:
     return buf.getvalue()
 
 
-def unpack_tensors(blob) -> dict:
-    """Read ``pack_tensors`` output into arrays of their own; a cut or
-    garbled container raises one ValueError naming the entry it stops in."""
-    return {name: arr.astype(np.float64) for name, arr in unpack_tensor_views(blob).items()}
-
-
 def unpack_tensor_views(blob) -> dict:
-    """``unpack_tensors`` without the copies: read-only little-endian views
-    into ``blob``, for a caller that copies them where they belong."""
+    """Read ``pack_tensors`` output as read-only little-endian views into
+    ``blob``, for a caller that copies them where they belong; a cut or
+    garbled container raises one ValueError naming the entry it stops in."""
     view = memoryview(blob)
     if bytes(view[:4]) != _MAGIC:
         raise ValueError("bad tensor container magic")
@@ -761,7 +752,3 @@ def unpack_tensor_views(blob) -> dict:
         raise ValueError("trailing bytes in tensor container")
     return out
 
-
-def load_tensors(path) -> dict:
-    with open(path, "rb") as fh:
-        return unpack_tensors(fh.read())

@@ -1,5 +1,6 @@
-"""A large conv runs in blocks of output rows, on as many threads as there
-are CPUs, and gives the same bytes whatever the number of threads."""
+"""A large conv, and a large conv's input gradient, runs in blocks of output
+rows, on as many threads as there are CPUs, and gives the same bytes
+whatever the number of threads."""
 
 import multiprocessing
 import os
@@ -12,9 +13,12 @@ import pytest
 from cylseg import sparse
 from cylseg.selftest import NETWORK_KERNELS, random_sparse
 from cylseg.sparse import (
+    ConvParams,
     SparseTensor,
     build_rulebook,
     init_conv_params,
+    inverse_conv_backward,
+    sparse_conv_backward,
     sparse_conv_forward,
 )
 
@@ -187,6 +191,55 @@ def test_a_large_conv_runs_on_the_pool_with_the_bytes_of_one_lane(fresh_pool):
     finally:
         sys.setswitchinterval(interval)
     assert sparse._POOL is not None
+
+
+def test_a_large_conv_backward_splits_with_the_input_gradient_bytes_of_one_block(
+    fresh_pool, monkeypatch
+):
+    spans = []
+    conv_rows = sparse._conv_rows
+    monkeypatch.setattr(sparse, "_conv_rows", lambda *a: spans.append(a[-2:]) or conv_rows(*a))
+    x, params, rb = _large_conv(7)
+    x = x.with_features(x.features.astype(np.float64))
+    adjoint = ConvParams(params.weights.transpose(0, 2, 1), np.zeros(64))
+    rng = np.random.default_rng(8)
+    for book in (rb, rb.transposed()):
+        inp = x if book is rb else SparseTensor(
+            book.in_coords, rng.standard_normal((len(book.in_coords), 64)), book.in_shape)
+        grad = SparseTensor(book.out_coords, rng.standard_normal((len(book.out_coords), 64)),
+                            book.out_shape)
+        whole = _conv_on_lanes(grad, adjoint, book.transposed(), 1, 1)
+        blocks = sparse._block_count(book.num_pairs * 64 * 64)
+        assert blocks > 1
+        for lanes in (1, 2):
+            monkeypatch.setattr(sparse, "_cpu_count", lambda: lanes)
+            spans.clear()
+            grad_in = sparse_conv_backward(inp, params, book, grad.features)[0]
+            assert sorted(spans) == sparse._row_blocks(inp.num_sites, blocks)
+            assert grad_in.tobytes() == whole.tobytes(), (book is rb, lanes)
+
+
+def test_conv_backward_never_runs_a_traced_forward(monkeypatch):
+    # a tracer wraps the forward and inverse forward by name: a backward that
+    # called them would be counted as a forward
+    calls = []
+    for name in ("sparse_conv_forward", "inverse_conv_forward"):
+        real = getattr(sparse, name)
+        monkeypatch.setattr(sparse, name,
+                            lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
+    rng = np.random.default_rng(10)
+    x = random_sparse(rng, max_shape=(9, 9, 9))
+    for kernel in NETWORK_KERNELS:
+        rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+        params = init_conv_params(kernel, x.num_channels, 3, rng)
+        sparse_conv_backward(x, params, rb, rng.standard_normal((len(rb.out_coords), 3)))
+        u = SparseTensor(rb.out_coords, rng.standard_normal((len(rb.out_coords), 2)),
+                         rb.out_shape)
+        inverse = init_conv_params(kernel, 2, 3, rng)
+        inverse_conv_backward(u, inverse, rb, rng.standard_normal((len(rb.in_coords), 3)))
+    assert calls == []
+    sparse.inverse_conv_forward(u, inverse, rb)
+    assert calls == ["inverse_conv_forward", "sparse_conv_forward"]
 
 
 def test_a_small_conv_makes_no_pool(fresh_pool):

@@ -42,7 +42,7 @@ from cylseg.network import (
 from cylseg.partition import CylGridSpec, assign_cells
 from cylseg.pointcloud import PointCloud, SyntheticSceneSpec, generate_synthetic_scene
 from cylseg.selftest import _toy_setup, random_sparse
-from cylseg.sparse import leaky_relu_forward, load_tensors
+from cylseg.sparse import leaky_relu_forward, unpack_tensor_views
 from cylseg.training import finite_diff_check
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -509,13 +509,18 @@ def test_load_tensor_dict_rejects_missing_names():
         net.load_tensor_dict(tensors)
 
 
+def _expected_toy_outputs():
+    with open(os.path.join(DATA, "toy_seed0_expected.cylt"), "rb") as fh:
+        return unpack_tensor_views(fh.read())
+
+
 def test_checkpoint_from_before_the_layer_rework_predicts_identically():
     # Written before the per-layer parameter methods became one registry:
     # ``_toy_setup(seed=0)``'s network after 20 ``train_step`` calls with Adam
     # on its own cloud, saved with ``save_checkpoint``; the expected file
     # holds that network's inference-mode point logits and predictions.
     loaded = load_checkpoint(os.path.join(DATA, "toy_seed0.ckpt"))
-    expected = load_tensors(os.path.join(DATA, "toy_seed0_expected.cylt"))
+    expected = _expected_toy_outputs()
     network, cloud = _toy_setup(seed=0)
     assert loaded.config == network.config
     assert sorted(loaded.named_params()) == sorted(network.named_params())
@@ -527,7 +532,7 @@ def test_checkpoint_from_before_the_layer_rework_predicts_identically():
 def test_checkpoint_load_draws_no_random_numbers(monkeypatch):
     # every tensor comes from the file, so drawing an initialisation is waste
     _, cloud = _toy_setup(seed=0)
-    expected = load_tensors(os.path.join(DATA, "toy_seed0_expected.cylt"))
+    expected = _expected_toy_outputs()
 
     def no_generator(*args, **kwargs):
         raise AssertionError("load_checkpoint made a random generator")

@@ -11,7 +11,6 @@ from cylseg.sparse import (
     KernelSpec,
     SiteIndex,
     SparseTensor,
-    add_sparse,
     batch_norm_backward,
     batch_norm_forward,
     build_rulebook,
@@ -29,7 +28,7 @@ from cylseg.sparse import (
     sparse_conv_backward,
     sparse_conv_forward,
     sparsify,
-    unpack_tensors,
+    unpack_tensor_views,
 )
 from cylseg.training import finite_diff_check
 
@@ -480,6 +479,48 @@ def test_centre_offset_fast_path_equals_gather_gemm_scatter_bitwise():
                 np.testing.assert_array_equal(got, ref)
 
 
+def _hand_written_conv_backward(x, params, rb, grad_out):
+    # reference: the input gradient by a loop of its own, independent of the
+    # forward kernel that computes it over the transposed rulebook
+    grad_in = np.zeros_like(x.features)
+    grad_w = np.zeros_like(params.weights)
+    for k, (in_idx, out_idx) in enumerate(rb.pairs):
+        if k == rb.identity_offset:
+            grad_w[k] = x.features.T @ grad_out
+            grad_in += grad_out @ params.weights[k].T
+        elif in_idx.size:
+            g = grad_out[out_idx]
+            grad_w[k] = x.features[in_idx].T @ g
+            grad_in[in_idx] += g @ params.weights[k].T
+    return grad_in, grad_w, grad_out.sum(axis=0)
+
+
+def test_conv_backward_equals_the_hand_written_loop_bitwise():
+    rng = np.random.default_rng(65)
+    seen = set()
+    for x in _site_sets(66, count=6):
+        for kernel in NETWORK_KERNELS:
+            rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+            back = rb.transposed()
+            u = SparseTensor(back.in_coords, rng.standard_normal((len(back.in_coords), 4)),
+                             back.in_shape)
+            for inp, book in ((x, rb), (u, back)):
+                c_out = int(rng.integers(1, 6))
+                params = init_conv_params(kernel, inp.num_channels, c_out, rng)
+                grad = rng.standard_normal((len(book.out_coords), c_out))
+                ref = _hand_written_conv_backward(inp, params, book, grad)
+                got = sparse_conv_backward(inp, params, book, grad)
+                if book is back:
+                    inverse = inverse_conv_backward(inp, params, rb, grad)
+                    for g, r in zip(inverse, ref):
+                        assert g.tobytes() == r.tobytes(), (kernel, "inverse")
+                for g, r in zip(got, ref):
+                    assert g.dtype == r.dtype and g.shape == r.shape
+                    assert g.tobytes() == r.tobytes(), (kernel, book is back)
+                seen.add((kernel, book is back))
+    assert len(seen) == 2 * len(NETWORK_KERNELS)
+
+
 # ------------------------------------------------------------- pointwise ops
 
 
@@ -563,18 +604,11 @@ def test_sparse_tensor_rejects_duplicate_sites(coords):
         _tensor(coords, np.zeros((3, 1)), (2, 2, 2))
 
 
-def test_add_of_negation_is_zero():
-    rng = np.random.default_rng(31)
-    x = random_sparse(rng)
-    y = x.with_features(-x.features)
-    assert not add_sparse(x, y).features.any()
-
-
-def test_add_rejects_coordinate_mismatch():
+def test_concat_rejects_coordinate_mismatch():
     x = _tensor([[0, 0, 0]], [[1.0]], (2, 2, 2))
     y = _tensor([[1, 0, 0]], [[1.0]], (2, 2, 2))
-    with pytest.raises(ValueError):
-        add_sparse(x, y)
+    with pytest.raises(ValueError, match="different site sets"):
+        concat_features(x, y)
 
 
 def test_concat_stacks_channels():
@@ -628,7 +662,7 @@ def test_pack_unpack_round_trip():
     }
     blob = pack_tensors(tensors)
     assert blob[:4] == b"CYLT"
-    out = unpack_tensors(blob)
+    out = unpack_tensor_views(blob)
     assert set(out) == set(tensors)
     for name in tensors:
         np.testing.assert_array_equal(out[name], tensors[name])
@@ -642,7 +676,7 @@ def test_pack_is_insertion_order_independent():
 
 def test_unpack_rejects_bad_magic():
     with pytest.raises(ValueError):
-        unpack_tensors(b"NOPE" + b"\x00" * 16)
+        unpack_tensor_views(b"NOPE" + b"\x00" * 16)
 
 
 def test_unpack_names_the_entry_a_cut_container_stops_in():
@@ -656,7 +690,7 @@ def test_unpack_names_the_entry_a_cut_container_stops_in():
     assert starts[-1] == len(blob)
     for cut in range(len(blob)):
         with pytest.raises(ValueError) as err:
-            unpack_tensors(blob[:cut])
+            unpack_tensor_views(blob[:cut])
         message = str(err.value)
         if cut < 4:
             assert "magic" in message
