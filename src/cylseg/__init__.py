@@ -43,7 +43,6 @@ from .sparse import (
     densify,
     inverse_conv_forward,
     sparse_conv_forward,
-    sparsify,
 )
 from .network import NetworkConfig, SegmentationNetwork, point_input_features
 from .metrics import ConfusionMatrix, compute_miou

@@ -209,14 +209,6 @@ class VoxelMapping:
         counts = np.bincount(self.point_site, minlength=self.num_cells)
         return order, counts, np.cumsum(counts) - counts
 
-    @property
-    def cell_points(self) -> List[np.ndarray]:
-        """Per cell, the indices of its points in ascending order (split on each access)."""
-        if self.num_cells == 0:
-            return []
-        order, _, starts = self.grouping
-        return np.split(order, starts[1:])
-
 
 def assign_cells(cloud, grid) -> VoxelMapping:
     """Map every point of ``cloud`` to a cell of ``grid``.
@@ -235,9 +227,7 @@ def assign_cells(cloud, grid) -> VoxelMapping:
     return VoxelMapping(flat, point_site, cells, tuple(res))
 
 
-def scatter_features(
-    point_features: np.ndarray, mapping: VoxelMapping, grid=None
-) -> SparseTensor:
+def scatter_features(point_features: np.ndarray, mapping: VoxelMapping) -> SparseTensor:
     """Reduce per-point features into their cells by elementwise maximum,
     in their dtype (float32 stays float32, anything else becomes float64).
 
@@ -246,8 +236,6 @@ def scatter_features(
     feats = as_features(point_features)
     if feats.ndim != 2 or feats.shape[0] != mapping.point_site.shape[0]:
         raise ValueError("feature rows must match the mapped point count")
-    if grid is not None and tuple(grid.resolution) != tuple(mapping.spatial_shape):
-        raise ValueError("grid does not match the mapping's spatial shape")
     order, _, starts = mapping.grouping
     out = np.maximum.reduceat(feats[order], starts, axis=0)
     return SparseTensor(mapping.cells, out, mapping.spatial_shape)

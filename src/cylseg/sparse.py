@@ -12,6 +12,8 @@ Conventions, fixed across the package:
   ``[-(k-1)/2 .. (k-1)/2]`` per axis;
 * a pair (i -> j) exists for offset k iff ``coord(i) + offset_k = coord(j)``,
   so the forward pass computes ``out[p] = bias + sum_k W_k^T x[p - offset_k]``;
+* a site set lists its sites in strictly ascending flat-key order
+  ``(h * W + w) * L + l``, as the grid's cell table yields them;
 * submanifold mode keeps the output site set identical to the input's;
 * strided mode creates an output site at ``c`` iff some input site lies in
   its receptive field ``{stride * c + d}``; output shape is
@@ -22,10 +24,11 @@ Conventions, fixed across the package:
 For a fixed offset the input site determines the output site uniquely and
 vice versa, so scatter targets within one offset never repeat; accumulating
 offsets in ascending order makes every forward and backward pass bitwise
-deterministic and independent of input site ordering. A large conv (an
-input gradient too) runs in blocks of output rows, each on one thread: every
-output row is still summed by one thread in ascending offset order, and the
-block count depends on the conv's size alone, never on the number of CPUs.
+deterministic. Every pair list ascends on both sides, and so does its
+transpose's. A large conv (an input gradient too) runs in blocks of output
+rows, each on one thread: every output row is still summed by one thread in
+ascending offset order, and the block count depends on the conv's size
+alone, never on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -101,16 +104,17 @@ def _validate_coords(coords: np.ndarray, shape) -> np.ndarray:
     if coords.shape[0]:
         if coords.min() < 0 or (coords >= np.array(shape)).any():
             raise ValueError("coords out of bounds")
-        flat = _flatten_coords(coords, shape)
-        # strictly increasing keys are distinct; the engine's site sets are
-        if not (np.diff(flat) > 0).all() and np.unique(flat).size != flat.size:
-            raise ValueError("coords contain duplicate sites")
+        if not (np.diff(_flatten_coords(coords, shape)) > 0).all():
+            raise ValueError(
+                "coords must ascend strictly by flat key: duplicate sites or out of order"
+            )
     return coords
 
 
 @dataclass
 class SparseTensor:
-    """Features attached to a set of unique, in-bounds voxel coordinates."""
+    """Features attached to a set of in-bounds voxel coordinates in strictly
+    ascending flat-key order (so each site appears once)."""
 
     coords: np.ndarray  # (M, 3) int64
     features: np.ndarray  # (M, C) float64, or float32 on the inference route
@@ -217,21 +221,18 @@ class Rulebook:
 
 
 class SiteIndex:
-    """One site set's key sort and its neighbour searches, each made once.
+    """One site set's keys and its neighbour searches, each made once.
 
-    ``coords`` must already be valid (unique and in bounds), as a
+    ``coords`` must already be valid (in bounds and ascending by key), as a
     ``SparseTensor``'s are. ``neighbours(offset)`` returns the pairs
-    (i -> j) with ``coords[i] + offset == coords[j]``, sorted by j, and
-    memoises them, so kernels sharing an offset share its search.
+    (i -> j) with ``coords[i] + offset == coords[j]``, ascending in both i
+    and j, and memoises them, so kernels sharing an offset share its search.
     """
 
     def __init__(self, coords: np.ndarray, shape):
         self.coords = coords
         self.shape = _as_triple(shape)
-        keys = _flatten_coords(coords, self.shape)
-        self._order = np.argsort(keys, kind="stable")
-        self._sorted_keys = keys[self._order]
-        self._keys = keys
+        self._keys = _flatten_coords(coords, self.shape)
         self._found = {}
 
     def neighbours(self, offset) -> Tuple[np.ndarray, np.ndarray]:
@@ -253,16 +254,11 @@ class SiteIndex:
             elif d > 0:
                 valid &= self.coords[:, axis] < self.shape[axis] - d
         src = np.nonzero(valid)[0]
-        if src.size == 0:
-            return src, src.copy()
         _, w, l = self.shape
         tkeys = self._keys[src] + ((offset[0] * w + offset[1]) * l + offset[2])
-        pos = np.minimum(np.searchsorted(self._sorted_keys, tkeys), m - 1)
-        found = self._sorted_keys[pos] == tkeys
-        in_idx = src[found]
-        out_idx = self._order[pos[found]]
-        perm = np.argsort(out_idx, kind="stable")
-        return in_idx[perm], out_idx[perm]
+        pos = np.minimum(np.searchsorted(self._keys, tkeys), m - 1)
+        found = self._keys[pos] == tkeys
+        return src[found], pos[found]
 
 
 def build_rulebook(
@@ -275,7 +271,9 @@ def build_rulebook(
     occupied site j. Strided: output sites are all cells ``c`` of the
     ceil-divided grid whose receptive field ``stride * c + offsets`` touches
     an input site; pairs follow the same coordinate equation with output
-    coordinates scaled by the stride.
+    coordinates scaled by the stride. Both sides of every pair list ascend:
+    a shift, and an exact division by the stride within one residue class,
+    keep the ascending order of the input sites.
 
     ``sites``, the ``SiteIndex`` of these (already validated) coords, skips
     the validation and shares its neighbour searches with other kernels.
@@ -313,11 +311,7 @@ def build_rulebook(
         np.concatenate([keys for _, keys in per_offset]), math.prod(out_shape)
     )
     out_coords = np.stack(np.unravel_index(out_keys, out_shape), axis=1).astype(np.int64)
-    pairs = []
-    for src, keys in per_offset:
-        out_idx = rank[keys].astype(np.int64)
-        perm = np.argsort(out_idx, kind="stable")
-        pairs.append((src[perm], out_idx[perm]))
+    pairs = [(src, rank[keys].astype(np.int64)) for src, keys in per_offset]
     return Rulebook(kernel, in_coords, in_shape, out_coords, out_shape, pairs)
 
 
@@ -408,19 +402,16 @@ def _row_blocks(rows: int, blocks: int) -> List[Tuple[int, int]]:
 def _conv_rows(features, weights, bias, rulebook: Rulebook, out, lo: int, hi: int) -> None:
     """Output rows ``lo:hi`` of the convolution, written into ``out``: the
     offsets in ascending order, each on its pairs whose output site lies in
-    the block (``out_idx`` need not be sorted; a transposed one is not)."""
+    the block, a slice of its ascending ``out_idx``."""
     block = out[lo:hi]
     block[:] = bias
-    whole = lo == 0 and hi == out.shape[0]
     for k, (in_idx, out_idx) in enumerate(rulebook.pairs):
         if k == rulebook.identity_offset:
             block += features[lo:hi] @ weights[k]
             continue
-        if in_idx.size and not whole:
-            keep = (out_idx >= lo) & (out_idx < hi)
-            in_idx, out_idx = in_idx[keep], out_idx[keep]
-        if in_idx.size:
-            out[out_idx] += features[in_idx] @ weights[k]
+        first, last = out_idx.searchsorted((lo, hi)).tolist()
+        if last > first:
+            out[out_idx[first:last]] += features[in_idx[first:last]] @ weights[k]
 
 
 def _conv_lane(blocks, lanes: int, lane: int, *args) -> None:
@@ -630,23 +621,6 @@ def densify(x: SparseTensor) -> np.ndarray:
     dense = np.zeros((h, w, l, x.num_channels), dtype=_DTYPE)
     dense[x.coords[:, 0], x.coords[:, 1], x.coords[:, 2]] = x.features
     return dense
-
-
-def sparsify(dense: np.ndarray, coords: Optional[np.ndarray] = None) -> SparseTensor:
-    """Collect a dense (H, W, L, C) array back into a sparse tensor.
-
-    Without explicit coords the active set is every site with any nonzero
-    channel, in lexicographic coordinate order.
-    """
-    dense = np.asarray(dense, dtype=_DTYPE)
-    if dense.ndim != 4:
-        raise ValueError("dense array must be (H, W, L, C)")
-    if coords is None:
-        mask = np.abs(dense).sum(axis=3) != 0
-        coords = np.argwhere(mask)
-    coords = np.ascontiguousarray(coords, dtype=np.int64)
-    features = dense[coords[:, 0], coords[:, 1], coords[:, 2]]
-    return SparseTensor(coords, features, dense.shape[:3])
 
 
 def dense_conv_oracle(

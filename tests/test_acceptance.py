@@ -73,6 +73,7 @@ from cylseg.training import (
     train_network,
     weighted_cross_entropy,
 )
+from helpers import cell_points
 
 
 def _report(tag, ok, detail=""):
@@ -260,7 +261,7 @@ def _fd_scatter_max(rng):
     probe = rng.standard_normal((mapping.num_cells, 3))
 
     def objective():
-        return float((scatter_features(feats, mapping, grid).features * probe).sum())
+        return float((scatter_features(feats, mapping).features * probe).sum())
 
     winners = scatter_max_winners(feats, mapping)
     g = np.zeros_like(feats)
@@ -393,7 +394,7 @@ def test_04_far_field_occupancy():
 
 def _has_mixed_cell(cloud, grid, ignore_id=255):
     mapping = assign_cells(cloud, grid)
-    for members in mapping.cell_points:
+    for members in cell_points(mapping):
         labels = cloud.labels[members]
         labels = labels[labels != ignore_id]
         if len(np.unique(labels)) > 1:

@@ -61,20 +61,19 @@ def _with_inverse(rng, x, rb):
 
 
 def _cases(rng, sites, min_channels, max_channels):
-    """(input, params, rulebook) over every network kernel, sorted and
-    shuffled coords, each rulebook and its transpose, float64 and float32."""
+    """(input, params, rulebook) over every network kernel, each rulebook
+    and its transpose, float64 and float32; the sites shuffled are rejected."""
     for kernel in NETWORK_KERNELS:
         x = sites(kernel)
         perm = rng.permutation(x.num_sites)
-        shuffled = SparseTensor(x.coords[perm], x.features[perm], x.spatial_shape)
-        for on in (x, shuffled):
-            for inp, book in _with_inverse(rng, on, build_rulebook(on.coords, on.spatial_shape,
-                                                                   kernel)):
-                c_out = int(rng.integers(min_channels, max_channels + 1))
-                params = init_conv_params(kernel, inp.num_channels, c_out, rng)
-                params.bias[:] = rng.standard_normal(c_out)
-                for dtype in (np.float64, np.float32):
-                    yield inp.with_features(inp.features.astype(dtype)), params, book
+        with pytest.raises(ValueError, match="duplicate sites or out of order"):
+            SparseTensor(x.coords[perm], x.features[perm], x.spatial_shape)
+        for inp, book in _with_inverse(rng, x, build_rulebook(x.coords, x.spatial_shape, kernel)):
+            c_out = int(rng.integers(min_channels, max_channels + 1))
+            params = init_conv_params(kernel, inp.num_channels, c_out, rng)
+            params.bias[:] = rng.standard_normal(c_out)
+            for dtype in (np.float64, np.float32):
+                yield inp.with_features(inp.features.astype(dtype)), params, book
 
 
 def _small_sites(rng):
@@ -116,11 +115,10 @@ def test_every_lane_count_gives_the_same_bytes():
         np.testing.assert_array_equal(whole, _conv_on_lanes(x, params, rb, 1, 1))
         tol = 1e-4 if x.features.dtype == np.float32 else 1e-12
         np.testing.assert_allclose(_conv_on_lanes(x, params, rb, 8, 2), whole, atol=tol)
-        unsorted = any((np.diff(o) < 0).any() for _, o in rb.pairs)
-        kinds.add((rb.kernel, x.features.dtype.name, unsorted))
-    # every kernel in both dtypes, with sorted and with unsorted out_idx
-    assert len({k[:2] for k in kinds}) == 2 * len(NETWORK_KERNELS)
-    assert {k[2] for k in kinds} == {False, True}
+        assert not any((np.diff(o) < 0).any() for _, o in rb.pairs), rb.kernel
+        kinds.add((rb.kernel, x.features.dtype.name))
+    # every kernel in both dtypes
+    assert len(kinds) == 2 * len(NETWORK_KERNELS)
 
 
 def _large_sites(rng, count=20_000, shape=(40, 40, 24), channels=96):
@@ -153,12 +151,10 @@ def test_large_convs_split_into_blocks_with_the_whole_convs_bytes():
 
 
 def _large_conv(seed):
-    """A float32 3x3x3 conv that splits into blocks, on shuffled sites, so
-    that its transpose has unsorted ``out_idx``."""
+    """A float32 3x3x3 conv that splits into blocks."""
     rng = np.random.default_rng(seed)
     x = _large_sites(rng, channels=64)(NETWORK_KERNELS[1])
-    perm = rng.permutation(x.num_sites)
-    x = SparseTensor(x.coords[perm], x.features[perm].astype(np.float32), x.spatial_shape)
+    x = x.with_features(x.features.astype(np.float32))
     rb = build_rulebook(x.coords, x.spatial_shape, NETWORK_KERNELS[1])
     params = init_conv_params(rb.kernel, 64, 64, rng)
     params.bias[:] = rng.standard_normal(64)

@@ -138,8 +138,8 @@ def test_scatter_features_keeps_float32():
     cloud = generate_synthetic_scene(SyntheticSceneSpec(seed=2, num_points=300, max_range=12.0))
     mapping = assign_cells(cloud, grid)
     feats32 = np.random.default_rng(11).standard_normal((cloud.n, 6)).astype(np.float32)
-    out32 = scatter_features(feats32, mapping, grid)
-    out64 = scatter_features(feats32.astype(np.float64), mapping, grid)
+    out32 = scatter_features(feats32, mapping)
+    out64 = scatter_features(feats32.astype(np.float64), mapping)
     assert out32.features.dtype == np.float32
     # a maximum of float32 values is one of them: exact
     np.testing.assert_array_equal(out32.features, out64.features)

@@ -209,7 +209,7 @@ def test_regular_block_with_zero_weights_is_activated_identity():
 
 def test_down_block_halves_shape_and_doubles_channels():
     rng = np.random.default_rng(44)
-    coords = np.array([[0, 0, 0], [7, 7, 7], [3, 4, 5]], dtype=np.int64)
+    coords = np.array([[0, 0, 0], [3, 4, 5], [7, 7, 7]], dtype=np.int64)
     from cylseg.sparse import SparseTensor
 
     x = SparseTensor(coords, rng.standard_normal((3, 4)), (8, 8, 8))

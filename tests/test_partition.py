@@ -22,6 +22,7 @@ from cylseg.partition import (
 )
 from cylseg.pointcloud import PointCloud, SyntheticSceneSpec, generate_synthetic_scene
 from cylseg.sparse import MAX_CELLS
+from helpers import cell_points
 
 
 def _cloud(xyz, labels=None):
@@ -195,7 +196,7 @@ def test_mapping_partitions_points():
     grid = CylGridSpec(rho_range=(0.0, 8.0), z_range=(-2.0, 2.0), resolution=(4, 4, 4))
     rng = np.random.default_rng(12)
     mapping = assign_cells(_cloud(rng.uniform(-5, 5, size=(300, 3))), grid)
-    seen = np.concatenate(mapping.cell_points)
+    seen = np.concatenate(cell_points(mapping))
     assert len(seen) == 300
     assert sorted(seen.tolist()) == list(range(300))
 
@@ -212,7 +213,7 @@ def test_cell_points_equal_the_eager_split_lists():
             expected = np.split(order, np.cumsum(counts)[:-1])
         else:
             expected = []
-        got = mapping.cell_points
+        got = cell_points(mapping)
         assert len(got) == len(expected) == mapping.num_cells
         for site, (a, b) in enumerate(zip(got, expected)):
             np.testing.assert_array_equal(a, b)
@@ -233,9 +234,9 @@ def test_pooling_and_its_winners_share_one_grouping_sort(monkeypatch):
         return argsort(*args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", counted)
-    pooled = scatter_features(feats, mapping, grid)
+    pooled = scatter_features(feats, mapping)
     winners = scatter_max_winners(feats, mapping)
-    cells = mapping.cell_points
+    cells = cell_points(mapping)
     assert len(sorts) == 1
     np.testing.assert_array_equal(feats[winners, np.arange(3)], pooled.features)
     assert all(np.all(mapping.point_site[c] == site) for site, c in enumerate(cells))
@@ -258,7 +259,7 @@ def test_cell_volume_grows_with_radius():
 def test_scatter_single_point_is_identity():
     grid = CylGridSpec(rho_range=(0.0, 8.0), z_range=(-2.0, 2.0), resolution=(4, 4, 4))
     mapping = assign_cells(_cloud([[1.0, 0.0, 0.0]]), grid)
-    out = scatter_features(np.array([[2.5, -1.0]]), mapping, grid)
+    out = scatter_features(np.array([[2.5, -1.0]]), mapping)
     np.testing.assert_array_equal(out.features, [[2.5, -1.0]])
     assert out.spatial_shape == (4, 4, 4)
 
@@ -267,7 +268,7 @@ def test_scatter_two_points_one_cell_elementwise_max():
     grid = CylGridSpec(rho_range=(0.0, 8.0), z_range=(-2.0, 2.0), resolution=(2, 2, 2))
     mapping = assign_cells(_cloud([[1.0, 0.1, 0.0], [1.0, 0.1, 0.0]]), grid)
     assert mapping.num_cells == 1
-    out = scatter_features(np.array([[1.0, 5.0], [3.0, 2.0]]), mapping, grid)
+    out = scatter_features(np.array([[1.0, 5.0], [3.0, 2.0]]), mapping)
     np.testing.assert_array_equal(out.features, [[3.0, 5.0]])
 
 
@@ -277,8 +278,8 @@ def test_scatter_matches_group_by_max_oracle():
     xyz = rng.uniform(-5, 5, size=(200, 3))
     feats = rng.standard_normal((200, 3))
     mapping = assign_cells(_cloud(xyz), grid)
-    out = scatter_features(feats, mapping, grid)
-    for site, members in enumerate(mapping.cell_points):
+    out = scatter_features(feats, mapping)
+    for site, members in enumerate(cell_points(mapping)):
         np.testing.assert_array_equal(out.features[site], feats[members].max(axis=0))
 
 
@@ -295,7 +296,7 @@ def test_scatter_equals_the_maximum_at_reference_bit_for_bit(dtype, n):
     # reference: the per-point maximum that scatter_features took before
     reference = np.full((mapping.num_cells, 6), -np.inf, dtype=dtype)
     np.maximum.at(reference, mapping.point_site, feats)
-    out = scatter_features(feats, mapping, grid).features
+    out = scatter_features(feats, mapping).features
     assert out.dtype == dtype and out.shape == reference.shape
     np.testing.assert_array_equal(out, reference)
     np.testing.assert_array_equal(np.signbit(out), np.signbit(reference))
@@ -308,11 +309,11 @@ def test_scatter_max_winners_select_the_max_rows():
     feats = rng.standard_normal((60, 4))
     mapping = assign_cells(_cloud(xyz), grid)
     winners = scatter_max_winners(feats, mapping)
-    scattered = scatter_features(feats, mapping, grid)
+    scattered = scatter_features(feats, mapping)
     cols = np.arange(4)
     np.testing.assert_array_equal(feats[winners, cols], scattered.features)
     # every winner must be a member of its own cell
-    for site, members in enumerate(mapping.cell_points):
+    for site, members in enumerate(cell_points(mapping)):
         assert set(winners[site].tolist()) <= set(members.tolist())
 
 
@@ -328,10 +329,10 @@ def test_scatter_max_winners_ties_go_to_the_latest_point():
         [7.0, 0.5, -3.0, 0.0],
     ])
     mapping = assign_cells(_cloud(xyz), grid)
-    assert sorted(map(sorted, (m.tolist() for m in mapping.cell_points))) == [[0, 2, 3], [1, 4]]
+    assert sorted(map(sorted, (m.tolist() for m in cell_points(mapping)))) == [[0, 2, 3], [1, 4]]
     winners = scatter_max_winners(feats, mapping)
     want = {0: [2, 3, 3, 3], 1: [4, 1, 4, 4]}  # keyed by each cell's first point
-    for site, members in enumerate(mapping.cell_points):
+    for site, members in enumerate(cell_points(mapping)):
         assert winners[site].tolist() == want[int(members[0])]
 
     # tie-heavy random case against a per-channel stable-sort reference
@@ -349,7 +350,7 @@ def test_scatter_rejects_row_count_mismatch():
     grid = CylGridSpec(rho_range=(0.0, 8.0), z_range=(-2.0, 2.0), resolution=(2, 2, 2))
     mapping = assign_cells(_cloud([[1.0, 0.0, 0.0]]), grid)
     with pytest.raises(ValueError):
-        scatter_features(np.zeros((2, 2)), mapping, grid)
+        scatter_features(np.zeros((2, 2)), mapping)
 
 
 # ----------------------------------------------------------- label encoding

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from cylseg.partition import CylGridSpec, assign_cells, scatter_features
 from cylseg.selftest import NETWORK_KERNELS, conv_oracle_error, random_sparse
 from cylseg.sparse import (
     MAX_CELLS,
@@ -27,7 +28,6 @@ from cylseg.sparse import (
     sigmoid_forward,
     sparse_conv_backward,
     sparse_conv_forward,
-    sparsify,
     unpack_tensor_views,
 )
 from cylseg.training import finite_diff_check
@@ -146,18 +146,26 @@ def test_conv_matches_dense_oracle_all_kernel_shapes():
 
 
 def test_conv_is_permutation_invariant():
+    # a site set has one order, ascending flat keys, so the points of a scan
+    # in any order give the same sites and the same conv bytes; sites handed
+    # over in another order are rejected
+    grid = CylGridSpec(rho_range=(0.0, 8.0), z_range=(-2.0, 2.0), resolution=(8, 8, 8))
     rng = np.random.default_rng(23)
-    x = random_sparse(rng, max_shape=(8, 8, 8))
+    xyz = rng.uniform(-6, 6, size=(400, 3))
+    feats = rng.standard_normal((400, 3))
     kernel = KernelSpec((3, 3, 3))
-    params = init_conv_params(kernel, x.features.shape[1], 2, rng)
-    rb = build_rulebook(x.coords, x.spatial_shape, kernel)
-    out = sparse_conv_forward(x, params, rb)
+    params = init_conv_params(kernel, 3, 2, rng)
 
-    perm = rng.permutation(len(x.coords))
-    xp = SparseTensor(x.coords[perm], x.features[perm], x.spatial_shape)
-    rbp = build_rulebook(xp.coords, xp.spatial_shape, kernel)
-    outp = sparse_conv_forward(xp, params, rbp)
-    np.testing.assert_allclose(outp.features, out.features[perm], atol=1e-12)
+    def conv(order):
+        x = scatter_features(feats[order], assign_cells(xyz[order], grid))
+        return x, sparse_conv_forward(x, params, build_rulebook(x.coords, grid.resolution, kernel))
+
+    x, out = conv(np.arange(400))
+    xp, outp = conv(rng.permutation(400))
+    np.testing.assert_array_equal(xp.coords, x.coords)
+    assert outp.features.tobytes() == out.features.tobytes()
+
+    _rejects_out_of_order(x, rng.permutation(x.num_sites))
 
 
 def test_conv_backward_zero_grad_gives_zero():
@@ -359,14 +367,21 @@ def _assert_same_rulebook(rb, reference):
         assert got_in.dtype == ref_in.dtype and got_out.dtype == ref_out.dtype
 
 
+def _rejects_out_of_order(x, perm):
+    """``x``'s sites in the order ``perm`` are refused, unless it is theirs."""
+    if (perm != np.arange(x.num_sites)).any():
+        with pytest.raises(ValueError, match="duplicate sites or out of order"):
+            SparseTensor(x.coords[perm], x.features[perm], x.spatial_shape)
+
+
 def _site_sets(seed, count=12):
-    """Random site sets from sparse to dense, each sorted and shuffled."""
+    """Random site sets from sparse to dense, each in ascending key order;
+    each shuffled is rejected."""
     rng = np.random.default_rng(seed)
     for i in range(count):
         x = random_sparse(rng, max_shape=(9, 9, 9), max_channels=3, max_sites=10 + 60 * i)
         yield x
-        perm = rng.permutation(x.num_sites)
-        yield SparseTensor(x.coords[perm], x.features[perm], x.spatial_shape)
+        _rejects_out_of_order(x, rng.permutation(x.num_sites))
 
 
 def test_shared_site_index_rulebooks_equal_fresh_per_kernel_builds():
@@ -428,11 +443,52 @@ def test_strided_builds_on_odd_shapes_reach_the_last_output_cell(shape):
         KernelSpec((3, 1, 3), (2, 1, 2), "strided"),
         KernelSpec((1, 1, 1), (2, 2, 2), "strided"),
     ]
-    for order in (np.arange(len(coords)), rng.permutation(len(coords))):
-        for kernel in kernels:
-            rb = build_rulebook(coords[order], shape, kernel)
-            _assert_same_rulebook(rb, _old_build_rulebook(coords[order], shape, kernel))
-            assert rb.out_coords[-1].tolist() == [s - 1 for s in rb.out_shape]
+    for kernel in kernels:
+        rb = build_rulebook(coords, shape, kernel)
+        _assert_same_rulebook(rb, _old_build_rulebook(coords, shape, kernel))
+        assert rb.out_coords[-1].tolist() == [s - 1 for s in rb.out_shape]
+    perm = rng.permutation(len(coords))
+    if (perm != np.arange(len(coords))).any():
+        with pytest.raises(ValueError, match="duplicate sites or out of order"):
+            build_rulebook(coords[perm], shape, kernels[0])
+
+
+def _assert_ascending(rb):
+    for book in (rb, rb.transposed()):
+        for in_idx, out_idx in book.pairs:
+            assert (np.diff(in_idx) > 0).all() and (np.diff(out_idx) > 0).all()
+
+
+def test_every_rulebook_keeps_both_pair_lists_ascending(monkeypatch):
+    from cylseg import network
+    from cylseg.selftest import _toy_setup
+
+    books = 0
+    for x in _site_sets(67, count=20):
+        for kernel in NETWORK_KERNELS:
+            _assert_ascending(build_rulebook(x.coords, x.spatial_shape, kernel))
+            books += 1
+    assert books == 20 * len(NETWORK_KERNELS)
+
+    fetched = []
+
+    class Recorded(network.RulebookCache):
+        def get(self, x, kernel):
+            fetched.append(super().get(x, kernel))
+            return fetched[-1]
+
+    monkeypatch.setattr(network, "RulebookCache", Recorded)
+    net, cloud = _toy_setup(seed=2)
+    net.forward(cloud, training=True)
+    assert {rb.kernel.mode for rb in fetched} == {"submanifold", "strided"}
+    for rb in fetched:
+        _assert_ascending(rb)
+
+    unsorted = np.array([[0, 0, 1], [0, 0, 0]])
+    for kernel in NETWORK_KERNELS:
+        with pytest.raises(ValueError, match="duplicate sites or out of order") as err:
+            build_rulebook(unsorted, (2, 2, 2), kernel)
+        assert "\n" not in str(err.value)
 
 
 def test_shapes_over_the_cell_bound_are_rejected_before_any_table():
@@ -625,15 +681,6 @@ def test_densify_empty_is_all_zero():
     x = _tensor(np.zeros((0, 3)), np.zeros((0, 2)), (3, 2, 2))
     assert densify(x).shape == (3, 2, 2, 2)
     assert not densify(x).any()
-
-
-def test_densify_sparsify_round_trip():
-    rng = np.random.default_rng(32)
-    x = random_sparse(rng)
-    back = sparsify(densify(x))
-    lex = np.lexsort(x.coords.T[::-1])
-    np.testing.assert_array_equal(back.coords, x.coords[lex])
-    np.testing.assert_allclose(back.features, x.features[lex])
 
 
 def test_dense_oracle_impulse_response():
