@@ -185,8 +185,8 @@ class Affine(Module):
             out = feats @ weight
             out += bias
             return out, None
-        weight = self.weight.astype(feats.dtype, copy=False)
-        out = feats @ weight + self.bias.astype(feats.dtype, copy=False)
+        out = feats @ self.weight.astype(feats.dtype, copy=False)
+        out += self.bias.astype(feats.dtype, copy=False)
         if self.norm is None:
             return out, (feats, None)
         out, c_norm = self.norm.forward(out, training)
@@ -348,7 +348,8 @@ class ResBlock(Module):
         c_first, c_second, cr = ctx
         g = leaky_relu_backward(grad, cr)
         grad_in = self.first.backward(g, c_first)
-        return grad_in + (g if self.second is None else self.second.backward(g, c_second))
+        grad_in += g if self.second is None else self.second.backward(g, c_second)
+        return grad_in
 
 
 ASYM_KERNELS = {"asym": ((1, 3, 3), (3, 1, 3)), "asym1d": ((1, 3, 1), (3, 1, 1))}
@@ -390,7 +391,8 @@ class DownBlock(Module):
 
     def backward(self, grad, grad_skip, ctx):
         c_res, c_down = ctx
-        g = self.down.backward(grad, c_down) + grad_skip
+        g = self.down.backward(grad, c_down)
+        g += grad_skip
         return self.res.backward(g, c_res)
 
 
@@ -447,7 +449,7 @@ class DDCM(Module):
         g_gate = grad * x.features
         for (c1, c2), conv in zip(branch_ctxs, self.convs):
             g = sigmoid_backward(g_gate, c2)
-            grad_in = grad_in + conv.backward(g, c1)
+            grad_in += conv.backward(g, c1)
         return grad_in
 
 
@@ -561,7 +563,8 @@ class SegmentationNetwork(Module):
         # a point wins at most one cell per channel, so no target repeats
         g_points = np.zeros_like(g_h)
         g_points[winners, np.arange(g.shape[1])] += g
-        self.point_mlp.backward(g_h + g_points, c_mlp)
+        g_h += g_points
+        self.point_mlp.backward(g_h, c_mlp)
 
     def predict(self, cloud: PointCloud) -> np.ndarray:
         """Per-point class predictions (argmax of the refined logits).

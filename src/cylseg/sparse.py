@@ -532,7 +532,8 @@ def batch_norm_forward(features: np.ndarray, norm: NormParams, training: bool):
     Training mode uses batch statistics (biased variance) and updates the
     running buffers in place: running = momentum * running + (1 - momentum)
     * batch. Inference mode uses the running buffers. It computes in the
-    dtype of ``features``.
+    dtype of ``features``. The variance is ``features.var``'s: the mean of
+    the squared deviations, squared into the buffer that then takes ``out``.
     """
     features = as_features(features)
     dtype = features.dtype
@@ -540,51 +541,61 @@ def batch_norm_forward(features: np.ndarray, norm: NormParams, training: bool):
         if features.shape[0] == 0:
             raise ValueError("batch norm in training mode needs at least one site")
         mean = features.mean(axis=0)
-        var = features.var(axis=0)
+        xhat = features - mean
+        out = np.multiply(xhat, xhat)
+        var = out.mean(axis=0)
         norm.running_mean *= norm.momentum
         norm.running_mean += (1 - norm.momentum) * mean
         norm.running_var *= norm.momentum
         norm.running_var += (1 - norm.momentum) * var
     else:
         mean, var = norm.running_mean, norm.running_var
+        xhat = features - mean.astype(dtype, copy=False)
+        out = np.empty_like(xhat)
     inv_std = (1.0 / np.sqrt(var + norm.eps)).astype(dtype, copy=False)
-    xhat = (features - mean.astype(dtype, copy=False)) * inv_std
+    xhat *= inv_std
     scale = norm.scale.astype(dtype, copy=False)
-    out = scale * xhat + norm.shift.astype(dtype, copy=False)
+    np.multiply(scale, xhat, out=out)
+    out += norm.shift.astype(dtype, copy=False)
     ctx = (xhat, inv_std, scale, training)
     return out, ctx
 
 
 def batch_norm_backward(grad_out: np.ndarray, ctx):
+    """Gradients w.r.t. the input, ``scale`` and ``shift``. In training mode
+    the two batch means are ``grad_shift / n`` and ``grad_scale / n``: a mean
+    is its sum divided by ``n``."""
     xhat, inv_std, scale, training = ctx
     grad_out = np.asarray(grad_out, dtype=_DTYPE)
-    grad_scale = (grad_out * xhat).sum(axis=0)
+    prod = grad_out * xhat
+    grad_scale = prod.sum(axis=0)
     grad_shift = grad_out.sum(axis=0)
     if training:
-        grad_in = (
-            scale
-            * inv_std
-            * (grad_out - grad_out.mean(axis=0) - xhat * (grad_out * xhat).mean(axis=0))
-        )
+        n = grad_out.shape[0]
+        grad_in = grad_out - grad_shift / n
+        grad_in -= np.multiply(xhat, grad_scale / n, out=prod)
+        grad_in *= scale * inv_std
     else:
-        grad_in = grad_out * scale * inv_std
+        grad_in = grad_out * scale
+        grad_in *= inv_std
     return grad_in, grad_scale, grad_shift
 
 
 def leaky_relu_forward(features: np.ndarray, slope: float = 0.1, inplace: bool = False):
-    """``inplace`` overwrites ``features`` and keeps no mask, for a forward
-    that runs no backward; ``max(x, slope * x)`` needs ``0 <= slope <= 1``."""
+    """``max(x, slope * x)``, which needs ``0 <= slope <= 1``. ``inplace``
+    overwrites ``features`` and keeps no mask, for a forward that runs no
+    backward."""
     features = as_features(features)
-    if inplace:
-        return np.maximum(features, slope * features, out=features), None
-    neg = features < 0
-    out = np.where(neg, slope * features, features)
-    return out, (neg, slope)
+    ctx = None if inplace else (features < 0, slope)
+    scaled = slope * features
+    return np.maximum(features, scaled, out=features if inplace else scaled), ctx
 
 
 def leaky_relu_backward(grad_out: np.ndarray, ctx):
     neg, slope = ctx
-    return np.where(neg, slope * grad_out, grad_out)
+    factor = np.array([1.0, slope], dtype=grad_out.dtype)[neg.view(np.uint8)]
+    factor *= grad_out
+    return factor
 
 
 def sigmoid_forward(features: np.ndarray):

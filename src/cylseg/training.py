@@ -185,9 +185,18 @@ class Adam(object):
             v = self.v[name]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
+            step = np.multiply(1.0 - self.beta2, g)
+            step *= g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            self.params[name] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            v += step
+            # lr * (m / c1) / (sqrt(v / c2) + eps), in two buffers
+            np.divide(m, c1, out=step)
+            step *= self.lr
+            denom = np.divide(v, c2)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            self.params[name] -= step
 
 
 def _relative_error(a: float, b: float) -> float:

@@ -160,6 +160,22 @@ def test_point_mlp_frees_each_training_buffer_when_it_is_done():
     assert backward_peak < 7.6
 
 
+def test_affine_adds_its_bias_into_the_product():
+    # units of one 16,384 x 64 float64 array: the output alone, with no
+    # second array for ``feats @ W`` before the bias is added
+    n, unit = 16_384, 16_384 * 64 * 8
+    rng = np.random.default_rng(1)
+    affine = Affine(64, 64, rng)
+    feats = rng.standard_normal((n, 64))
+    tracemalloc.start()
+    try:
+        affine.forward(feats, training=True)
+        peak = tracemalloc.get_traced_memory()[1] / unit
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5
+
+
 # ------------------------------------------------------------------ res blocks
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -10,6 +11,7 @@ from cylseg.sparse import (
     MAX_CELLS,
     ConvParams,
     KernelSpec,
+    NormParams,
     SiteIndex,
     SparseTensor,
     batch_norm_backward,
@@ -639,6 +641,153 @@ def test_leaky_relu_values_and_gradient():
     grad = leaky_relu_backward(np.ones_like(feats), ctx)
     # v = 0 sits on the v >= 0 branch of the forward, so its slope is 1
     np.testing.assert_allclose(grad, [[0.1, 1.0, 1.0]])
+
+
+def test_leaky_relu_with_slope_zero_makes_nan_of_plus_inf():
+    # max(x, 0 * x) with 0 * inf = nan, as predict's in-place route always
+    # did; the np.where form gave +inf there (and nan for -inf, as here)
+    with np.errstate(invalid="ignore"):
+        out, _ = leaky_relu_forward(np.array([[np.inf, -np.inf, 2.0]]), 0.0)
+    np.testing.assert_array_equal(out, [[np.nan, np.nan, 2.0]])
+
+
+# The kernels' first forms, kept as references for their bytes: the
+# ``np.where`` leaky ReLU, the batch norm forward through ``features.var``
+# and its backward through three batch means.
+
+
+def _where_leaky_forward(features, slope):
+    neg = features < 0
+    return np.where(neg, slope * features, features), neg
+
+
+def _where_leaky_backward(grad_out, neg, slope):
+    return np.where(neg, slope * grad_out, grad_out)
+
+
+def _var_batch_norm_forward(features, norm, training):
+    dtype = features.dtype
+    if training:
+        mean = features.mean(axis=0)
+        var = features.var(axis=0)
+        norm.running_mean *= norm.momentum
+        norm.running_mean += (1 - norm.momentum) * mean
+        norm.running_var *= norm.momentum
+        norm.running_var += (1 - norm.momentum) * var
+    else:
+        mean, var = norm.running_mean, norm.running_var
+    inv_std = (1.0 / np.sqrt(var + norm.eps)).astype(dtype, copy=False)
+    xhat = (features - mean.astype(dtype, copy=False)) * inv_std
+    scale = norm.scale.astype(dtype, copy=False)
+    out = scale * xhat + norm.shift.astype(dtype, copy=False)
+    return out, (xhat, inv_std, scale, training)
+
+
+def _three_mean_batch_norm_backward(grad_out, ctx):
+    xhat, inv_std, scale, training = ctx
+    grad_scale = (grad_out * xhat).sum(axis=0)
+    grad_shift = grad_out.sum(axis=0)
+    if training:
+        grad_in = (
+            scale
+            * inv_std
+            * (grad_out - grad_out.mean(axis=0) - xhat * (grad_out * xhat).mean(axis=0))
+        )
+    else:
+        grad_in = grad_out * scale * inv_std
+    return grad_in, grad_scale, grad_shift
+
+
+def _assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def _kernel_input(shape, dtype, rng, special=False):
+    """Normal draws with +0.0 and -0.0 in every nine values, and with
+    ``special`` also +inf, -inf and NaN of both signs."""
+    x = rng.standard_normal(shape) * 3.0
+    x.flat[4::9] = 0.0
+    x.flat[5::9] = -0.0
+    if special:
+        for i, value in enumerate((np.inf, -np.inf, np.nan, -np.nan)):
+            x.flat[i::9] = value
+    return x.astype(dtype)
+
+
+KERNEL_SHAPES = [(1, 8), (5, 8), (16_384, 64)]
+# float64 training, float64 inference, and predict's float32 inference
+KERNEL_ROUTES = [(np.float64, True), (np.float64, False), (np.float32, False)]
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+@pytest.mark.parametrize("dtype, training", KERNEL_ROUTES)
+def test_batch_norm_keeps_the_bytes_of_its_first_form(shape, dtype, training):
+    rng = np.random.default_rng(31)
+    c = shape[1]
+    stats = (rng.uniform(0.5, 2.0, c), rng.normal(0.0, 0.5, c),
+             rng.normal(0.0, 0.5, c), rng.uniform(0.2, 3.0, c))
+    norm, reference = (NormParams(*(a.copy() for a in stats)) for _ in range(2))
+    for _ in range(3):
+        x = _kernel_input(shape, dtype, rng)
+        probe = _kernel_input(shape, np.float64, rng)
+        out, ctx = batch_norm_forward(x, norm, training)
+        want, want_ctx = _var_batch_norm_forward(x, reference, training)
+        _assert_same_bytes(out, want)
+        for got, want in zip(ctx, want_ctx):
+            _assert_same_bytes(got, want)
+        grads = batch_norm_backward(probe, ctx)
+        for got, want in zip(grads, _three_mean_batch_norm_backward(probe, want_ctx)):
+            _assert_same_bytes(got, want)
+    _assert_same_bytes(norm.running_mean, reference.running_mean)
+    _assert_same_bytes(norm.running_var, reference.running_var)
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+@pytest.mark.parametrize("dtype, training", KERNEL_ROUTES)
+@pytest.mark.parametrize(
+    "slope, special", [(0.0, False), (0.1, False), (1.0, False), (0.1, True), (1.0, True)]
+)
+def test_leaky_relu_keeps_the_bytes_of_its_where_form(shape, dtype, training, slope, special):
+    rng = np.random.default_rng(32)
+    x = _kernel_input(shape, dtype, rng, special)
+    want, neg = _where_leaky_forward(x, slope)
+    inplace = not training and dtype == np.float32  # predict's route
+    out, ctx = leaky_relu_forward(x.copy() if inplace else x, slope, inplace)
+    _assert_same_bytes(out, want)
+    if not inplace:
+        probe = _kernel_input(shape, np.float64, rng, special)
+        _assert_same_bytes(leaky_relu_backward(probe, ctx),
+                           _where_leaky_backward(probe, neg, slope))
+
+
+def _peak_units(fn, *args):
+    """Peak traced allocation of ``fn(*args)``, its result included, in
+    units of one 16,384 x 64 float64 array."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / (16_384 * 64 * 8)
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_kernels_make_no_second_full_size_temporary():
+    # Each returns one array the size of its input (batch norm two: its
+    # output and xhat, which the backward needs) and makes no other; the
+    # leaky forward also keeps its mask, an eighth of a unit.
+    rng = np.random.default_rng(33)
+    x = rng.standard_normal((16_384, 64))
+    probe = rng.standard_normal((16_384, 64))
+    _, ctx = leaky_relu_forward(x, 0.1)
+    peaks = {
+        "batch_norm_forward": _peak_units(batch_norm_forward, x, init_norm_params(64), True),
+        "leaky_relu_forward": _peak_units(leaky_relu_forward, x, 0.1),
+        "leaky_relu_backward": _peak_units(leaky_relu_backward, probe, ctx),
+    }
+    bounds = {"batch_norm_forward": 2.5, "leaky_relu_forward": 1.5, "leaky_relu_backward": 1.5}
+    assert not {name: peak for name, peak in peaks.items() if peak >= bounds[name]}
 
 
 def test_sigmoid_bounds():
