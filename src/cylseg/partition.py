@@ -17,7 +17,7 @@ import numpy as np
 
 from .metrics import ConfusionMatrix, compute_miou
 from .pointcloud import TWO_PI, PointCloud
-from .sparse import SparseTensor, as_features, check_shape, occupied_keys
+from .sparse import SparseTensor, as_features, check_shape, in_lanes, occupied_keys
 
 
 def _cyl_columns(xyz) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -339,22 +339,29 @@ def occupancy_by_distance(
 
     Each cell contributes to the bin containing its center's planar
     distance from the origin; the reported proportion is averaged over the
-    input clouds. Bins containing no cells report ``None``.
+    input clouds. Bins containing no cells report ``None``. The clouds are
+    binned one per CPU (``in_lanes``) and summed in their order, so the
+    rows do not depend on how many CPUs there are.
     """
     edges = np.asarray(distance_bins, dtype=np.float64)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("distance_bins must be at least two increasing edges")
     if not clouds:
         raise ValueError("need at least one cloud")
+    schemes = (("cylindrical", cyl_grid), ("cubic", cubic_grid))
+
+    def occupied(cloud):
+        return [_count_in_bins(grid.cell_planar_distance(assign_cells(cloud, grid).cells), edges)
+                for _, grid in schemes]
+
+    per_cloud = in_lanes(occupied, clouds)
     rows = []
-    for scheme, grid in (("cylindrical", cyl_grid), ("cubic", cubic_grid)):
+    for i, (scheme, grid) in enumerate(schemes):
         totals = grid.distance_cell_counts(edges)
+        nonzero = totals > 0
         acc = np.zeros(len(edges) - 1, dtype=np.float64)
-        for cloud in clouds:
-            mapping = assign_cells(cloud, grid)
-            occ = _count_in_bins(grid.cell_planar_distance(mapping.cells), edges)
-            nonzero = totals > 0
-            acc[nonzero] += occ[nonzero] / totals[nonzero]
+        for occ in per_cloud:
+            acc[nonzero] += occ[i][nonzero] / totals[nonzero]
         acc /= len(clouds)
         for b in range(len(edges) - 1):
             prop = float(acc[b]) if totals[b] > 0 else None

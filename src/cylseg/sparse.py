@@ -358,6 +358,7 @@ def _check_rulebook_input(x: SparseTensor, rulebook: Rulebook) -> None:
 # on the conv alone, never on the CPUs, which run the blocks round-robin.
 _BLOCK_MACS = 1 << 26
 _MAX_BLOCKS = 8
+_MAX_LANES = 8  # threads that ``in_lanes`` runs work on, the caller's included
 _POOL = None  # runs every lane but the caller's; made on first use
 
 
@@ -379,7 +380,7 @@ def _pool():
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor
 
-        _POOL = ThreadPoolExecutor(min(_cpu_count(), _MAX_BLOCKS) - 1, "cylseg-conv")
+        _POOL = ThreadPoolExecutor(min(_cpu_count(), _MAX_LANES) - 1, "cylseg")
     return _POOL
 
 
@@ -393,6 +394,37 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def in_lanes(work, items) -> list:
+    """``[work(item) for item in items]``, run in lanes: one per CPU the
+    process may use (at most ``_MAX_LANES``, never more than the items),
+    the first on the calling thread and the others on a pool made on first
+    use. Lane ``i`` of ``n`` runs items ``i, i + n, ...`` in order. It waits
+    for every lane, also when one raises; the error raised is the lowest
+    failing lane's. With one lane nothing runs off the calling thread and
+    no pool is made.
+
+    ``work`` must not call ``in_lanes``: a lane on the pool would then wait
+    on the pool it occupies.
+    """
+    items = list(items)
+    lanes = max(1, min(_cpu_count(), _MAX_LANES, len(items)))
+
+    def lane(first):
+        return [work(item) for item in items[first::lanes]]
+
+    waiting = [_pool().submit(lane, first) for first in range(1, lanes)]
+    try:
+        done = [lane(0)]
+    finally:
+        for future in waiting:
+            future.exception()  # waits, and keeps the caller's own error
+    done += [future.result() for future in waiting]
+    results = [None] * len(items)
+    for first, got in enumerate(done):
+        results[first::lanes] = got
+    return results
+
+
 def _row_blocks(rows: int, blocks: int) -> List[Tuple[int, int]]:
     """``blocks`` contiguous, near-equal ``(lo, hi)`` ranges covering ``rows``."""
     edges = [rows * b // blocks for b in range(blocks + 1)]
@@ -402,22 +434,24 @@ def _row_blocks(rows: int, blocks: int) -> List[Tuple[int, int]]:
 def _conv_rows(features, weights, bias, rulebook: Rulebook, out, lo: int, hi: int) -> None:
     """Output rows ``lo:hi`` of the convolution, written into ``out``: the
     offsets in ascending order, each on its pairs whose output site lies in
-    the block, a slice of its ascending ``out_idx``."""
+    the block, a slice of its ascending ``out_idx``. Rows move by ``np.take``
+    and are stored whole through a view of each row of ``out`` as one item,
+    which costs less per row than fancy indexing on narrow rows; the sums
+    are ``out[dst] += prod``'s."""
     block = out[lo:hi]
     block[:] = bias
+    row = np.dtype((np.void, out.shape[1] * out.itemsize))
+    rows = out.view(row)
     for k, (in_idx, out_idx) in enumerate(rulebook.pairs):
         if k == rulebook.identity_offset:
             block += features[lo:hi] @ weights[k]
             continue
         first, last = out_idx.searchsorted((lo, hi)).tolist()
         if last > first:
-            out[out_idx[first:last]] += features[in_idx[first:last]] @ weights[k]
-
-
-def _conv_lane(blocks, lanes: int, lane: int, *args) -> None:
-    """Lane ``lane`` of ``lanes`` runs every ``lanes``-th block from its own."""
-    for lo, hi in blocks[lane::lanes]:
-        _conv_rows(*args, lo, hi)
+            dst = out_idx[first:last]
+            acc = np.take(out, dst, axis=0)
+            acc += np.take(features, in_idx[first:last], axis=0) @ weights[k]
+            rows[dst] = acc.view(row)
 
 
 def _run_conv(features, weights, bias, rulebook: Rulebook) -> np.ndarray:
@@ -425,18 +459,11 @@ def _run_conv(features, weights, bias, rulebook: Rulebook) -> np.ndarray:
     ``features``, offsets accumulated in ascending order (the identity
     offset's GEMM on the whole feature array, with the same sums). A large
     conv runs in blocks of output rows (``_block_count``), spread over the
-    CPUs the process may use; the bytes do not depend on how many."""
+    CPUs by ``in_lanes``; the bytes do not depend on how many."""
     _, c_in, c_out = weights.shape
     out = np.empty((rulebook.out_coords.shape[0], c_out), dtype=features.dtype)
     blocks = _row_blocks(out.shape[0], _block_count(rulebook.num_pairs * c_in * c_out))
-    lanes = min(_cpu_count(), len(blocks))
-    args = (features, weights, bias, rulebook, out)
-    waiting = [_pool().submit(_conv_lane, blocks, lanes, lane, *args) for lane in range(1, lanes)]
-    try:
-        _conv_lane(blocks, lanes, 0, *args)
-    finally:
-        for lane in waiting:
-            lane.result()
+    in_lanes(lambda span: _conv_rows(features, weights, bias, rulebook, out, *span), blocks)
     return out
 
 
@@ -461,8 +488,10 @@ def sparse_conv_backward(
     x: SparseTensor, params: ConvParams, rulebook: Rulebook, grad_out: np.ndarray
 ):
     """Gradients of the convolution w.r.t. input features, weights and bias;
-    the input gradient is the conv's kernel run as its adjoint."""
-    grad_out = np.asarray(grad_out, dtype=_DTYPE)
+    the input gradient is the conv's kernel run as its adjoint. A strided
+    ``grad_out`` (a concat's share) is copied once: ``np.take`` would copy
+    it whole per offset."""
+    grad_out = np.ascontiguousarray(grad_out, dtype=_DTYPE)
     _, c_in, c_out = params.weights.shape
     if grad_out.shape != (rulebook.out_coords.shape[0], c_out):
         raise ValueError("grad_out shape mismatch")
@@ -473,7 +502,8 @@ def sparse_conv_backward(
         if k == rulebook.identity_offset:
             grad_w[k] = x.features.T @ grad_out
         elif in_idx.size:
-            grad_w[k] = x.features[in_idx].T @ grad_out[out_idx]
+            rows = np.take(x.features, in_idx, axis=0)
+            grad_w[k] = rows.T @ np.take(grad_out, out_idx, axis=0)
     return grad_in, grad_w, grad_out.sum(axis=0)
 
 

@@ -1,16 +1,19 @@
 """A large conv, and a large conv's input gradient, runs in blocks of output
 rows, on as many threads as there are CPUs, and gives the same bytes
-whatever the number of threads."""
+whatever the number of threads; so do the occupancy statistics, which bin
+one cloud per thread through the same lanes."""
 
 import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from cylseg import sparse
+from cylseg import partition, sparse
+from cylseg.pointcloud import SyntheticSceneSpec, generate_synthetic_scene
 from cylseg.selftest import NETWORK_KERNELS, random_sparse
 from cylseg.sparse import (
     ConvParams,
@@ -33,7 +36,8 @@ def _conv_on_lanes(x, params, rb, blocks, lanes):
     out = _empty_out(x, params, rb)
     spans = sparse._row_blocks(len(out), blocks)
     for lane in reversed(range(lanes)):
-        sparse._conv_lane(spans, lanes, lane, x.features, weights, params.bias, rb, out)
+        for lo, hi in spans[lane::lanes]:
+            sparse._conv_rows(x.features, weights, params.bias, rb, out, lo, hi)
     return out
 
 
@@ -255,9 +259,96 @@ def test_importing_the_package_leaves_the_pool_module_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def _conv_in_child(x, params, rb, expected):
+def _occupancy_clouds(count, points=3_000):
+    return [generate_synthetic_scene(SyntheticSceneSpec(seed=40 + i, num_points=points))
+            for i in range(count)]
+
+
+def _serial_occupancy(clouds):
+    """Reference: the default grids' rows, one grid and then one cloud after
+    another, on this thread."""
+    edges = np.asarray(partition.DEFAULT_DISTANCE_EDGES)
+    rows = []
+    for scheme, grid in (("cylindrical", partition.DEFAULT_CYL_GRID),
+                         ("cubic", partition.DEFAULT_CUBIC_GRID)):
+        totals = grid.distance_cell_counts(edges)
+        nonzero = totals > 0
+        acc = np.zeros(len(edges) - 1)
+        for cloud in clouds:
+            cells = partition.assign_cells(cloud, grid).cells
+            occ = partition._count_in_bins(grid.cell_planar_distance(cells), edges)
+            acc[nonzero] += occ[nonzero] / totals[nonzero]
+        acc /= len(clouds)
+        rows += [(scheme, float(lo), float(hi), float(a) if n else None)
+                 for lo, hi, a, n in zip(edges[:-1], edges[1:], acc, nonzero)]
+    return rows
+
+
+def _occupancy(clouds):
+    return [(r.scheme, r.distance_lo, r.distance_hi, r.nonempty_proportion)
+            for r in partition.occupancy_by_distance(clouds)]
+
+
+def test_occupancy_rows_are_the_serial_loops_at_every_lane_count(fresh_pool, monkeypatch):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for count in (1, 2, 5):
+            clouds = _occupancy_clouds(count)
+            expected = repr(_serial_occupancy(clouds))
+            for lanes in (8, 3, 2, 1):
+                monkeypatch.setattr(sparse, "_cpu_count", lambda: lanes)
+                assert repr(_occupancy(clouds)) == expected, (count, lanes)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_cloud_or_one_cpu_makes_no_pool(fresh_pool, monkeypatch):
+    _occupancy(_occupancy_clouds(1))
+    assert sparse._POOL is None
+    monkeypatch.setattr(sparse, "_cpu_count", lambda: 1)
+    _occupancy(_occupancy_clouds(5))
+    assert sparse._POOL is None
+
+
+def test_a_malformed_cloud_on_a_pool_lane_raises_the_serial_loops_error(
+    fresh_pool, monkeypatch
+):
+    monkeypatch.setattr(sparse, "_cpu_count", lambda: 2)
+    clouds = _occupancy_clouds(3)
+    bad = clouds[:1] + [np.zeros((50, 2))] + clouds[1:]  # index 1 runs on the pool's lane
+    with pytest.raises(ValueError) as serial:
+        _serial_occupancy(bad)
+    with pytest.raises(ValueError) as lanes:
+        _occupancy(bad)
+    assert str(lanes.value) == str(serial.value) == "expected (N, 3) positions, got (50, 2)"
+    assert sparse._POOL is not None
+    assert _occupancy(clouds) == _serial_occupancy(clouds)
+
+
+def test_in_lanes_waits_for_every_lane_when_the_callers_raises(fresh_pool, monkeypatch):
+    monkeypatch.setattr(sparse, "_cpu_count", lambda: 3)
+    finished = []
+
+    def work(item):
+        if item == 0:
+            raise KeyError(item)
+        time.sleep(0.05)
+        finished.append(item)
+        return item
+
+    with pytest.raises(KeyError):
+        sparse.in_lanes(work, range(3))
+    assert sorted(finished) == [1, 2]
+    assert sparse.in_lanes(lambda item: item * item, range(7)) == [i * i for i in range(7)]
+    assert sparse.in_lanes(work, []) == []
+
+
+def _in_child(x, params, rb, expected, clouds, rows):
     got = sparse_conv_forward(x, params, rb).features
     assert got.tobytes() == expected
+    assert sparse._cpu_count() == 8 and len(clouds) == 2  # two lanes
+    assert _occupancy(clouds) == rows
 
 
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
@@ -265,13 +356,14 @@ def test_a_forked_child_runs_a_large_conv(fresh_pool):
     x, params, rb = _large_conv(6)
     expected = sparse_conv_forward(x, params, rb).features.tobytes()
     assert sparse._POOL is not None  # the child inherits it, but not its threads
+    clouds = _occupancy_clouds(2)  # binned on two lanes in the child
     child = multiprocessing.get_context("fork").Process(
-        target=_conv_in_child, args=(x, params, rb, expected)
+        target=_in_child, args=(x, params, rb, expected, clouds, _serial_occupancy(clouds))
     )
     child.start()
     child.join(timeout=60)
     if child.exitcode is None:
         child.kill()
         child.join()
-        pytest.fail("the forked child's conv hung")
+        pytest.fail("the forked child hung")
     assert child.exitcode == 0
