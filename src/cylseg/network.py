@@ -198,7 +198,7 @@ class Affine(Module):
             grad = self.norm.backward(grad, c_norm)
         self.grads["weight"] += feats.T @ grad
         self.grads["bias"] += grad.sum(axis=0)
-        return grad @ self.weight.T
+        return grad @ self.weight.T.astype(grad.dtype, copy=False)
 
 
 class BatchNorm(Module):
@@ -501,8 +501,9 @@ class SegmentationNetwork(Module):
     ) -> ForwardResult:
         """Run the full pipeline; pure w.r.t. parameters when not training.
 
-        Every layer computes in the dtype of the point features, float64
-        unless ``predict`` asks for float32. Without training no backward
+        Every layer computes in the dtype of the point features: float64
+        by default (the oracles and gradient checks), float32 where
+        ``train_step`` and ``predict`` ask for it. Without training no backward
         context is kept: each is dropped as soon as it is made, and each skip
         tensor once its up block has used it.
         """
@@ -539,15 +540,17 @@ class SegmentationNetwork(Module):
         return ForwardResult(logits, point_logits, mapping, ctx)
 
     def backward(self, result: ForwardResult, grad_voxel: np.ndarray, grad_point: np.ndarray):
-        """Accumulate parameter gradients for a training-mode forward pass."""
+        """Accumulate parameter gradients for a training-mode forward pass,
+        computing in that pass's dtype; the gradient buffers stay float64."""
         if result.ctx is None:
             raise ValueError("backward requires a forward pass run with training=True")
         winners, c_mlp, c_downs, c_ddcm, c_ups, c_head, c_refine = result.ctx
         k = self.config.num_classes
         mapping = result.mapping
 
-        g_refine_in = self.refine.backward(np.asarray(grad_point, dtype=np.float64), c_refine)
-        g_logits = np.array(grad_voxel, dtype=np.float64)
+        dtype = result.point_logits.dtype
+        g_refine_in = self.refine.backward(np.asarray(grad_point, dtype=dtype), c_refine)
+        g_logits = np.array(grad_voxel, dtype=dtype)
         np.add.at(g_logits, mapping.point_site, g_refine_in[:, :k])
         g_h = g_refine_in[:, k:].copy()
 

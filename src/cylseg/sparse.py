@@ -46,9 +46,9 @@ _DTYPE = np.float64
 
 
 def as_features(features) -> np.ndarray:
-    """Features (or folded parameters) to compute on: float32 stays float32
-    (the inference route), anything else becomes float64. Each op computes in
-    its input's dtype."""
+    """Features, gradients (or folded parameters) to compute on: float32
+    stays float32 (training and ``predict``), anything else becomes float64.
+    Each op, forward or backward, computes in its input's dtype."""
     features = np.asarray(features)
     return features if features.dtype == np.float32 else features.astype(_DTYPE, copy=False)
 
@@ -117,7 +117,7 @@ class SparseTensor:
     ascending flat-key order (so each site appears once)."""
 
     coords: np.ndarray  # (M, 3) int64
-    features: np.ndarray  # (M, C) float64, or float32 on the inference route
+    features: np.ndarray  # (M, C) float32 in training and predict, float64 otherwise
     spatial_shape: Tuple[int, int, int]
 
     def __post_init__(self):
@@ -488,15 +488,17 @@ def sparse_conv_backward(
     x: SparseTensor, params: ConvParams, rulebook: Rulebook, grad_out: np.ndarray
 ):
     """Gradients of the convolution w.r.t. input features, weights and bias;
-    the input gradient is the conv's kernel run as its adjoint. A strided
-    ``grad_out`` (a concat's share) is copied once: ``np.take`` would copy
-    it whole per offset."""
-    grad_out = np.ascontiguousarray(grad_out, dtype=_DTYPE)
+    the input gradient is the conv's kernel run as its adjoint, in the dtype
+    of ``grad_out`` (float32 stays float32), with the float64 weights cast
+    per call. A strided ``grad_out`` (a concat's share) is copied once:
+    ``np.take`` would copy it whole per offset."""
+    grad_out = np.ascontiguousarray(as_features(grad_out))
     _, c_in, c_out = params.weights.shape
     if grad_out.shape != (rulebook.out_coords.shape[0], c_out):
         raise ValueError("grad_out shape mismatch")
-    adjoint = params.weights.transpose(0, 2, 1)
-    grad_in = _run_conv(grad_out, adjoint, np.zeros(c_in), rulebook.transposed())
+    adjoint = params.weights.transpose(0, 2, 1).astype(grad_out.dtype, copy=False)
+    zero = np.zeros(c_in, dtype=grad_out.dtype)
+    grad_in = _run_conv(grad_out, adjoint, zero, rulebook.transposed())
     grad_w = np.zeros_like(params.weights)
     for k, (in_idx, out_idx) in enumerate(rulebook.pairs):
         if k == rulebook.identity_offset:
@@ -596,7 +598,7 @@ def batch_norm_backward(grad_out: np.ndarray, ctx):
     the two batch means are ``grad_shift / n`` and ``grad_scale / n``: a mean
     is its sum divided by ``n``."""
     xhat, inv_std, scale, training = ctx
-    grad_out = np.asarray(grad_out, dtype=_DTYPE)
+    grad_out = as_features(grad_out)
     prod = grad_out * xhat
     grad_scale = prod.sum(axis=0)
     grad_shift = grad_out.sum(axis=0)

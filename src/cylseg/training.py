@@ -21,12 +21,19 @@ from .partition import encode_cell_labels
 from .pointcloud import PointCloud
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted for stability."""
+def _shifted_exp(logits: np.ndarray):
+    """``(z, exp(z), sum of exp(z) per row)`` for float64 logits shifted so
+    each row's maximum is 0."""
     z = np.asarray(logits, dtype=np.float64)
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return z, e, e.sum(axis=1, keepdims=True)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, shifted for stability."""
+    _, e, total = _shifted_exp(logits)
+    return e / total
 
 
 def softmax_grad_to_logits(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
@@ -61,7 +68,10 @@ def weighted_cross_entropy(
     """Class-weighted cross-entropy, normalized by the summed target weights.
 
     Returns (value, grad_logits). Rows whose target equals ``ignore_id``
-    contribute nothing; if every row is ignored the loss is zero.
+    contribute nothing; if every row is ignored the loss is zero. Each row's
+    ``-log p_t`` is ``log sum exp(z - max) - (z_t - max)``, which stays finite
+    where ``p_t`` underflows to 0 (a target logit more than about 745 below
+    the row's maximum).
     """
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
@@ -75,12 +85,14 @@ def weighted_cross_entropy(
     t = targets[keep]
     if t.min() < 0 or t.max() >= k:
         raise ValueError("targets out of range")
-    p = softmax(logits[keep])
+    z, e, total = _shifted_exp(logits[keep])
+    p = e / total
+    rows = np.arange(len(t))
     w = weights[t]
     denom = w.sum()
-    value = float((w * -np.log(p[np.arange(len(t)), t])).sum() / denom)
+    value = float((w * (np.log(total[:, 0]) - z[rows, t])).sum() / denom)
     g = p * w[:, None]
-    g[np.arange(len(t)), t] -= w
+    g[rows, t] -= w
     grad[keep] = g / denom
     return value, grad
 
@@ -307,11 +319,16 @@ def train_step(
     weights: Optional[np.ndarray] = None,
     ignore_id: int = 255,
 ) -> LossReport:
-    """One cloud, one optimizer update. Returns the loss breakdown."""
+    """One cloud, one optimizer update. Returns the loss breakdown.
+
+    The forward and backward passes compute in float32; the losses, the
+    parameters, their gradients and Adam's moments are float64, the master
+    copy of mixed-precision training (Micikevicius et al., ICLR 2018).
+    """
     if cloud.labels is None:
         raise ValueError("training clouds must carry labels")
     k = network.config.num_classes
-    result = network.forward(cloud, training=True)
+    result = network.forward(cloud, training=True, _dtype=np.float32)
     targets = encode_cell_labels(result.mapping, cloud.labels, "majority", k, ignore_id)
     report = segmentation_loss(
         result.voxel_logits.features,

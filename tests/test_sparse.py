@@ -579,6 +579,50 @@ def test_conv_backward_equals_the_hand_written_loop_bitwise():
     assert len(seen) == 2 * len(NETWORK_KERNELS)
 
 
+@pytest.mark.parametrize("inverse", [False, True])
+def test_conv_backward_computes_in_the_dtype_of_grad_out(inverse):
+    # float32 in, float32 input gradient out, within float32 rounding of the
+    # float64 result on the same values; a float64 grad_out stays float64
+    rng = np.random.default_rng(67)
+    x = random_sparse(rng, max_shape=(10, 10, 10), max_sites=400)
+    x = x.with_features(rng.standard_normal((x.num_sites, 6)))
+    kernel = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
+    rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+    if inverse:
+        back, book = inverse_conv_backward, rb.transposed()
+        x = SparseTensor(rb.out_coords, rng.standard_normal((len(rb.out_coords), 3)),
+                         rb.out_shape)
+    else:
+        back, book = sparse_conv_backward, rb
+    params = init_conv_params(kernel, x.num_channels, 5, rng)
+    x32 = x.with_features(x.features.astype(np.float32))
+    x64 = x.with_features(x32.features.astype(np.float64))
+    grad = rng.standard_normal((len(book.out_coords), 5)).astype(np.float32)
+    got = back(x32, params, rb, grad)
+    want = back(x64, params, rb, grad.astype(np.float64))
+    assert got[0].dtype == np.float32 and got[2].dtype == np.float32
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-5 * np.abs(w).max())
+    assert back(x32, params, rb, grad.astype(np.float64))[0].dtype == np.float64
+
+
+def test_batch_norm_backward_computes_in_the_dtype_of_grad_out():
+    rng = np.random.default_rng(68)
+    x = (rng.standard_normal((500, 8)) * 3.0 + 1.0).astype(np.float32)
+    grad = rng.standard_normal((500, 8)).astype(np.float32)
+    norm = init_norm_params(8)
+    norm.scale[:] = rng.uniform(0.5, 2.0, 8)
+    for training in (True, False):
+        _, ctx32 = batch_norm_forward(x, norm, training)
+        _, ctx64 = batch_norm_forward(x.astype(np.float64), norm, training)
+        got = batch_norm_backward(grad, ctx32)
+        want = batch_norm_backward(grad.astype(np.float64), ctx64)
+        assert all(g.dtype == np.float32 for g in got)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-5 * np.abs(w).max())
+        assert batch_norm_backward(grad.astype(np.float64), ctx32)[0].dtype == np.float64
+
+
 # ------------------------------------------------------------- pointwise ops
 
 

@@ -1,11 +1,13 @@
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
 
+from cylseg.config import load_config
 from cylseg.network import NetworkConfig, SegmentationNetwork
-from cylseg.partition import CylGridSpec
+from cylseg.partition import CylGridSpec, encode_cell_labels
 from cylseg.pointcloud import SyntheticSceneSpec, generate_synthetic_scene
 from cylseg.selftest import lovasz_brute_force
 from cylseg.training import (
@@ -20,6 +22,7 @@ from cylseg.training import (
     segmentation_loss,
     softmax,
     train_network,
+    train_step,
     weighted_cross_entropy,
     write_metrics_csv,
 )
@@ -98,6 +101,13 @@ def test_ce_all_ignored_is_zero():
     value, grad = weighted_cross_entropy(np.ones((3, 2)), np.full(3, 255))
     assert value == 0.0
     assert not grad.any()
+
+
+def test_ce_stays_finite_at_a_logit_gap_of_1000():
+    # exp(-1000) underflows to 0 in float64, so -log p_t would read inf
+    value, grad = weighted_cross_entropy(np.array([[1000.0, 0.0, -5.0]]), np.array([1]))
+    assert value == 1000.0
+    np.testing.assert_array_equal(grad, [[1.0, -1.0, 0.0]])
 
 
 def test_ce_gradient_finite_differences():
@@ -334,6 +344,49 @@ def test_train_loss_drops_over_a_few_epochs():
     net = SegmentationNetwork(config, seed=0)
     stats = train_network(net, [cloud], epochs=5, seed=0)
     assert stats[-1].total < stats[0].total
+
+
+def test_float32_training_step_tracks_the_float64_step():
+    # train_step computes in float32; the float64 step is built by hand from
+    # the same pieces on a twin network
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "toy_train.cfg"))
+    spec = SyntheticSceneSpec(seed=cfg.data.seed, num_points=cfg.data.points,
+                              max_range=cfg.data.max_range)
+    cloud = generate_synthetic_scene(spec)
+    k = cfg.network.num_classes
+    weights = class_weights([cloud.labels], k, cfg.ignore_id)
+
+    net32 = SegmentationNetwork(cfg.network, seed=0)
+    routes = []
+    backward = net32.backward
+    net32.backward = lambda result, *grads: (routes.append(result.point_logits.dtype),
+                                             backward(result, *grads))
+    optimizer = Adam(net32.named_params(), lr=cfg.train.lr)
+    report32 = train_step(net32, optimizer, cloud, weights, cfg.ignore_id)
+    assert routes == [np.float32]
+
+    net64 = SegmentationNetwork(cfg.network, seed=0)
+    result = net64.forward(cloud, training=True)
+    targets = encode_cell_labels(result.mapping, cloud.labels, "majority", k, cfg.ignore_id)
+    report64 = segmentation_loss(result.voxel_logits.features, targets, result.point_logits,
+                                 cloud.labels, weights, cfg.ignore_id)
+    net64.backward(result, report64.grad_voxel_logits, report64.grad_point_logits)
+
+    for part in ("voxel_ce", "voxel_lovasz", "point_ce"):
+        assert getattr(report32, part) == pytest.approx(getattr(report64, part), rel=1e-5)
+    g32, g64 = net32.named_grads(), net64.named_grads()
+    names = sorted(g64)
+    diff = np.concatenate([(g32[n] - g64[n]).ravel() for n in names])
+    scale = np.linalg.norm(np.concatenate([g64[n].ravel() for n in names]))
+    assert np.linalg.norm(diff) <= 1e-4 * scale
+    # per tensor against the global norm: a bias ahead of a batch norm has a
+    # float64 gradient near 1e-16, which float32 cannot reproduce relatively
+    worst = max(np.abs(g32[n] - g64[n]).max() for n in names)
+    assert worst <= 1e-4 * scale
+
+    # the master copies stay float64
+    for arrays in (net32.named_params(), g32, net32.named_state(), optimizer.m, optimizer.v):
+        assert {a.dtype for a in arrays.values()} == {np.dtype(np.float64)}
 
 
 def test_train_is_bitwise_reproducible():
