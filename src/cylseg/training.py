@@ -324,11 +324,29 @@ def train_step(
     The forward and backward passes compute in float32; the losses, the
     parameters, their gradients and Adam's moments are float64, the master
     copy of mixed-precision training (Micikevicius et al., ICLR 2018).
+    Where float32 overflows (a point at x = y = 3e38, or activations of a
+    diverging run) and the loss or a gradient is not finite, the batch-norm
+    running statistics are restored and the step is computed in float64.
     """
     if cloud.labels is None:
         raise ValueError("training clouds must carry labels")
+    state = {name: arr.copy() for name, arr in network.named_state().items()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = _gradients(network, cloud, weights, ignore_id, np.float32)
+    grads = network.named_grads()
+    if not (np.isfinite(report.total) and all(np.isfinite(g).all() for g in grads.values())):
+        for name, arr in network.named_state().items():
+            arr[...] = state[name]
+        report = _gradients(network, cloud, weights, ignore_id, np.float64)
+    optimizer.step(grads)
+    return report
+
+
+def _gradients(network, cloud, weights, ignore_id, dtype) -> LossReport:
+    """The loss of one training-mode pass computed in ``dtype``, with the
+    network's gradient buffers holding its gradients."""
     k = network.config.num_classes
-    result = network.forward(cloud, training=True, _dtype=np.float32)
+    result = network.forward(cloud, training=True, _dtype=dtype)
     targets = encode_cell_labels(result.mapping, cloud.labels, "majority", k, ignore_id)
     report = segmentation_loss(
         result.voxel_logits.features,
@@ -340,7 +358,6 @@ def train_step(
     )
     network.zero_grads()
     network.backward(result, report.grad_voxel_logits, report.grad_point_logits)
-    optimizer.step(network.named_grads())
     return report
 
 

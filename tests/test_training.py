@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from cylseg.config import load_config
 from cylseg.network import NetworkConfig, SegmentationNetwork
 from cylseg.partition import CylGridSpec, encode_cell_labels
-from cylseg.pointcloud import SyntheticSceneSpec, generate_synthetic_scene
+from cylseg.pointcloud import PointCloud, SyntheticSceneSpec, generate_synthetic_scene
 from cylseg.selftest import lovasz_brute_force
 from cylseg.training import (
     METRICS_HEADER,
@@ -387,6 +388,47 @@ def test_float32_training_step_tracks_the_float64_step():
     # the master copies stay float64
     for arrays in (net32.named_params(), g32, net32.named_state(), optimizer.m, optimizer.v):
         assert {a.dtype for a in arrays.values()} == {np.dtype(np.float64)}
+
+
+def test_a_step_that_overflows_float32_is_the_float64_step():
+    # x = y = 3e38 is a finite float32, but the point's radius, 4.2e38, is
+    # not: its input features hold inf, and a float32 batch norm makes NaN
+    config, _ = _tiny_setup()
+    xyz = np.array([[3e38, 3e38, 0.0], [1.0, 1.0, 0.0], [-2.0, 3.0, 1.0], [4.0, -1.0, 0.5]])
+    cloud = PointCloud(xyz, np.zeros(4), np.array([0, 1, 2, 1]))
+    net = SegmentationNetwork(config, seed=0)
+    optimizer = Adam(net.named_params(), lr=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = train_step(net, optimizer, cloud)
+
+    twin = SegmentationNetwork(config, seed=0)
+    result = twin.forward(cloud, training=True)
+    targets = encode_cell_labels(result.mapping, cloud.labels, "majority", 3, 255)
+    expected = segmentation_loss(result.voxel_logits.features, targets, result.point_logits,
+                                 cloud.labels, None, 255)
+    twin.backward(result, expected.grad_voxel_logits, expected.grad_point_logits)
+    Adam(twin.named_params(), lr=1e-3).step(twin.named_grads())
+
+    assert report.total == expected.total
+    for got, want in ((net.named_params(), twin.named_params()),
+                      (net.named_grads(), twin.named_grads()),
+                      (net.named_state(), twin.named_state())):
+        assert {n: a.tobytes() for n, a in got.items()} == {n: a.tobytes() for n, a in want.items()}
+    assert all(np.isfinite(p).all() for p in net.named_params().values())
+
+
+def test_a_diverging_run_keeps_its_parameters_finite():
+    # at lr = 1e9 float32 activations overflow from the second step on;
+    # those steps are computed in float64, which stays finite
+    config, cloud = _tiny_setup()
+    net = SegmentationNetwork(config, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        stats = train_network(net, [cloud], epochs=3, lr=1e9, seed=0)
+    assert all(np.isfinite(s.total) for s in stats)
+    tensors = {**net.named_params(), **net.named_state()}
+    assert all(np.isfinite(a).all() for a in tensors.values())
 
 
 def test_train_is_bitwise_reproducible():
