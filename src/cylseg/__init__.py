@@ -26,7 +26,6 @@ from .partition import (
     VoxelMapping,
     assign_cells,
     cart_to_cyl,
-    cyl_to_cart,
     encode_cell_labels,
     encoding_upper_bound_miou,
     occupancy_by_distance,

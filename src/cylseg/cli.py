@@ -20,11 +20,9 @@ from .network import SegmentationNetwork, load_checkpoint, save_checkpoint
 from .partition import encoding_upper_bound_miou, occupancy_by_distance, write_occupancy_csv
 from .pointcloud import (
     SYNTH_NUM_CLASSES,
-    LabelMap,
     PointCloud,
     SyntheticSceneSpec,
     generate_synthetic_scene,
-    identity_label_map,
     read_kitti_bin,
     read_kitti_labels,
     write_kitti_labels,
@@ -33,12 +31,6 @@ from .selftest import run_selftest
 from .training import evaluate_network, train_network, write_metrics_csv
 
 VAL_SEED_OFFSET = 10_000
-
-
-def _label_map(cfg: RunConfig) -> LabelMap:
-    if cfg.label_map is not None:
-        return cfg.label_map
-    return identity_label_map(cfg.network.num_classes, cfg.ignore_id)
 
 
 def _synthetic_clouds(cfg: RunConfig, count: int, seed_base: int) -> List[Tuple[str, PointCloud]]:
@@ -74,7 +66,6 @@ def _scan_names(directory, source: str, cfg_path) -> List[str]:
 
 def _file_clouds(cfg: RunConfig, with_labels: bool) -> List[Tuple[str, PointCloud]]:
     scans_dir = cfg.data.scans
-    label_map = _label_map(cfg)
     names = _scan_names(scans_dir, "[data] scans", cfg.path)
     if with_labels:
         if not cfg.data.labels:
@@ -85,7 +76,7 @@ def _file_clouds(cfg: RunConfig, with_labels: bool) -> List[Tuple[str, PointClou
         cloud = read_kitti_bin(os.path.join(scans_dir, name + ".bin"))
         if with_labels:
             path = os.path.join(cfg.data.labels, name + ".label")
-            cloud = cloud.with_labels(read_kitti_labels(path, label_map, cloud.n))
+            cloud = cloud.with_labels(read_kitti_labels(path, cfg.label_map, cloud.n))
         out.append((name, cloud))
     return out
 
@@ -189,11 +180,10 @@ def _print_eval(iou: np.ndarray, miou: float) -> None:
 def _cmd_eval(args) -> int:
     cfg = load_config(args.config)
     if args.predictions:
-        label_map = _label_map(cfg)
         cm = ConfusionMatrix(cfg.network.num_classes, cfg.ignore_id)
         for name, cloud in _dataset(cfg, "val"):
             path = os.path.join(args.predictions, name + ".label")
-            cm.update(cloud.labels, read_kitti_labels(path, label_map, cloud.n))
+            cm.update(cloud.labels, read_kitti_labels(path, cfg.label_map, cloud.n))
         iou, miou = compute_miou(cm)
     else:
         if not args.checkpoint:
@@ -208,13 +198,12 @@ def _cmd_eval(args) -> int:
 def _cmd_infer(args) -> int:
     cfg = load_config(args.config)
     network = _load_matching_checkpoint(args.checkpoint, cfg)
-    label_map = _label_map(cfg)
     clouds = _dataset(cfg, "val", with_labels=False)
     os.makedirs(args.output, exist_ok=True)
     for name, cloud in clouds:
         pred = network.predict(cloud)
         path = os.path.join(args.output, name + ".label")
-        write_kitti_labels(path, label_map.to_raw(pred))
+        write_kitti_labels(path, cfg.label_map.to_raw(pred))
         print(f"wrote {path}")
     return 0
 

@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Optional, Tuple
 
 from .partition import DEFAULT_DISTANCE_EDGES, CubicGridSpec, CylGridSpec
-from .pointcloud import LabelMap
+from .pointcloud import LabelMap, identity_label_map
 
 BLOCK_VARIANTS = ("regular", "asym1d", "asym")
 
@@ -101,8 +101,8 @@ _TUPLE_KEYS = {
 @dataclass
 class RunConfig:
     network: NetworkConfig
+    label_map: LabelMap
     cubic: CubicGridSpec = field(default_factory=CubicGridSpec)
-    label_map: Optional[LabelMap] = None
     ignore_id: int = 255
     data: DataConfig = field(default_factory=DataConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -263,16 +263,18 @@ def load_config(path) -> RunConfig:
 
     network = _read("network", sections.get("network", {}), NetworkConfig, grid=grid)
 
-    label_map = None
-    if "labelmap" in sections:
-        try:
+    try:
+        if "labelmap" in sections:
             mapping = {
                 int(raw): _train_id(value, ignore_id)
                 for raw, value in sections["labelmap"].items()
             }
             label_map = LabelMap(mapping, network.num_classes, ignore_id)
-        except ValueError as exc:
-            raise ConfigError(f"[labelmap]: {exc}") from None
+        else:  # the raw ids are the training ids
+            label_map = identity_label_map(network.num_classes, ignore_id)
+    except ValueError as exc:
+        section = "labelmap" if "labelmap" in sections else "labels"
+        raise ConfigError(f"[{section}]: {exc}") from None
 
     data = _read("data", sections.get("data", {}), DataConfig)
     if data.kind not in ("synthetic", "files"):

@@ -38,12 +38,6 @@ class ConfusionMatrix:
             raise ValueError("predictions out of range")
         self.counts += np.bincount(truth * k + pred, minlength=k * k).reshape(k, k)
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.num_classes != self.num_classes:
-            raise ValueError("class count mismatch")
-        self.counts += other.counts
-        return self
-
 
 def compute_miou(cm: ConfusionMatrix):
     """Per-class IoU and their mean.
@@ -63,11 +57,11 @@ def compute_miou(cm: ConfusionMatrix):
     return iou, miou
 
 
-def format_iou_table(iou: np.ndarray, miou: float, class_names=None) -> str:
+def format_iou_table(iou: np.ndarray, miou: float) -> str:
     """Render per-class IoU and mIoU as percentages with one decimal."""
     lines = []
     for c, value in enumerate(iou):
-        name = class_names[c] if class_names else f"class {c}"
+        name = f"class {c}"
         cell = "  n/a" if np.isnan(value) else f"{100.0 * value:5.1f}"
         lines.append(f"{name:<16s} {cell}")
     cell = "  n/a" if np.isnan(miou) else f"{100.0 * miou:5.1f}"

@@ -519,7 +519,7 @@ class SegmentationNetwork(Module):
         pfeat = point_input_features(cloud, mapping, config.grid).astype(_dtype, copy=False)
         h, c_mlp = kept(self.point_mlp.forward(pfeat, training=training))
         x = scatter_features(h, mapping)
-        winners = scatter_max_winners(h, mapping) if training else None
+        winners = scatter_max_winners(h, mapping, x.features) if training else None
 
         cache = RulebookCache()
         skips, c_downs = [], []

@@ -35,12 +35,6 @@ def cart_to_cyl(xyz: np.ndarray) -> np.ndarray:
     return np.stack(_cyl_columns(xyz), axis=-1)
 
 
-def cyl_to_cart(cyl: np.ndarray) -> np.ndarray:
-    cyl = np.asarray(cyl, dtype=np.float64)
-    rho, theta = cyl[..., 0], cyl[..., 1]
-    return np.stack([rho * np.cos(theta), rho * np.sin(theta), cyl[..., 2]], axis=-1)
-
-
 def _bin_axis(values, lo, delta, count):
     """``floor((v - lo) / delta)`` clipped to [0, count - 1] while still a
     float: past 2^63 the int64 cast would wrap to bin 0."""
@@ -117,14 +111,6 @@ class CylGridSpec(_Grid):
     def axis_values(self, xyz: np.ndarray):
         return _cyl_columns(xyz)
 
-    def radial_cell_volume(self, h) -> np.ndarray:
-        """Volume of a cell in radius bin h: (dtheta/2)(rho_out^2 - rho_in^2) dz."""
-        h = np.asarray(h, dtype=np.float64)
-        d_rho, d_theta, d_z = self.deltas
-        r_in = self.rho_range[0] + h * d_rho
-        r_out = r_in + d_rho
-        return 0.5 * d_theta * (r_out**2 - r_in**2) * d_z
-
     def cell_planar_distance(self, cells: np.ndarray) -> np.ndarray:
         """Planar distance of each cell's center from the origin (= its
         center radius)."""
@@ -187,11 +173,9 @@ class VoxelMapping:
     """Assignment of points to occupied cells.
 
     ``cells`` lists the occupied cell coordinates in ascending flat-index
-    order; ``point_site`` gives each point's row in that list and
-    ``point_cell`` its flat cell index.
+    order; ``point_site`` gives each point's row in that list.
     """
 
-    point_cell: np.ndarray
     point_site: np.ndarray
     cells: np.ndarray
     spatial_shape: Tuple[int, int, int]
@@ -224,7 +208,7 @@ def assign_cells(cloud, grid) -> VoxelMapping:
     keys, rank = occupied_keys(flat, grid.num_cells)
     point_site = rank[flat].astype(np.int64)
     cells = np.stack(np.unravel_index(keys, res), axis=1).astype(np.int64)
-    return VoxelMapping(flat, point_site, cells, tuple(res))
+    return VoxelMapping(point_site, cells, tuple(res))
 
 
 def scatter_features(point_features: np.ndarray, mapping: VoxelMapping) -> SparseTensor:
@@ -241,16 +225,17 @@ def scatter_features(point_features: np.ndarray, mapping: VoxelMapping) -> Spars
     return SparseTensor(mapping.cells, out, mapping.spatial_shape)
 
 
-def scatter_max_winners(point_features: np.ndarray, mapping: VoxelMapping) -> np.ndarray:
-    """Index of the point supplying each cell's maximum, per channel.
+def scatter_max_winners(
+    point_features: np.ndarray, mapping: VoxelMapping, cell_max: np.ndarray
+) -> np.ndarray:
+    """Index of the point supplying each cell's maximum, per channel, given
+    the maxima ``cell_max`` that ``scatter_features`` pooled.
 
     Returns an (M, C) integer array. Ties (``-0.0`` equals ``0.0``) resolve
     to the point latest in storage order, which only pins determinism.
     """
-    feats = np.asarray(point_features, dtype=np.float64)
     order, counts, starts = mapping.grouping
-    grouped = feats[order]
-    cell_max = np.maximum.reduceat(grouped, starts, axis=0)
+    grouped = as_features(point_features)[order]
     rows = np.arange(len(order))[:, None]
     is_max = grouped == np.repeat(cell_max, counts, axis=0)
     return order[np.maximum.reduceat(np.where(is_max, rows, -1), starts, axis=0)]

@@ -189,28 +189,15 @@ class SyntheticSceneSpec:
     seed: int
     num_points: int = 8192
     max_range: float = 50.0
-    ground_extent: Optional[float] = None  # default: max_range - 0.5
     pole_count: int = 24
-    pole_height: float = 5.0
-    pole_radius: float = 0.08
     box_count: int = 16
-    box_size: float = 2.0
-    ground_fraction: float = 0.55
-    pole_fraction: float = 0.20
-    noise_fraction: float = 0.02
     inner_radius: float = 2.0
-    ground_z_sigma: float = 0.02
 
     def __post_init__(self):
-        if self.ground_extent is None:
-            self.ground_extent = self.max_range - 0.5
         if self.num_points < 64:
             raise ValueError("num_points must be at least 64")
-        if not 0 < self.ground_extent <= self.max_range:
-            raise ValueError("ground_extent must lie in (0, max_range]")
-        frac = self.ground_fraction + self.pole_fraction + self.noise_fraction
-        if not 0.0 < frac < 1.0:
-            raise ValueError("ground/pole/noise fractions must leave room for boxes")
+        if not self.max_range > 0.5:
+            raise ValueError("max_range must exceed 0.5")
         if self.pole_count < 1 or self.box_count < 1:
             raise ValueError("pole_count and box_count must be positive")
         if self.inner_radius >= self.max_range - 3.0:
@@ -234,34 +221,34 @@ def generate_synthetic_scene(spec: SyntheticSceneSpec) -> PointCloud:
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.num_points
-    n_ground = int(round(spec.ground_fraction * n))
-    n_pole = int(round(spec.pole_fraction * n))
-    n_noise = max(int(round(spec.noise_fraction * n)), 1)
+    # 55% ground, 20% poles, 2% clutter and the rest boxes
+    n_ground = int(round(0.55 * n))
+    n_pole = int(round(0.20 * n))
+    n_noise = max(int(round(0.02 * n)), 1)
     n_box = n - n_ground - n_pole - n_noise
-    if n_box < 1:
-        raise ValueError("num_points too small for the requested class fractions")
 
     # ground plane, uniform in radius so areal density falls off as 1/rho
-    rho = rng.uniform(spec.inner_radius, spec.ground_extent, n_ground)
+    rho = rng.uniform(spec.inner_radius, spec.max_range - 0.5, n_ground)
     theta = rng.uniform(-np.pi, np.pi, n_ground)
-    gz = rng.normal(0.0, spec.ground_z_sigma, n_ground)
+    gz = rng.normal(0.0, 0.02, n_ground)
     ground = np.column_stack([_polar_to_xy(rho, theta), gz])
 
-    # poles: thin vertical columns rooted on the ground
+    # poles: columns 8 cm in radius and up to 5 m tall, rooted on the ground
     pole_rho = rng.uniform(spec.inner_radius, spec.max_range - 1.0, spec.pole_count)
     pole_theta = rng.uniform(-np.pi, np.pi, spec.pole_count)
-    pole_h = spec.pole_height * rng.uniform(0.7, 1.0, spec.pole_count)
+    pole_h = 5.0 * rng.uniform(0.7, 1.0, spec.pole_count)
     pole_xy = _polar_to_xy(pole_rho, pole_theta)
     which = rng.integers(0, spec.pole_count, n_pole)
     pz = rng.uniform(0.0, pole_h[which])
-    pr = spec.pole_radius * np.sqrt(rng.uniform(0.0, 1.0, n_pole))
+    pr = 0.08 * np.sqrt(rng.uniform(0.0, 1.0, n_pole))
     pang = rng.uniform(0.0, TWO_PI, n_pole)
     poles = np.column_stack(
         [pole_xy[which, 0] + pr * np.cos(pang), pole_xy[which, 1] + pr * np.sin(pang), pz]
     )
 
-    # boxes: cuboids sitting on the ground, points sampled on visible faces
-    sizes = spec.box_size * rng.uniform(0.5, 1.0, (spec.box_count, 3))
+    # boxes: cuboids of sides up to 2 m sitting on the ground, points
+    # sampled on visible faces
+    sizes = 2.0 * rng.uniform(0.5, 1.0, (spec.box_count, 3))
     margin = 0.5 * np.hypot(sizes[:, 0], sizes[:, 1]) + 0.1
     box_rho = spec.inner_radius + rng.uniform(0.0, 1.0, spec.box_count) * (
         spec.max_range - margin - spec.inner_radius
@@ -290,7 +277,7 @@ def generate_synthetic_scene(spec: SyntheticSceneSpec) -> PointCloud:
     # unlabelled clutter
     nrho = rng.uniform(spec.inner_radius, spec.max_range - 0.5, n_noise)
     ntheta = rng.uniform(-np.pi, np.pi, n_noise)
-    nz = rng.uniform(-0.5, spec.pole_height, n_noise)
+    nz = rng.uniform(-0.5, 5.0, n_noise)
     noise = np.column_stack([_polar_to_xy(nrho, ntheta), nz])
 
     xyz = np.vstack([ground, poles, boxes, noise])

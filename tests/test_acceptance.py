@@ -263,7 +263,7 @@ def _fd_scatter_max(rng):
     def objective():
         return float((scatter_features(feats, mapping).features * probe).sum())
 
-    winners = scatter_max_winners(feats, mapping)
+    winners = scatter_max_winners(feats, mapping, scatter_features(feats, mapping).features)
     g = np.zeros_like(feats)
     for c in range(3):
         np.add.at(g[:, c], winners[:, c], probe[:, c])

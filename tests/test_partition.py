@@ -11,7 +11,6 @@ from cylseg.partition import (
     CylGridSpec,
     assign_cells,
     cart_to_cyl,
-    cyl_to_cart,
     encode_cell_labels,
     encoding_upper_bound_miou,
     occupancy_by_distance,
@@ -23,6 +22,18 @@ from cylseg.partition import (
 from cylseg.pointcloud import PointCloud, SyntheticSceneSpec, generate_synthetic_scene
 from cylseg.sparse import MAX_CELLS
 from helpers import cell_points
+
+
+def _cyl_to_cart(cyl):
+    """(rho, theta, z) -> (x, y, z), the inverse of ``cart_to_cyl``."""
+    cyl = np.asarray(cyl, dtype=np.float64)
+    rho, theta = cyl[..., 0], cyl[..., 1]
+    return np.stack([rho * np.cos(theta), rho * np.sin(theta), cyl[..., 2]], axis=-1)
+
+
+def _point_keys(mapping):
+    """Each point's flat cell key, from the cell of its site."""
+    return np.ravel_multi_index(mapping.cells[mapping.point_site].T, mapping.spatial_shape)
 
 
 def _cloud(xyz, labels=None):
@@ -55,7 +66,7 @@ def test_cart_to_cyl_origin_convention():
 def test_cyl_round_trip():
     rng = np.random.default_rng(5)
     xyz = rng.uniform(-40, 40, size=(500, 3))
-    back = cyl_to_cart(cart_to_cyl(xyz))
+    back = _cyl_to_cart(cart_to_cyl(xyz))
     np.testing.assert_allclose(back, xyz, rtol=1e-12, atol=1e-12)
 
 
@@ -77,7 +88,7 @@ def test_angle_wrap_does_not_change_cell():
     b = np.stack([rho * np.cos(theta + 2 * math.pi), rho * np.sin(theta + 2 * math.pi), z], axis=1)
     ma = assign_cells(_cloud(a), grid)
     mb = assign_cells(_cloud(b), grid)
-    np.testing.assert_array_equal(ma.point_cell, mb.point_cell)
+    np.testing.assert_array_equal(_point_keys(ma), _point_keys(mb))
 
 
 # -------------------------------------------------------------------- binning
@@ -129,8 +140,8 @@ def test_grids_hold_at_most_2_to_the_28_cells(grid_class):
 
 
 def _unique_reference(xyz, grid):
-    """assign_cells's point_cell, point_site and cells as np.unique over the
-    stacked bins gives them."""
+    """Each point's flat cell key, and assign_cells's point_site and cells,
+    as np.unique over the stacked bins gives them."""
     bins = grid.bin_points(xyz)
     _, w, l = grid.resolution
     flat = (bins[:, 0] * w + bins[:, 1]) * l + bins[:, 2]
@@ -142,7 +153,7 @@ def _unique_reference(xyz, grid):
 def _corner_points(grid, cyl):
     """Points at the centres of the grid's first and last cells."""
     corners = grid.cell_centers(np.array([[0, 0, 0], np.array(grid.resolution) - 1]))
-    return cyl_to_cart(corners) if cyl else corners
+    return _cyl_to_cart(corners) if cyl else corners
 
 
 _CLAMPED = {  # beyond rho_max (or x/y range), and above and below the z range
@@ -165,12 +176,12 @@ def test_assign_cells_equals_the_unique_reference_on_edge_cases(cyl, case):
     }
     xyz["all"] = np.vstack([xyz["corners"], xyz["clamped"], xyz["one"], xyz["clamped"]])
     mapping = assign_cells(xyz[case], grid)
-    for got, want in zip((mapping.point_cell, mapping.point_site, mapping.cells),
+    for got, want in zip((_point_keys(mapping), mapping.point_site, mapping.cells),
                          _unique_reference(xyz[case], grid)):
         np.testing.assert_array_equal(got, want)
         assert got.dtype == want.dtype == np.int64
     if case == "corners":
-        assert mapping.point_cell.tolist() == [0, grid.num_cells - 1]
+        assert _point_keys(mapping).tolist() == [0, grid.num_cells - 1]
     if case == "clamped":
         sites = mapping.cells[mapping.point_site]
         on_edge = (sites == 0) | (sites == np.array(grid.resolution) - 1)
@@ -235,7 +246,7 @@ def test_pooling_and_its_winners_share_one_grouping_sort(monkeypatch):
 
     monkeypatch.setattr(np, "argsort", counted)
     pooled = scatter_features(feats, mapping)
-    winners = scatter_max_winners(feats, mapping)
+    winners = scatter_max_winners(feats, mapping, pooled.features)
     cells = cell_points(mapping)
     assert len(sorts) == 1
     np.testing.assert_array_equal(feats[winners, np.arange(3)], pooled.features)
@@ -245,12 +256,7 @@ def test_pooling_and_its_winners_share_one_grouping_sort(monkeypatch):
 def test_empty_cloud_gives_empty_mapping():
     mapping = assign_cells(_cloud(np.zeros((0, 3))), DEFAULT_CYL_GRID)
     assert mapping.cells.shape == (0, 3)
-    assert mapping.point_cell.shape == (0,)
-
-
-def test_cell_volume_grows_with_radius():
-    vol = DEFAULT_CYL_GRID.radial_cell_volume(np.arange(480))
-    assert np.all(np.diff(vol) > 0)
+    assert _point_keys(mapping).shape == (0,)
 
 
 # ------------------------------------------------------------------ scatter
@@ -308,8 +314,8 @@ def test_scatter_max_winners_select_the_max_rows():
     xyz = rng.uniform(-5, 5, size=(60, 3))
     feats = rng.standard_normal((60, 4))
     mapping = assign_cells(_cloud(xyz), grid)
-    winners = scatter_max_winners(feats, mapping)
     scattered = scatter_features(feats, mapping)
+    winners = scatter_max_winners(feats, mapping, scattered.features)
     cols = np.arange(4)
     np.testing.assert_array_equal(feats[winners, cols], scattered.features)
     # every winner must be a member of its own cell
@@ -330,7 +336,7 @@ def test_scatter_max_winners_ties_go_to_the_latest_point():
     ])
     mapping = assign_cells(_cloud(xyz), grid)
     assert sorted(map(sorted, (m.tolist() for m in cell_points(mapping)))) == [[0, 2, 3], [1, 4]]
-    winners = scatter_max_winners(feats, mapping)
+    winners = scatter_max_winners(feats, mapping, scatter_features(feats, mapping).features)
     want = {0: [2, 3, 3, 3], 1: [4, 1, 4, 4]}  # keyed by each cell's first point
     for site, members in enumerate(cell_points(mapping)):
         assert winners[site].tolist() == want[int(members[0])]
@@ -343,7 +349,8 @@ def test_scatter_max_winners_ties_go_to_the_latest_point():
     reference = np.stack(
         [np.lexsort((feats[:, c], mapping.point_site))[ends] for c in range(5)], axis=1
     )
-    np.testing.assert_array_equal(scatter_max_winners(feats, mapping), reference)
+    pooled = scatter_features(feats, mapping).features
+    np.testing.assert_array_equal(scatter_max_winners(feats, mapping, pooled), reference)
 
 
 def test_scatter_rejects_row_count_mismatch():
@@ -469,7 +476,7 @@ def test_occupancy_saturated_tiny_grid():
     cubic = CubicGridSpec(x_range=(-4.0, 4.0), y_range=(-4.0, 4.0), z_range=(0.0, 1.0), resolution=(2, 2, 2))
     # drop one point in every cylindrical cell center
     all_cells = np.stack(np.meshgrid(*[np.arange(r) for r in cyl.resolution], indexing="ij"), axis=-1)
-    xyz = cyl_to_cart(cyl.cell_centers(all_cells.reshape(-1, 3)))
+    xyz = _cyl_to_cart(cyl.cell_centers(all_cells.reshape(-1, 3)))
     rows = occupancy_by_distance([_cloud(xyz)], cyl, cubic, distance_bins=(0.0, 2.0, 4.0))
     cyl_rows = [r for r in rows if r.scheme == "cylindrical"]
     assert len(cyl_rows) == 2
