@@ -17,7 +17,7 @@ import numpy as np
 
 from .metrics import ConfusionMatrix, compute_miou
 from .pointcloud import TWO_PI, PointCloud
-from .sparse import SparseTensor, as_features, check_shape, in_lanes, occupied_keys
+from .sparse import SparseTensor, as_features, check_shape, distinct_keys, in_lanes, occupied_keys
 
 
 def _cyl_columns(xyz) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -38,7 +38,9 @@ def cart_to_cyl(xyz: np.ndarray) -> np.ndarray:
 def _bin_axis(values, lo, delta, count):
     """``floor((v - lo) / delta)`` clipped to [0, count - 1] while still a
     float: past 2^63 the int64 cast would wrap to bin 0."""
-    idx = np.floor((values - lo) / delta)
+    idx = values - lo
+    idx /= delta
+    np.floor(idx, out=idx)
     np.clip(idx, 0, count - 1, out=idx)
     return idx.astype(np.int64)
 
@@ -78,6 +80,10 @@ class _Grid:
         h *= length
         h += l
         return h
+
+    def key_cells(self, keys: np.ndarray) -> np.ndarray:
+        """(M, 3) cell coordinates of flat cell keys."""
+        return np.stack(np.unravel_index(keys, self.resolution), axis=1).astype(np.int64)
 
     def cell_centers(self, cells: np.ndarray) -> np.ndarray:
         """Axis-space centers of the given cells."""
@@ -194,21 +200,26 @@ class VoxelMapping:
         return order, counts, np.cumsum(counts) - counts
 
 
+def _positions(cloud) -> np.ndarray:
+    """The positions of a PointCloud or a raw array, as (N, 3) float64. Any
+    other dtype is widened into one contiguous array per axis: a float32
+    scan's strided (N, 3) view widens several times faster that way."""
+    xyz = np.asarray(cloud.xyz if isinstance(cloud, PointCloud) else cloud)
+    if xyz.ndim != 2 or xyz.shape[1] != 3:
+        raise ValueError(f"expected (N, 3) positions, got {xyz.shape}")
+    return xyz if xyz.dtype == np.float64 else np.array(xyz.T, dtype=np.float64, order="C").T
+
+
 def assign_cells(cloud, grid) -> VoxelMapping:
     """Map every point of ``cloud`` to a cell of ``grid``.
 
     Out-of-range points are clamped into the boundary bins, so the mapping
     is total. Accepts a PointCloud or a raw (N, 3) array.
     """
-    xyz = cloud.xyz if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
-    if xyz.ndim != 2 or xyz.shape[1] != 3:
-        raise ValueError(f"expected (N, 3) positions, got {xyz.shape}")
-    res = grid.resolution
-    flat = grid.cell_keys(xyz)
+    flat = grid.cell_keys(_positions(cloud))
     keys, rank = occupied_keys(flat, grid.num_cells)
     point_site = rank[flat].astype(np.int64)
-    cells = np.stack(np.unravel_index(keys, res), axis=1).astype(np.int64)
-    return VoxelMapping(point_site, cells, tuple(res))
+    return VoxelMapping(point_site, grid.key_cells(keys), tuple(grid.resolution))
 
 
 def scatter_features(point_features: np.ndarray, mapping: VoxelMapping) -> SparseTensor:
@@ -329,15 +340,20 @@ def occupancy_by_distance(
     rows do not depend on how many CPUs there are.
     """
     edges = np.asarray(distance_bins, dtype=np.float64)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("distance_bins must be at least two increasing edges")
+    if (edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all()
+            or np.any(np.diff(edges) <= 0)):
+        raise ValueError("distance_bins must be at least two increasing finite edges")
     if not clouds:
         raise ValueError("need at least one cloud")
     schemes = (("cylindrical", cyl_grid), ("cubic", cubic_grid))
 
     def occupied(cloud):
-        return [_count_in_bins(grid.cell_planar_distance(assign_cells(cloud, grid).cells), edges)
-                for _, grid in schemes]
+        xyz = _positions(cloud)  # widened once, for both grids
+        counts = []
+        for _, grid in schemes:
+            cells = grid.key_cells(distinct_keys(grid.cell_keys(xyz), grid.num_cells))
+            counts.append(_count_in_bins(grid.cell_planar_distance(cells), edges))
+        return counts
 
     per_cloud = in_lanes(occupied, clouds)
     rows = []

@@ -17,6 +17,8 @@ from typing import Optional
 
 import numpy as np
 
+from .sparse import as_features
+
 TWO_PI = 2.0 * np.pi
 
 # synthetic class ids
@@ -33,15 +35,20 @@ class FileFormatError(ValueError):
 
 @dataclass
 class PointCloud:
-    """A LiDAR return set: positions, intensities and optional labels."""
+    """A LiDAR return set: positions, intensities and optional labels.
+
+    ``xyz`` and ``intensity`` that are float32 stay float32, as a ``.bin``
+    scan is read; any other dtype becomes float64. Whatever computes on them
+    widens them to float64 first, which is exact.
+    """
 
     xyz: np.ndarray
     intensity: np.ndarray
     labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.xyz = np.asarray(self.xyz, dtype=np.float64)
-        self.intensity = np.asarray(self.intensity, dtype=np.float64)
+        self.xyz = as_features(self.xyz)
+        self.intensity = as_features(self.intensity)
         if self.xyz.ndim != 2 or self.xyz.shape[1] != 3:
             raise ValueError(f"xyz must be (N, 3), got {self.xyz.shape}")
         if self.intensity.shape != (self.xyz.shape[0],):
@@ -68,18 +75,21 @@ class PointCloud:
 
 
 def read_kitti_bin(path) -> PointCloud:
-    """Read a KITTI-style ``.bin`` scan into a PointCloud (no labels)."""
+    """Read a KITTI-style ``.bin`` scan into a PointCloud (no labels). Its
+    ``xyz`` and ``intensity`` are float32 views of the one array read."""
     with open(os.fspath(path), "rb") as fh:
-        blob = fh.read()
-    if len(blob) % 16 != 0:
-        raise FileFormatError(
-            f"{path}: byte length is not a multiple of 16 (x,y,z,intensity float32)"
-        )
-    data = np.frombuffer(blob, dtype="<f4")
-    pts = data.reshape(-1, 4).astype(np.float64)
-    if not np.all(np.isfinite(pts)):
+        if os.fstat(fh.fileno()).st_size % 16 != 0:
+            raise FileFormatError(
+                f"{path}: byte length is not a multiple of 16 (x,y,z,intensity float32)"
+            )
+        data = np.fromfile(fh, dtype="<f4").reshape(-1, 4)
+    if not np.isfinite(data).all():
         raise FileFormatError(f"{path}: scan contains non-finite values")
-    return PointCloud(pts[:, :3], pts[:, 3])
+    # the check above covers both views; PointCloud's own would walk the
+    # strided views again, at several times its cost
+    cloud = object.__new__(PointCloud)
+    cloud.xyz, cloud.intensity, cloud.labels = data[:, :3], data[:, 3], None
+    return cloud
 
 
 def write_kitti_bin(path, cloud: PointCloud) -> None:
@@ -200,6 +210,8 @@ class SyntheticSceneSpec:
             raise ValueError("max_range must exceed 0.5")
         if self.pole_count < 1 or self.box_count < 1:
             raise ValueError("pole_count and box_count must be positive")
+        if not self.inner_radius >= 0:
+            raise ValueError("inner_radius must be non-negative")
         if self.inner_radius >= self.max_range - 3.0:
             raise ValueError("inner_radius too large for max_range")
 

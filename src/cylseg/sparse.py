@@ -46,9 +46,10 @@ _DTYPE = np.float64
 
 
 def as_features(features) -> np.ndarray:
-    """Features, gradients (or folded parameters) to compute on: float32
-    stays float32 (training and ``predict``), anything else becomes float64.
-    Each op, forward or backward, computes in its input's dtype."""
+    """Features, gradients (or folded parameters) to compute on, and a point
+    cloud's positions and intensities: float32 stays float32 (training,
+    ``predict`` and ``.bin`` scans), anything else becomes float64. Each op,
+    forward or backward, computes in its input's dtype."""
     features = np.asarray(features)
     return features if features.dtype == np.float32 else features.astype(_DTYPE, copy=False)
 
@@ -79,14 +80,18 @@ def check_shape(shape) -> Tuple[int, int, int]:
     return shape
 
 
-def occupied_keys(keys: np.ndarray, cells: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct ``keys`` (each in [0, cells)) in ascending order, and an
-    int32 table giving each of them its rank there. Only the entries at
-    ``keys`` are written; the rest of the table is left unset."""
+def distinct_keys(keys: np.ndarray, cells: int) -> np.ndarray:
+    """The distinct ``keys`` (each in [0, cells)) in ascending order."""
     seen = np.zeros(cells, dtype=bool)
     seen[keys] = True
-    distinct = np.flatnonzero(seen)
-    del seen
+    return np.flatnonzero(seen)
+
+
+def occupied_keys(keys: np.ndarray, cells: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``distinct_keys``, and an int32 table giving each of them its rank
+    there. Only the entries at ``keys`` are written; the rest of the table is
+    left unset."""
+    distinct = distinct_keys(keys, cells)
     rank = np.empty(cells, dtype=np.int32)
     rank[distinct] = np.arange(distinct.size, dtype=np.int32)
     return distinct, rank

@@ -27,7 +27,7 @@ from cylseg.network import (
     SegmentationNetwork,
     load_checkpoint,
 )
-from cylseg.partition import CylGridSpec, assign_cells, scatter_features
+from cylseg.partition import CylGridSpec, assign_cells, occupancy_by_distance, scatter_features
 from cylseg.pointcloud import (
     PointCloud,
     SyntheticSceneSpec,
@@ -389,3 +389,25 @@ def test_infer_on_a_scan_that_overflows_float32_is_clean(tmp_path):
     assert err.getvalue() == "" and not [str(w.message) for w in caught]
     expected = net.forward(read_kitti_bin(scans / "000000.bin")).point_logits.argmax(axis=1)
     np.testing.assert_array_equal(read_raw_label_ids(out / "000000.label"), expected)
+
+
+# ------------------------------------------------------- scans read in float32
+
+
+def test_a_scan_read_in_float32_gives_the_bytes_of_its_float64_copy(tmp_path):
+    # widening float32 to float64 is exact, and everything that computes on
+    # positions or intensities widens first
+    net = load_checkpoint(os.path.join(DATA, "toy_seed0.ckpt"))
+    scene = generate_synthetic_scene(SyntheticSceneSpec(
+        seed=21, num_points=4096, max_range=12.0, pole_count=6, box_count=4, inner_radius=1.0))
+    write_kitti_bin(tmp_path / "scan.bin", scene)
+    read = read_kitti_bin(tmp_path / "scan.bin")
+    assert read.xyz.dtype == read.intensity.dtype == np.float32
+    wide = PointCloud(read.xyz.astype(np.float64), read.intensity.astype(np.float64))
+    assert wide.xyz.dtype == wide.intensity.dtype == np.float64
+    for grid in (net.config.grid, CylGridSpec()):
+        got, expected = assign_cells(read, grid), assign_cells(wide, grid)
+        np.testing.assert_array_equal(got.cells, expected.cells)
+        np.testing.assert_array_equal(got.point_site, expected.point_site)
+    assert occupancy_by_distance([read, read]) == occupancy_by_distance([wide, wide])
+    np.testing.assert_array_equal(net.predict(read), net.predict(wide))

@@ -484,6 +484,12 @@ def test_occupancy_saturated_tiny_grid():
         assert row.nonempty_proportion == 1.0
 
 
+@pytest.mark.parametrize("edges", [(0.0, np.nan, 20.0), (0.0, 20.0, np.inf), (-np.inf, 0.0, 20.0)])
+def test_occupancy_rejects_non_finite_edges(edges):
+    with pytest.raises(ValueError, match="distance_bins must be at least two increasing finite edges"):
+        occupancy_by_distance([_cloud(np.zeros((1, 3)))], distance_bins=edges)
+
+
 def test_occupancy_empty_cloud_is_zero_everywhere():
     cloud = _cloud(np.zeros((0, 3)))
     rows = occupancy_by_distance([cloud])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cylseg.pointcloud import (
+    FileFormatError,
     LabelMap,
     PointCloud,
     SyntheticSceneSpec,
@@ -42,6 +43,38 @@ def test_read_bin_rejects_bad_length(tmp_path):
     path.write_bytes(b"\x00" * 17)
     with pytest.raises(ValueError):
         read_kitti_bin(path)
+
+
+def test_read_bin_keeps_the_files_float32_values_in_one_array(tmp_path):
+    rng = np.random.default_rng(5)
+    quads = rng.standard_normal((33, 4)).astype("<f4")
+    path = tmp_path / "scan.bin"
+    path.write_bytes(quads.tobytes())
+    cloud = read_kitti_bin(path)
+    assert cloud.xyz.dtype == cloud.intensity.dtype == np.float32
+    assert cloud.xyz.tobytes() == quads[:, :3].tobytes()
+    assert cloud.intensity.tobytes() == quads[:, 3].tobytes()
+    assert cloud.xyz.base is not None and cloud.xyz.base is cloud.intensity.base
+    assert cloud.xyz.base.nbytes == quads.nbytes  # no widened copy is kept
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (20, 2), (32, 3)])
+def test_read_bin_rejects_a_non_finite_value_naming_the_file(tmp_path, value, where):
+    quads = np.ones((33, 4), dtype="<f4")
+    quads[where] = value
+    path = tmp_path / "scan.bin"
+    path.write_bytes(quads.tobytes())
+    with pytest.raises(FileFormatError, match="scan contains non-finite values") as err:
+        read_kitti_bin(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_point_cloud_keeps_float32_and_widens_anything_else():
+    cloud = PointCloud(np.zeros((2, 3), dtype=np.float32), np.zeros(2, dtype=np.float32))
+    assert cloud.xyz.dtype == cloud.intensity.dtype == np.float32
+    cloud = PointCloud(np.zeros((2, 3), dtype=np.float16), np.zeros(2, dtype=np.int64))
+    assert cloud.xyz.dtype == cloud.intensity.dtype == np.float64
 
 
 def test_bin_round_trip_is_byte_identical(tmp_path):
@@ -151,6 +184,15 @@ def test_synthetic_density_falls_with_radius():
         inner = np.count_nonzero((rho >= 5.0) & (rho < 10.0)) / inner_area
         outer = np.count_nonzero((rho >= 40.0) & (rho < 45.0)) / outer_area
         assert inner > outer
+
+
+@pytest.mark.parametrize("inner_radius", [-15.0, -1e-9, np.nan])
+def test_synthetic_spec_rejects_a_negative_inner_radius(inner_radius):
+    # a negative radius would draw points on the far side of the origin,
+    # breaking the 1/rho density
+    with pytest.raises(ValueError, match="inner_radius must be non-negative"):
+        SyntheticSceneSpec(seed=0, num_points=4096, max_range=20.0, inner_radius=inner_radius)
+    SyntheticSceneSpec(seed=0, num_points=4096, max_range=20.0, inner_radius=0.0)
 
 
 def test_point_cloud_with_labels_keeps_geometry():
