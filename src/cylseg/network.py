@@ -15,6 +15,7 @@ mutates nothing and is safe to run concurrently on shared parameters.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -24,6 +25,7 @@ import numpy as np
 from .config import ConfigError, NetworkConfig, network_header, parse_network_header
 from .partition import (
     VoxelMapping,
+    as_positions,
     assign_cells,
     cart_to_cyl,
     scatter_features,
@@ -46,26 +48,27 @@ from .sparse import (
     inverse_conv_forward,
     leaky_relu_backward,
     leaky_relu_forward,
-    pack_tensors,
+    read_tensors,
     sigmoid_backward,
     sigmoid_forward,
     sparse_conv_backward,
     sparse_conv_forward,
-    unpack_tensor_views,
+    write_tensors,
 )
 
-def point_input_features(cloud: PointCloud, mapping: VoxelMapping, grid) -> np.ndarray:
-    """Per-point input features, 9 per point:
+def point_input_features(
+    xyz: np.ndarray, intensity: np.ndarray, mapping: VoxelMapping, grid
+) -> np.ndarray:
+    """Per-point input features of positions ``xyz`` and their intensities,
+    9 per point:
 
     [rho - rho_c, theta - theta_c, z - z_c, rho, theta, z, x, y, intensity]
 
     where (rho_c, theta_c, z_c) is the center of the point's cell.
     """
-    cyl = cart_to_cyl(cloud.xyz)
+    cyl = cart_to_cyl(xyz)
     centers = grid.cell_centers(mapping.cells)[mapping.point_site]
-    return np.hstack(
-        [cyl - centers, cyl, cloud.xyz[:, 0:2], cloud.intensity[:, None]]
-    )
+    return np.hstack([cyl - centers, cyl, xyz[:, 0:2], intensity[:, None]])
 
 
 class RulebookCache:
@@ -138,19 +141,6 @@ class Module:
     def zero_grads(self):
         for grad in self.named_grads().values():
             grad[...] = 0.0
-
-    def load_tensor_dict(self, tensors: dict) -> None:
-        """Copy values into this module's parameters and state, by name."""
-        expected = {**self.named_params(), **self.named_state()}
-        missing = sorted(set(expected) - set(tensors))
-        surplus = sorted(set(tensors) - set(expected))
-        if missing or surplus:
-            raise ValueError(f"tensor names mismatch: missing {missing}, unexpected {surplus}")
-        for name, arr in expected.items():
-            value = np.asarray(tensors[name], dtype=np.float64)
-            if value.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name}: {value.shape} vs {arr.shape}")
-            arr[...] = value
 
 
 def predicting(feats, training) -> bool:
@@ -508,7 +498,8 @@ class SegmentationNetwork(Module):
         tensor once its up block has used it.
         """
         config = self.config
-        mapping = assign_cells(cloud, config.grid)
+        xyz = as_positions(cloud)  # a float32 scan is widened here, once
+        mapping = assign_cells(xyz, config.grid)
         if mapping.num_cells == 0:
             raise ValueError("cannot run the network on an empty cloud")
 
@@ -516,7 +507,8 @@ class SegmentationNetwork(Module):
             """A layer's ``(outputs..., ctx)``, its ctx dropped unless training."""
             return result if training else (*result[:-1], None)
 
-        pfeat = point_input_features(cloud, mapping, config.grid).astype(_dtype, copy=False)
+        pfeat = point_input_features(xyz, cloud.intensity, mapping, config.grid)
+        pfeat = pfeat.astype(_dtype, copy=False)
         h, c_mlp = kept(self.point_mlp.forward(pfeat, training=training))
         x = scatter_features(h, mapping)
         winners = scatter_max_winners(h, mapping, x.features) if training else None
@@ -605,33 +597,33 @@ _NO_DRAW = _NoDraw()
 
 
 def save_checkpoint(path, network: SegmentationNetwork) -> None:
-    """Write config header plus all named tensors (params and running stats)."""
+    """Write config header plus all named tensors (params and running stats),
+    each straight from its array."""
     header = network_header(network.config).encode("utf-8")
-    blob = pack_tensors({**network.named_params(), **network.named_state()})
     with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<II", _CKPT_VERSION, len(header)))
-        fh.write(header)
-        fh.write(blob)
+        fh.write(_CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, len(header)) + header)
+        write_tensors(fh, {**network.named_params(), **network.named_state()})
 
 
 def load_checkpoint(path) -> SegmentationNetwork:
-    """Read a checkpoint; a malformed one raises a ValueError naming ``path``."""
+    """Read a checkpoint, each tensor straight from the file into the
+    network's array; a malformed one raises a ValueError naming ``path``."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        if raw[:4] != _CKPT_MAGIC:
-            raise ValueError("not a checkpoint file")
-        if len(raw) < 12:
-            raise ValueError(f"the {len(raw)}-byte file ends inside the 12-byte preamble")
-        version, header_len = struct.unpack_from("<II", raw, 4)
-        if version != _CKPT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        if 12 + header_len > len(raw):
-            raise ValueError(f"header length {header_len} overruns the {len(raw)}-byte file")
-        config = parse_network_header(raw[12 : 12 + header_len].decode("utf-8"))
-        network = SegmentationNetwork(config, seed=_NO_DRAW)
-        network.load_tensor_dict(unpack_tensor_views(memoryview(raw)[12 + header_len :]))
-    except (ValueError, ConfigError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        try:
+            preamble = fh.read(12)
+            if preamble[:4] != _CKPT_MAGIC:
+                raise ValueError("not a checkpoint file")
+            if len(preamble) < 12:
+                raise ValueError(f"the {len(preamble)}-byte file ends inside the 12-byte preamble")
+            version, header_len = struct.unpack("<II", preamble[4:])
+            if version != _CKPT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version}")
+            size = os.fstat(fh.fileno()).st_size
+            if 12 + header_len > size:
+                raise ValueError(f"header length {header_len} overruns the {size}-byte file")
+            config = parse_network_header(fh.read(header_len).decode("utf-8"))
+            network = SegmentationNetwork(config, seed=_NO_DRAW)
+            read_tensors(fh, {**network.named_params(), **network.named_state()})
+        except (ValueError, ConfigError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return network

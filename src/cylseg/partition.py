@@ -63,8 +63,11 @@ class _Grid:
         return h * w * l
 
     def _axis_bins(self, xyz: np.ndarray) -> List[np.ndarray]:
-        columns = zip(self.axis_values(xyz), self.lowers, self.deltas, self.resolution)
-        return [_bin_axis(values, lo, delta, count) for values, lo, delta, count in columns]
+        """Per-axis cell indices of the positions; each value column is
+        dropped as soon as its axis is binned."""
+        columns = list(self.axis_values(xyz))
+        return [_bin_axis(columns.pop(0), lo, delta, count)
+                for lo, delta, count in zip(self.lowers, self.deltas, self.resolution)]
 
     def bin_points(self, xyz: np.ndarray) -> np.ndarray:
         """(N, 3) cell coordinates of the positions."""
@@ -200,7 +203,7 @@ class VoxelMapping:
         return order, counts, np.cumsum(counts) - counts
 
 
-def _positions(cloud) -> np.ndarray:
+def as_positions(cloud) -> np.ndarray:
     """The positions of a PointCloud or a raw array, as (N, 3) float64. Any
     other dtype is widened into one contiguous array per axis: a float32
     scan's strided (N, 3) view widens several times faster that way."""
@@ -216,7 +219,7 @@ def assign_cells(cloud, grid) -> VoxelMapping:
     Out-of-range points are clamped into the boundary bins, so the mapping
     is total. Accepts a PointCloud or a raw (N, 3) array.
     """
-    flat = grid.cell_keys(_positions(cloud))
+    flat = grid.cell_keys(as_positions(cloud))
     keys, rank = occupied_keys(flat, grid.num_cells)
     point_site = rank[flat].astype(np.int64)
     return VoxelMapping(point_site, grid.key_cells(keys), tuple(grid.resolution))
@@ -348,7 +351,7 @@ def occupancy_by_distance(
     schemes = (("cylindrical", cyl_grid), ("cubic", cubic_grid))
 
     def occupied(cloud):
-        xyz = _positions(cloud)  # widened once, for both grids
+        xyz = as_positions(cloud)  # widened once, for both grids
         counts = []
         for _, grid in schemes:
             cells = grid.key_cells(distinct_keys(grid.cell_keys(xyz), grid.num_cells))

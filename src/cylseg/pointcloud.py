@@ -11,6 +11,7 @@ File formats:
 
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -60,18 +61,24 @@ class PointCloud:
         if not np.all(np.isfinite(self.intensity)):
             raise ValueError("intensity contains non-finite values")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.xyz.shape[0],):
-                raise ValueError(
-                    f"labels must be ({self.xyz.shape[0]},), got {self.labels.shape}"
-                )
+            self.labels = self._checked_labels(self.labels)
 
     @property
     def n(self) -> int:
         return self.xyz.shape[0]
 
+    def _checked_labels(self, labels) -> np.ndarray:
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (self.n,):
+            raise ValueError(f"labels must be ({self.n},), got {labels.shape}")
+        return labels
+
     def with_labels(self, labels: np.ndarray) -> "PointCloud":
-        return PointCloud(self.xyz, self.intensity, labels)
+        """This cloud with ``labels``: only they are checked, since its
+        positions and intensities were checked when it was made."""
+        cloud = copy.copy(self)
+        cloud.labels = self._checked_labels(labels)
+        return cloud
 
 
 def read_kitti_bin(path) -> PointCloud:

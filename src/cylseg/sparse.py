@@ -33,10 +33,10 @@ alone, never on the number of CPUs.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -715,62 +715,84 @@ _MAGIC = b"CYLT"
 _VERSION = 1
 
 
-def pack_tensors(tensors: dict) -> bytes:
-    """Serialize a name -> array mapping. Data is little-endian float64."""
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<II", _VERSION, len(tensors)))
+def write_tensors(fh, tensors: dict) -> None:
+    """Write a name -> array mapping to the binary file ``fh``, sorted by
+    name, as little-endian float64. Each array is written from its own
+    memory; no copy of the container is made."""
+    fh.write(_MAGIC + struct.pack("<II", _VERSION, len(tensors)))
     for name in sorted(tensors):
-        arr = np.asarray(tensors[name], dtype="<f8")
+        arr = np.asarray(tensors[name], dtype="<f8", order="C")
         encoded = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<I", arr.ndim))
-        buf.write(np.asarray(arr.shape, dtype="<i8").tobytes())
-        buf.write(np.ascontiguousarray(arr).tobytes())
-    return buf.getvalue()
+        fh.write(struct.pack(f"<I{len(encoded)}sI{arr.ndim}q", len(encoded), encoded,
+                             arr.ndim, *arr.shape))
+        fh.write(arr)
 
 
-def unpack_tensor_views(blob) -> dict:
-    """Read ``pack_tensors`` output as read-only little-endian views into
-    ``blob``, for a caller that copies them where they belong; a cut or
-    garbled container raises one ValueError naming the entry it stops in."""
-    view = memoryview(blob)
-    if bytes(view[:4]) != _MAGIC:
-        raise ValueError("bad tensor container magic")
-    pos = 4
-    entry = "the container header"
+def read_tensors(fh, into: Optional[dict] = None) -> dict:
+    """Read the tensor container that fills the binary file ``fh`` from its
+    position to its end, as a name -> array dict. Each tensor's data is read
+    from the file straight into its array: given ``into`` (name -> float64
+    array), the array of that name, which must have the tensor's shape;
+    otherwise a fresh one. Names must strictly ascend, as ``write_tensors``
+    writes them, and given ``into`` none of its names may be missing.
 
-    def take(nbytes, what):
+    Nothing is allocated for a declared size before the bytes left in the
+    file are known to hold it. A cut, garbled or mismatched container
+    raises one ValueError naming the entry it stops in."""
+    start = fh.tell()
+    size = fh.seek(0, os.SEEK_END) - start
+    fh.seek(start)
+    pos, entry, name, out = 0, "the container header", None, {}
+
+    def read(nbytes, what, buf=None):
         nonlocal pos
-        if nbytes > len(view) - pos:
+        if nbytes > size - pos:
             raise ValueError(
                 f"tensor container cut short in {entry}: {nbytes} bytes of {what} "
-                f"expected at offset {pos}, {len(view) - pos} left"
+                f"expected at offset {pos}, {size - pos} left"
             )
+        buf = bytearray(nbytes) if buf is None else buf
+        if fh.readinto(buf) != nbytes:
+            raise ValueError(f"tensor container {entry}: the file shrank while it was read")
         pos += nbytes
-        return view[pos - nbytes : pos]
+        return buf
 
-    version, count = struct.unpack("<II", take(8, "version and count"))
+    if read(4, "magic") != _MAGIC:
+        raise ValueError("bad tensor container magic")
+    version, count = struct.unpack("<II", read(8, "version and count"))
     if version != _VERSION:
         raise ValueError(f"unsupported tensor container version {version}")
-    out = {}
     for i in range(count):
         entry = f"entry {i}"
-        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        (name_len,) = struct.unpack("<I", read(4, "name length"))
+        previous = name
         try:
-            name = bytes(take(name_len, "name")).decode("utf-8")
+            name = read(name_len, "name").decode("utf-8")
         except UnicodeDecodeError:
             raise ValueError(f"tensor container {entry}: name is not UTF-8") from None
         entry = f"entry {i} ({name!r})"
-        (ndim,) = struct.unpack("<I", take(4, "ndim"))
-        shape = np.frombuffer(take(8 * ndim, "shape"), dtype="<i8")
-        if (shape < 0).any():
-            raise ValueError(f"tensor container {entry}: negative shape {shape.tolist()}")
-        size = math.prod(int(n) for n in shape)
-        data = np.frombuffer(take(8 * size, "data"), dtype="<f8")
-        out[name] = data.reshape(shape)
-    if pos != len(view):
-        raise ValueError("trailing bytes in tensor container")
+        if previous is not None and name <= previous:
+            raise ValueError(f"tensor container {entry}: names must strictly ascend, "
+                             f"but the entry before is {previous!r}")
+        if into is not None and name not in into:
+            raise ValueError(f"tensor container {entry}: unexpected tensor")
+        (ndim,) = struct.unpack("<I", read(4, "ndim"))
+        shape = tuple(np.frombuffer(read(8 * ndim, "shape"), dtype="<i8").tolist())
+        if min(shape, default=0) < 0:
+            raise ValueError(f"tensor container {entry}: negative shape {list(shape)}")
+        if into is None:
+            data = read(8 * math.prod(shape), "data")
+            out[name] = np.frombuffer(data, dtype="<f8").reshape(shape)
+            continue
+        arr = out[name] = into[name]
+        if shape != arr.shape:
+            raise ValueError(f"tensor container {entry}: shape {shape}, expected {arr.shape}")
+        read(arr.nbytes, "data", arr)
+        if sys.byteorder != "little":
+            arr.byteswap(inplace=True)
+    if into is not None and len(out) != len(into):
+        missing = sorted(set(into) - set(out))
+        raise ValueError(f"tensor container lacks {len(missing)} tensor(s), first {missing[0]!r}")
+    if pos != size:
+        raise ValueError(f"{size - pos} trailing bytes in tensor container")
     return out
-

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import cylseg.network as network_module
+import cylseg.partition as partition
 from cylseg.cli import _dataset, main
 from cylseg.config import load_config
 from cylseg.network import (
@@ -26,6 +27,7 @@ from cylseg.network import (
     RulebookCache,
     SegmentationNetwork,
     load_checkpoint,
+    point_input_features,
 )
 from cylseg.partition import CylGridSpec, assign_cells, occupancy_by_distance, scatter_features
 from cylseg.pointcloud import (
@@ -409,5 +411,27 @@ def test_a_scan_read_in_float32_gives_the_bytes_of_its_float64_copy(tmp_path):
         got, expected = assign_cells(read, grid), assign_cells(wide, grid)
         np.testing.assert_array_equal(got.cells, expected.cells)
         np.testing.assert_array_equal(got.point_site, expected.point_site)
+        np.testing.assert_array_equal(
+            point_input_features(read.xyz, read.intensity, got, grid),
+            point_input_features(wide.xyz, wide.intensity, expected, grid),
+        )
     assert occupancy_by_distance([read, read]) == occupancy_by_distance([wide, wide])
     np.testing.assert_array_equal(net.predict(read), net.predict(wide))
+
+
+def test_a_forward_widens_a_float32_scan_once(monkeypatch):
+    # assign_cells and the point features take the same float64 positions,
+    # so no float32 array reaches the cylindrical coordinates
+    net = load_checkpoint(os.path.join(DATA, "toy_seed0.ckpt"))
+    scene = generate_synthetic_scene(SyntheticSceneSpec(seed=22, num_points=2048, max_range=12.0))
+    cloud = PointCloud(scene.xyz.astype(np.float32), scene.intensity.astype(np.float32))
+    seen = []
+    cyl_columns = partition._cyl_columns
+
+    def spy(xyz):
+        seen.append(np.asarray(xyz).dtype)
+        return cyl_columns(xyz)
+
+    monkeypatch.setattr(partition, "_cyl_columns", spy)
+    net.forward(cloud)
+    assert seen == [np.float64, np.float64]  # the grid's bins, the point features

@@ -22,6 +22,7 @@ from cylseg.pointcloud import (
     write_kitti_bin,
     write_kitti_labels,
 )
+from cylseg.sparse import read_tensors, write_tensors
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -562,6 +563,36 @@ def _garble_first_tensor(ckpt: bytes, part: str) -> bytes:
     return ckpt[:ndim_at] + struct.pack("<I", 2**31) + ckpt[ndim_at + 4 :]
 
 
+def _with_tensors(ckpt: bytes, edit) -> bytes:
+    """``ckpt`` with its tensors (name -> array) replaced by ``edit(tensors)``."""
+    start = 12 + _header_len(ckpt)
+    buf = io.BytesIO()
+    write_tensors(buf, edit(read_tensors(io.BytesIO(ckpt[start:]))))
+    return ckpt[:start] + buf.getvalue()
+
+
+def _without_first(tensors: dict) -> dict:
+    return {name: arr for name, arr in tensors.items() if name != min(tensors)}
+
+
+def _first_reshaped(tensors: dict) -> dict:
+    return {**tensors, min(tensors): tensors[min(tensors)][..., None]}
+
+
+def _repeat_first_tensor(ckpt: bytes) -> bytes:
+    """``ckpt`` with its first CYLT entry written twice and the count raised."""
+    start = 12 + _header_len(ckpt) + 4
+    version, count = struct.unpack_from("<II", ckpt, start)
+    at = start + 8
+    (name_len,) = struct.unpack_from("<I", ckpt, at)
+    (ndim,) = struct.unpack_from("<I", ckpt, at + 4 + name_len)
+    shape_at = at + 8 + name_len
+    size = math.prod(struct.unpack_from(f"<{ndim}q", ckpt, shape_at))
+    end = shape_at + 8 * ndim + 8 * size
+    head = ckpt[:start] + struct.pack("<II", version, count + 1)
+    return head + ckpt[at:end] + ckpt[at:]
+
+
 MALFORMED_CHECKPOINTS = {
     "empty": lambda c: b"",
     "cut_in_magic": lambda c: c[:3],
@@ -583,6 +614,11 @@ MALFORMED_CHECKPOINTS = {
     ),
     "tensor_name_not_utf8": lambda c: _garble_first_tensor(c, "name"),
     "huge_tensor_ndim": lambda c: _garble_first_tensor(c, "ndim"),
+    "unexpected_tensor": lambda c: _with_tensors(c, lambda t: {**t, "extra": np.zeros(2)}),
+    "missing_tensor": lambda c: _with_tensors(c, _without_first),
+    "wrong_shape": lambda c: _with_tensors(c, _first_reshaped),
+    "trailing_bytes": lambda c: c + bytes(8),
+    "repeated_tensor": _repeat_first_tensor,
 }
 
 

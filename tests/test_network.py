@@ -42,7 +42,7 @@ from cylseg.network import (
 from cylseg.partition import CylGridSpec, assign_cells
 from cylseg.pointcloud import PointCloud, SyntheticSceneSpec, generate_synthetic_scene
 from cylseg.selftest import _toy_setup, random_sparse
-from cylseg.sparse import leaky_relu_forward, unpack_tensor_views
+from cylseg.sparse import leaky_relu_forward, read_tensors
 from cylseg.training import finite_diff_check
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -80,7 +80,7 @@ def test_point_features_at_cell_center_have_zero_offsets():
     xyz = np.array([[rho_c * np.cos(theta_c), rho_c * np.sin(theta_c), z_c]])
     cloud = PointCloud(xyz, np.array([0.7]))
     mapping = assign_cells(cloud, grid)
-    feats = point_input_features(cloud, mapping, grid)
+    feats = point_input_features(cloud.xyz, cloud.intensity, mapping, grid)
     np.testing.assert_allclose(feats[0, :3], 0.0, atol=1e-12)
     np.testing.assert_allclose(feats[0, 3:6], [rho_c, theta_c, z_c], atol=1e-12)
 
@@ -88,7 +88,7 @@ def test_point_features_at_cell_center_have_zero_offsets():
 def test_point_features_axis_case():
     grid = CylGridSpec(rho_range=(0.0, 8.0), z_range=(-2.0, 2.0), resolution=(4, 4, 4))
     cloud = PointCloud(np.array([[1.0, 0.0, 0.0]]), np.array([0.25]))
-    feats = point_input_features(cloud, assign_cells(cloud, grid), grid)
+    feats = point_input_features(cloud.xyz, cloud.intensity, assign_cells(cloud, grid), grid)
     assert feats.shape == (1, 9)
     rho, theta, z, x, y, intensity = feats[0, 3], feats[0, 4], feats[0, 5], feats[0, 6], feats[0, 7], feats[0, 8]
     assert (rho, theta, z, x, y, intensity) == (1.0, 0.0, 0.0, 1.0, 0.0, 0.25)
@@ -99,7 +99,7 @@ def test_point_feature_offsets_bounded_by_half_cell():
     rng = np.random.default_rng(40)
     xyz = rng.uniform(-5, 5, size=(500, 3))
     cloud = PointCloud(xyz, rng.uniform(size=500))
-    feats = point_input_features(cloud, assign_cells(cloud, grid), grid)
+    feats = point_input_features(cloud.xyz, cloud.intensity, assign_cells(cloud, grid), grid)
     half = grid.deltas / 2.0
     # in-range points sit within half a cell of their center; clamped points
     # (|p| beyond the grid) can exceed it along the clamped axis only
@@ -517,17 +517,60 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
         load_checkpoint(path)
 
 
-def test_load_tensor_dict_rejects_missing_names():
-    net = SegmentationNetwork(_toy_config(), seed=0)
-    tensors = {**net.named_params(), **net.named_state()}
-    tensors.pop(sorted(tensors)[0])
-    with pytest.raises(ValueError):
-        net.load_tensor_dict(tensors)
-
-
 def _expected_toy_outputs():
     with open(os.path.join(DATA, "toy_seed0_expected.cylt"), "rb") as fh:
-        return unpack_tensor_views(fh.read())
+        return read_tensors(fh)
+
+
+def test_resaving_the_toy_checkpoint_gives_its_exact_bytes(tmp_path):
+    path = os.path.join(DATA, "toy_seed0.ckpt")
+    save_checkpoint(tmp_path / "again.ckpt", load_checkpoint(path))
+    with open(path, "rb") as fh:
+        assert (tmp_path / "again.ckpt").read_bytes() == fh.read()
+
+
+def _full_scale_network():
+    # every tensor about to be written or overwritten, so none is drawn
+    cfg = load_config(os.path.join(ROOT, "configs", "semantic_kitti.cfg"))
+    return SegmentationNetwork(cfg.network, seed=network_module._NO_DRAW)
+
+
+def _traced_peak(run):
+    """What ``run()`` returns, and its tracemalloc peak above what was
+    traced when it started."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def full_scale_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("full") / "net.ckpt"
+    save_checkpoint(path, _full_scale_network())
+    yield path
+    path.unlink()
+
+
+def test_checkpoint_load_reads_each_tensor_into_its_array(full_scale_checkpoint):
+    # the parent read the whole 150 MiB file into one bytes object first
+    net, peak = _traced_peak(lambda: load_checkpoint(full_scale_checkpoint))
+    arrays = [*net.named_params().values(), *net.named_state().values(),
+              *net.named_grads().values()]
+    own = sum(arr.nbytes for arr in arrays)
+    assert own > 200 * 2**20
+    assert peak <= own + 4 * 2**20, (peak / 2**20, own / 2**20)
+
+
+def test_checkpoint_save_writes_each_tensor_from_its_array():
+    # the parent packed every tensor into one blob, then copied it
+    net = _full_scale_network()
+    largest = max(arr.nbytes for arr in net.named_params().values())
+    _, peak = _traced_peak(lambda: save_checkpoint(os.devnull, net))
+    assert peak <= largest, (peak / 2**20, largest / 2**20)
 
 
 def test_checkpoint_from_before_the_layer_rework_predicts_identically():

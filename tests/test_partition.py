@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -92,6 +93,22 @@ def test_angle_wrap_does_not_change_cell():
 
 
 # -------------------------------------------------------------------- binning
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_CYL_GRID, DEFAULT_CUBIC_GRID])
+def test_cell_keys_drops_each_axis_column_once_it_is_binned(grid):
+    # the cylindrical grid's rho and theta columns used to live until the
+    # last axis was binned: a peak of 6 arrays of N float64s instead of 4
+    n = 1 << 16
+    xyz = np.random.default_rng(12).uniform(-50.0, 50.0, (n, 3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grid.cell_keys(xyz)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * n, peak / (8 * n)
 
 
 def test_assign_cells_minimum_bin():

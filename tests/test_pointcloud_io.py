@@ -200,3 +200,20 @@ def test_point_cloud_with_labels_keeps_geometry():
     labeled = cloud.with_labels(np.array([0, 1, 2]))
     assert labeled.labels.tolist() == [0, 1, 2]
     assert labeled.xyz is cloud.xyz
+
+
+def test_with_labels_checks_the_labels_and_nothing_else(tmp_path, monkeypatch):
+    # read_kitti_bin checked the scan once; train, eval and bound label each
+    # read scan, and a second finiteness walk of its strided views is waste
+    path = tmp_path / "scan.bin"
+    path.write_bytes(np.ones((8, 4), dtype="<f4").tobytes())
+    cloud = read_kitti_bin(path)
+    calls = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda *a, **k: calls.append(a) or isfinite(*a, **k))
+    labeled = cloud.with_labels([0, 1, 2, 3, 4, 5, 6, 7])
+    assert calls == []
+    assert labeled.xyz is cloud.xyz and labeled.intensity is cloud.intensity
+    assert labeled.labels.dtype == np.int64 and cloud.labels is None
+    with pytest.raises(ValueError, match=r"labels must be \(8,\), got \(7,\)"):
+        cloud.with_labels(np.arange(7))

@@ -1,4 +1,6 @@
+import io
 import math
+import struct
 import tracemalloc
 from itertools import product
 
@@ -26,11 +28,11 @@ from cylseg.sparse import (
     inverse_conv_forward,
     leaky_relu_backward,
     leaky_relu_forward,
-    pack_tensors,
+    read_tensors,
     sigmoid_forward,
     sparse_conv_backward,
     sparse_conv_forward,
-    unpack_tensor_views,
+    write_tensors,
 )
 from cylseg.training import finite_diff_check
 
@@ -893,35 +895,90 @@ def test_dense_oracle_impulse_response():
 # ----------------------------------------------------------------- container
 
 
+def _pack(tensors):
+    buf = io.BytesIO()
+    write_tensors(buf, tensors)
+    return buf.getvalue()
+
+
+def _unpack(blob, into=None):
+    return read_tensors(io.BytesIO(blob), into)
+
+
 def test_pack_unpack_round_trip():
     rng = np.random.default_rng(34)
     tensors = {
         "a.weights": rng.standard_normal((3, 2, 2)),
         "b.bias": rng.standard_normal(4),
         "empty": np.zeros((0, 2)),
+        "scalar": np.float64(2.5),
     }
-    blob = pack_tensors(tensors)
+    blob = _pack(tensors)
     assert blob[:4] == b"CYLT"
-    out = unpack_tensor_views(blob)
-    assert set(out) == set(tensors)
+    out = _unpack(blob)
+    assert list(out) == sorted(tensors)
     for name in tensors:
+        assert out[name].shape == np.shape(tensors[name])
         np.testing.assert_array_equal(out[name], tensors[name])
+    into = {name: np.full(np.shape(arr), np.nan) for name, arr in tensors.items()}
+    assert all(_unpack(blob, into)[name] is into[name] for name in tensors)
+    for name in tensors:
+        np.testing.assert_array_equal(into[name], tensors[name])
 
 
 def test_pack_is_insertion_order_independent():
     a = {"x": np.ones(2), "y": np.zeros(3)}
     b = {"y": np.zeros(3), "x": np.ones(2)}
-    assert pack_tensors(a) == pack_tensors(b)
+    assert _pack(a) == _pack(b)
 
 
 def test_unpack_rejects_bad_magic():
-    with pytest.raises(ValueError):
-        unpack_tensor_views(b"NOPE" + b"\x00" * 16)
+    with pytest.raises(ValueError, match="magic"):
+        _unpack(b"NOPE" + b"\x00" * 16)
+
+
+def test_unpack_reads_the_container_from_the_file_position_to_its_end():
+    blob = _pack({"a": np.arange(3.0)})
+    fh = io.BytesIO(b"preamble" + blob)
+    fh.seek(8)
+    np.testing.assert_array_equal(read_tensors(fh)["a"], np.arange(3.0))
+    with pytest.raises(ValueError, match="^5 trailing bytes in tensor container$"):
+        _unpack(blob + b"extra")
+
+
+def _entry(name, shape):
+    """One container entry's name, ndim and shape, ahead of its data."""
+    encoded = name.encode()
+    return struct.pack(f"<I{len(encoded)}sI{len(shape)}q", len(encoded), encoded,
+                       len(shape), *shape)
+
+
+def test_unpack_into_arrays_checks_names_and_shapes_before_reading_data():
+    blob = _pack({"a": np.ones(2), "b": np.ones((2, 3))})
+    with pytest.raises(ValueError, match=r"entry 1 \('b'\): unexpected tensor"):
+        _unpack(blob, {"a": np.zeros(2), "c": np.zeros((2, 3))})
+    with pytest.raises(ValueError, match=r"entry 1 \('b'\): shape \(2, 3\), expected \(3, 2\)"):
+        _unpack(blob, {"a": np.zeros(2), "b": np.zeros((3, 2))})
+    with pytest.raises(ValueError, match=r"lacks 1 tensor\(s\), first 'c'"):
+        _unpack(blob, {"a": np.zeros(2), "b": np.zeros((2, 3)), "c": np.zeros(1)})
+
+
+def test_unpack_allocates_nothing_for_a_declared_size_beyond_the_file():
+    # 2^40 float64s declared, 8 bytes present: the check comes before np.empty
+    blob = b"CYLT" + struct.pack("<II", 1, 1) + _entry("a", (1 << 20, 1 << 20)) + b"\x00" * 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cut short in entry 0 \\('a'\\)"):
+            _unpack(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_unpack_names_the_entry_a_cut_container_stops_in():
     tensors = {"a.weights": np.ones((2, 3)), "b": np.float64(2.0), "c.bias": np.zeros(4)}
-    blob = pack_tensors(tensors)
+    blob = _pack(tensors)
     names = sorted(tensors)
     starts = [12]  # where each entry begins
     for name in names:
@@ -930,7 +987,7 @@ def test_unpack_names_the_entry_a_cut_container_stops_in():
     assert starts[-1] == len(blob)
     for cut in range(len(blob)):
         with pytest.raises(ValueError) as err:
-            unpack_tensor_views(blob[:cut])
+            _unpack(blob[:cut])
         message = str(err.value)
         if cut < 4:
             assert "magic" in message
