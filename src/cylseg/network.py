@@ -15,6 +15,7 @@ mutates nothing and is safe to run concurrently on shared parameters.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -35,8 +36,8 @@ from .pointcloud import PointCloud
 from .sparse import (
     ConvParams,
     KernelSpec,
+    NORM_EPS,
     Rulebook,
-    SiteIndex,
     SparseTensor,
     batch_norm_backward,
     batch_norm_forward,
@@ -72,20 +73,17 @@ def point_input_features(
 
 
 class RulebookCache:
-    """One ``SiteIndex`` per site set and one rulebook per (site set, kernel)
-    within one pass; site sets are told apart by the identity of their coords."""
+    """One rulebook per (site set, kernel) within one pass; site sets are told
+    apart by the identity of their coords."""
 
     def __init__(self):
-        self._store = {}  # id(coords) -> (SiteIndex, {kernel: Rulebook})
+        self._store = {}  # (id(coords), kernel) -> Rulebook
 
     def get(self, x: SparseTensor, kernel: KernelSpec) -> Rulebook:
-        hit = self._store.get(id(x.coords))
-        if hit is None or hit[0].coords is not x.coords:
-            hit = self._store[id(x.coords)] = (SiteIndex(x.coords, x.spatial_shape), {})
-        sites, rulebooks = hit
-        if kernel not in rulebooks:
-            rulebooks[kernel] = build_rulebook(x.coords, x.spatial_shape, kernel, sites)
-        return rulebooks[kernel]
+        rb = self._store.get((id(x.coords), kernel))
+        if rb is None or rb.in_coords is not x.coords:
+            rb = self._store[id(x.coords), kernel] = build_rulebook(x, kernel)
+        return rb
 
 
 class Module:
@@ -160,13 +158,15 @@ def activate(x, slope, training):
 
 
 class Affine(Module):
-    """Per-point affine map, followed by its batch norm ``norm`` if given."""
+    """Per-point affine map, followed by a batch norm ``norm`` if asked for,
+    made after the weight: a weight that a checkpoint cannot hold is refused
+    (``_NoDraw``) before anything else of the layer is allocated."""
 
-    def __init__(self, c_in, c_out, rng, norm: Optional[BatchNorm] = None):
+    def __init__(self, c_in, c_out, rng, norm: bool = False):
         bound = np.sqrt(6.0 / (c_in + c_out))
         self.weight = rng.uniform(-bound, bound, (c_in, c_out))
         self.bias = np.zeros(c_out)
-        self.norm = norm
+        self.norm = BatchNorm(c_out) if norm else None
         self.declare({"weight": self.weight, "bias": self.bias})
 
     def forward(self, feats, training):
@@ -214,9 +214,9 @@ class BatchNorm(Module):
         """The preceding layer's ``weight`` (output channels last) and
         ``bias`` with this norm's inference map folded in, ``W * s`` and
         ``(b - running_mean) * s + shift`` for ``s = scale / sqrt(running_var
-        + eps)``: computed in float64, rounded once to ``dtype``."""
+        + NORM_EPS)``: computed in float64, rounded once to ``dtype``."""
         norm = self.norm
-        s = norm.scale / np.sqrt(norm.running_var + norm.eps)
+        s = norm.scale / np.sqrt(norm.running_var + NORM_EPS)
         folded = np.multiply(weight, s, out=np.empty(weight.shape, dtype), casting="same_kind")
         return folded, ((bias - norm.running_mean) * s + norm.shift).astype(dtype)
 
@@ -226,7 +226,8 @@ DOWNSAMPLE = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
 
 class Conv(Module):
     """Sparse convolution over a rulebook: submanifold, strided or inverse,
-    followed by its batch norm ``norm`` if given.
+    followed by a batch norm ``norm`` if asked for. Like ``Affine``, it draws
+    its weights first.
 
     Its rulebook comes from the pass's ``RulebookCache``, for the sites of
     ``x``. Given the tensor ``to`` that a downsampling conv of the same kernel
@@ -234,10 +235,10 @@ class Conv(Module):
     through that conv's cached rulebook, back to ``to``'s sites.
     """
 
-    def __init__(self, kernel: KernelSpec, c_in, c_out, rng, norm: Optional[BatchNorm] = None):
+    def __init__(self, kernel: KernelSpec, c_in, c_out, rng, norm: bool = False):
         self.kernel = kernel
-        self.norm = norm
         self.conv_params = init_conv_params(kernel, c_in, c_out, rng)
+        self.norm = BatchNorm(c_out) if norm else None
         self.declare({"weights": self.conv_params.weights, "bias": self.conv_params.bias})
 
     def forward(self, x, cache, training, to=None):
@@ -294,7 +295,7 @@ class PointMLP(Chain):
     def __init__(self, widths, rng, slope):
         layers = []
         for i, (c_in, c_out) in enumerate(zip(widths[:-1], widths[1:])):
-            affine = Affine(c_in, c_out, rng, norm=BatchNorm(c_out))
+            affine = Affine(c_in, c_out, rng, norm=True)
             layers.append((self.add(f"l{i}.affine", affine, f"l{i}.norm"), True))
         super().__init__(slope, layers)
 
@@ -303,8 +304,8 @@ class _ConvBNActConvBN(Chain):
     """conv(k1) -> BN -> act -> conv(k2) -> BN, on a fixed site set."""
 
     def __init__(self, c_in, c_out, k1, k2, rng, slope):
-        conv1 = self.add("conv1", Conv(KernelSpec(k1), c_in, c_out, rng, BatchNorm(c_out)), "bn1")
-        conv2 = self.add("conv2", Conv(KernelSpec(k2), c_out, c_out, rng, BatchNorm(c_out)), "bn2")
+        conv1 = self.add("conv1", Conv(KernelSpec(k1), c_in, c_out, rng, norm=True), "bn1")
+        conv2 = self.add("conv2", Conv(KernelSpec(k2), c_out, c_out, rng, norm=True), "bn2")
         super().__init__(slope, [(conv1, True), (conv2, False)])
 
 
@@ -420,7 +421,7 @@ class DDCM(Module):
     def __init__(self, channels, rng):
         self.convs = []
         for i, size in enumerate(self.SIZES):
-            conv = Conv(KernelSpec(size), channels, channels, rng, norm=BatchNorm(channels))
+            conv = Conv(KernelSpec(size), channels, channels, rng, norm=True)
             self.convs.append(self.add(f"g{i}.conv", conv, f"g{i}.norm"))
 
     def forward(self, x, cache, training):
@@ -586,14 +587,21 @@ _CKPT_VERSION = 1
 
 class _NoDraw:
     """Stands in for the init generator of a network whose tensors are all
-    about to be overwritten: it allocates the weights without drawing them."""
+    about to be read from a container of ``nbytes`` bytes: it allocates the
+    weights without drawing them, and raises a ValueError before a weight
+    that would take them past what the container can hold."""
 
-    @staticmethod
-    def uniform(low, high, size):
+    def __init__(self, nbytes):
+        self.nbytes = self.left = nbytes
+
+    def uniform(self, low, high, size):
+        self.left -= 8 * math.prod(size)
+        if self.left < 0:
+            raise ValueError(
+                f"the header's network has more weights than the {self.nbytes}-byte "
+                "tensor container holds"
+            )
         return np.empty(size)
-
-
-_NO_DRAW = _NoDraw()
 
 
 def save_checkpoint(path, network: SegmentationNetwork) -> None:
@@ -622,7 +630,7 @@ def load_checkpoint(path) -> SegmentationNetwork:
             if 12 + header_len > size:
                 raise ValueError(f"header length {header_len} overruns the {size}-byte file")
             config = parse_network_header(fh.read(header_len).decode("utf-8"))
-            network = SegmentationNetwork(config, seed=_NO_DRAW)
+            network = SegmentationNetwork(config, seed=_NoDraw(size - 12 - header_len))
             read_tensors(fh, {**network.named_params(), **network.named_state()})
         except (ValueError, ConfigError) as exc:
             raise ValueError(f"{path}: {exc}") from None

@@ -17,7 +17,15 @@ import numpy as np
 
 from .metrics import ConfusionMatrix, compute_miou
 from .pointcloud import TWO_PI, PointCloud
-from .sparse import SparseTensor, as_features, check_shape, distinct_keys, in_lanes, occupied_keys
+from .sparse import (
+    SparseTensor,
+    as_features,
+    check_shape,
+    distinct_keys,
+    in_lanes,
+    key_coords,
+    occupied_keys,
+)
 
 
 def _cyl_columns(xyz) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -83,10 +91,6 @@ class _Grid:
         h *= length
         h += l
         return h
-
-    def key_cells(self, keys: np.ndarray) -> np.ndarray:
-        """(M, 3) cell coordinates of flat cell keys."""
-        return np.stack(np.unravel_index(keys, self.resolution), axis=1).astype(np.int64)
 
     def cell_centers(self, cells: np.ndarray) -> np.ndarray:
         """Axis-space centers of the given cells."""
@@ -222,7 +226,7 @@ def assign_cells(cloud, grid) -> VoxelMapping:
     flat = grid.cell_keys(as_positions(cloud))
     keys, rank = occupied_keys(flat, grid.num_cells)
     point_site = rank[flat].astype(np.int64)
-    return VoxelMapping(point_site, grid.key_cells(keys), tuple(grid.resolution))
+    return VoxelMapping(point_site, key_coords(keys, grid.resolution), tuple(grid.resolution))
 
 
 def scatter_features(point_features: np.ndarray, mapping: VoxelMapping) -> SparseTensor:
@@ -354,7 +358,7 @@ def occupancy_by_distance(
         xyz = as_positions(cloud)  # widened once, for both grids
         counts = []
         for _, grid in schemes:
-            cells = grid.key_cells(distinct_keys(grid.cell_keys(xyz), grid.num_cells))
+            cells = key_coords(distinct_keys(grid.cell_keys(xyz), grid.num_cells), grid.resolution)
             counts.append(_count_in_bins(grid.cell_planar_distance(cells), edges))
         return counts
 

@@ -19,6 +19,7 @@ from .sparse import (
     dense_conv_oracle,
     densify,
     init_conv_params,
+    key_coords,
     sparse_conv_forward,
     inverse_conv_forward,
     ConvParams,
@@ -55,7 +56,7 @@ def random_sparse(rng, max_shape=(16, 16, 16), max_channels=8, max_sites=40) -> 
     count = int(rng.integers(1, min(max_sites, total) + 1))
     flat = rng.choice(total, size=count, replace=False)
     flat.sort()
-    coords = np.stack(np.unravel_index(flat, shape), axis=1).astype(np.int64)
+    coords = key_coords(flat, shape)
     feats = rng.standard_normal((count, channels))
     return SparseTensor(coords, feats, shape)
 
@@ -99,7 +100,7 @@ def conv_oracle_error(x: SparseTensor, kernel: KernelSpec, params) -> float:
     convolution (all-ones kernel over the activity indicator) marks
     reachable.
     """
-    rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+    rb = build_rulebook(x, kernel)
     got = sparse_conv_forward(x, params, rb)
     dense = densify(x)
     mask = np.zeros(x.spatial_shape, dtype=bool)
@@ -138,7 +139,7 @@ def _check_inverse_adjoint():
         c_in = x.features.shape[1]
         c_out = int(rng.integers(1, 5))
         params = init_conv_params(kernel, c_in, c_out, rng)
-        rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+        rb = build_rulebook(x, kernel)
         params.bias[...] = 0.0
         y = sparse_conv_forward(x, params, rb)
         u = y.with_features(rng.standard_normal(y.features.shape))

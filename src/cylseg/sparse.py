@@ -102,6 +102,11 @@ def _flatten_coords(coords: np.ndarray, shape: Sequence[int]) -> np.ndarray:
     return (coords[:, 0] * w + coords[:, 1]) * l + coords[:, 2]
 
 
+def key_coords(keys: np.ndarray, shape) -> np.ndarray:
+    """(M, 3) int64 cell coordinates of the flat ``keys`` in a grid of ``shape``."""
+    return np.stack(np.unravel_index(keys, shape), axis=1).astype(np.int64)
+
+
 def _validate_coords(coords: np.ndarray, shape) -> np.ndarray:
     coords = np.ascontiguousarray(coords, dtype=np.int64)
     if coords.ndim != 2 or coords.shape[1] != 3:
@@ -225,51 +230,30 @@ class Rulebook:
         )
 
 
-class SiteIndex:
-    """One site set's keys and its neighbour searches, each made once.
-
-    ``coords`` must already be valid (in bounds and ascending by key), as a
-    ``SparseTensor``'s are. ``neighbours(offset)`` returns the pairs
-    (i -> j) with ``coords[i] + offset == coords[j]``, ascending in both i
-    and j, and memoises them, so kernels sharing an offset share its search.
-    """
-
-    def __init__(self, coords: np.ndarray, shape):
-        self.coords = coords
-        self.shape = _as_triple(shape)
-        self._keys = _flatten_coords(coords, self.shape)
-        self._found = {}
-
-    def neighbours(self, offset) -> Tuple[np.ndarray, np.ndarray]:
-        offset = tuple(int(d) for d in offset)
-        hit = self._found.get(offset)
-        if hit is None:
-            hit = self._found[offset] = self._search(offset)
-        return hit
-
-    def _search(self, offset) -> Tuple[np.ndarray, np.ndarray]:
-        m = self.coords.shape[0]
-        if offset == (0, 0, 0):
-            every = np.arange(m)
-            return every, every
-        valid = np.ones(m, dtype=bool)
-        for axis, d in enumerate(offset):
-            if d < 0:
-                valid &= self.coords[:, axis] >= -d
-            elif d > 0:
-                valid &= self.coords[:, axis] < self.shape[axis] - d
-        src = np.nonzero(valid)[0]
-        _, w, l = self.shape
-        tkeys = self._keys[src] + ((offset[0] * w + offset[1]) * l + offset[2])
-        pos = np.minimum(np.searchsorted(self._keys, tkeys), m - 1)
-        found = self._keys[pos] == tkeys
-        return src[found], pos[found]
+def _neighbours(coords, keys, shape, offset) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs (i -> j) with ``coords[i] + offset == coords[j]`` of a valid
+    site set with flat ``keys``, ascending in both i and j."""
+    m = coords.shape[0]
+    if offset == (0, 0, 0):
+        every = np.arange(m)
+        return every, every
+    valid = np.ones(m, dtype=bool)
+    for axis, d in enumerate(offset):
+        if d < 0:
+            valid &= coords[:, axis] >= -d
+        elif d > 0:
+            valid &= coords[:, axis] < shape[axis] - d
+    src = np.nonzero(valid)[0]
+    _, w, l = shape
+    tkeys = keys[src] + ((offset[0] * w + offset[1]) * l + offset[2])
+    pos = np.minimum(np.searchsorted(keys, tkeys), m - 1)
+    found = keys[pos] == tkeys
+    return src[found], pos[found]
 
 
-def build_rulebook(
-    in_coords: np.ndarray, in_shape, kernel: KernelSpec, sites: Optional[SiteIndex] = None
-) -> Rulebook:
-    """Enumerate (input, output) site pairs for each kernel offset.
+def build_rulebook(x: SparseTensor, kernel: KernelSpec) -> Rulebook:
+    """Enumerate (input, output) site pairs for each kernel offset over the
+    sites of ``x``, whose coords are valid by construction.
 
     Submanifold: the output site set (and ordering) equals the input's; a
     pair (i -> j) exists for offset k iff ``in_coords[i] + offset_k`` is an
@@ -279,18 +263,13 @@ def build_rulebook(
     coordinates scaled by the stride. Both sides of every pair list ascend:
     a shift, and an exact division by the stride within one residue class,
     keep the ascending order of the input sites.
-
-    ``sites``, the ``SiteIndex`` of these (already validated) coords, skips
-    the validation and shares its neighbour searches with other kernels.
     """
-    if sites is None:
-        in_shape = _as_triple(in_shape)
-        sites = SiteIndex(_validate_coords(in_coords, in_shape), in_shape)
-    in_coords, in_shape = sites.coords, check_shape(sites.shape)
+    in_coords, in_shape = x.coords, x.spatial_shape
     offsets = kernel.offsets()
 
     if kernel.mode == "submanifold":
-        pairs = [sites.neighbours(d) for d in offsets]
+        keys = _flatten_coords(in_coords, in_shape)
+        pairs = [_neighbours(in_coords, keys, in_shape, tuple(d.tolist())) for d in offsets]
         return Rulebook(
             kernel, in_coords, in_shape, in_coords, in_shape, pairs, kernel.volume // 2
         )
@@ -315,7 +294,7 @@ def build_rulebook(
     out_keys, rank = occupied_keys(
         np.concatenate([keys for _, keys in per_offset]), math.prod(out_shape)
     )
-    out_coords = np.stack(np.unravel_index(out_keys, out_shape), axis=1).astype(np.int64)
+    out_coords = key_coords(out_keys, out_shape)
     pairs = [(src, rank[keys].astype(np.int64)) for src, keys in per_offset]
     return Rulebook(kernel, in_coords, in_shape, out_coords, out_shape, pairs)
 
@@ -536,6 +515,11 @@ def inverse_conv_backward(
 # element-wise ops and normalization (functional: forward returns a context)
 
 
+# batch norm's variance floor, and the weight of the old running statistics
+# in each training batch's update of them
+NORM_EPS, NORM_MOMENTUM = 1e-5, 0.99
+
+
 @dataclass
 class NormParams:
     """Per-channel affine batch normalization parameters and running stats."""
@@ -544,8 +528,6 @@ class NormParams:
     shift: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 1e-5
-    momentum: float = 0.99
 
     def __post_init__(self):
         self.scale = np.asarray(self.scale, dtype=_DTYPE)
@@ -567,10 +549,10 @@ def batch_norm_forward(features: np.ndarray, norm: NormParams, training: bool):
     """Normalize per channel over active sites.
 
     Training mode uses batch statistics (biased variance) and updates the
-    running buffers in place: running = momentum * running + (1 - momentum)
-    * batch. Inference mode uses the running buffers. It computes in the
-    dtype of ``features``. The variance is ``features.var``'s: the mean of
-    the squared deviations, squared into the buffer that then takes ``out``.
+    running buffers in place: running = m * running + (1 - m) * batch for
+    m = NORM_MOMENTUM. Inference mode uses the running buffers. It computes
+    in the dtype of ``features``. The variance is ``features.var``'s: the
+    mean of the squared deviations, squared into the buffer that takes ``out``.
     """
     features = as_features(features)
     dtype = features.dtype
@@ -581,15 +563,15 @@ def batch_norm_forward(features: np.ndarray, norm: NormParams, training: bool):
         xhat = features - mean
         out = np.multiply(xhat, xhat)
         var = out.mean(axis=0)
-        norm.running_mean *= norm.momentum
-        norm.running_mean += (1 - norm.momentum) * mean
-        norm.running_var *= norm.momentum
-        norm.running_var += (1 - norm.momentum) * var
+        norm.running_mean *= NORM_MOMENTUM
+        norm.running_mean += (1 - NORM_MOMENTUM) * mean
+        norm.running_var *= NORM_MOMENTUM
+        norm.running_var += (1 - NORM_MOMENTUM) * var
     else:
         mean, var = norm.running_mean, norm.running_var
         xhat = features - mean.astype(dtype, copy=False)
         out = np.empty_like(xhat)
-    inv_std = (1.0 / np.sqrt(var + norm.eps)).astype(dtype, copy=False)
+    inv_std = (1.0 / np.sqrt(var + NORM_EPS)).astype(dtype, copy=False)
     xhat *= inv_std
     scale = norm.scale.astype(dtype, copy=False)
     np.multiply(scale, xhat, out=out)

@@ -168,6 +168,11 @@ def segmentation_loss(
     return LossReport(ce_v, lov, ce_p, g_ce_v + g_lov, g_ce_p)
 
 
+# Adam's decay rates of the first and second moment estimates, and the
+# epsilon added to the square root of the second
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam(object):
     """Adam with bias correction; epsilon sits outside the square root.
 
@@ -175,12 +180,9 @@ class Adam(object):
     run is reproducible regardless of dict construction order.
     """
 
-    def __init__(self, params: Dict[str, np.ndarray], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: Dict[str, np.ndarray], lr=1e-3):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {n: np.zeros_like(p) for n, p in self.params.items()}
         self.v = {n: np.zeros_like(p) for n, p in self.params.items()}
@@ -189,24 +191,24 @@ class Adam(object):
         if set(grads) != set(self.params):
             raise ValueError("gradient names do not match the optimized parameters")
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
         for name in sorted(self.params):
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            step = np.multiply(1.0 - self.beta2, g)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            step = np.multiply(1.0 - ADAM_BETA2, g)
             step *= g
-            v *= self.beta2
+            v *= ADAM_BETA2
             v += step
             # lr * (m / c1) / (sqrt(v / c2) + eps), in two buffers
             np.divide(m, c1, out=step)
             step *= self.lr
             denom = np.divide(v, c2)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += ADAM_EPS
             step /= denom
             self.params[name] -= step
 

@@ -117,7 +117,7 @@ def _fd_conv(rng, kernel):
     x = random_sparse(rng, max_shape=(6, 6, 6), max_channels=3, max_sites=14)
     c_in = x.features.shape[1]
     params = init_conv_params(kernel, c_in, 2, rng)
-    rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+    rb = build_rulebook(x, kernel)
     probe = rng.standard_normal((len(rb.out_coords), 2))
 
     def objective():
@@ -134,7 +134,7 @@ def _fd_conv(rng, kernel):
 def _fd_inverse_conv(rng):
     x = random_sparse(rng, max_shape=(8, 8, 8), max_channels=3, max_sites=16)
     kernel = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
-    rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+    rb = build_rulebook(x, kernel)
     u = SparseTensor(rb.out_coords, rng.standard_normal((len(rb.out_coords), 3)), rb.out_shape)
     params = init_conv_params(kernel, 3, 2, rng)
     probe = rng.standard_normal((len(rb.in_coords), 2))

@@ -72,7 +72,7 @@ def _cases(rng, sites, min_channels, max_channels):
         perm = rng.permutation(x.num_sites)
         with pytest.raises(ValueError, match="duplicate sites or out of order"):
             SparseTensor(x.coords[perm], x.features[perm], x.spatial_shape)
-        for inp, book in _with_inverse(rng, x, build_rulebook(x.coords, x.spatial_shape, kernel)):
+        for inp, book in _with_inverse(rng, x, build_rulebook(x, kernel)):
             c_out = int(rng.integers(min_channels, max_channels + 1))
             params = init_conv_params(kernel, inp.num_channels, c_out, rng)
             params.bias[:] = rng.standard_normal(c_out)
@@ -159,7 +159,7 @@ def _large_conv(seed):
     rng = np.random.default_rng(seed)
     x = _large_sites(rng, channels=64)(NETWORK_KERNELS[1])
     x = x.with_features(x.features.astype(np.float32))
-    rb = build_rulebook(x.coords, x.spatial_shape, NETWORK_KERNELS[1])
+    rb = build_rulebook(x, NETWORK_KERNELS[1])
     params = init_conv_params(rb.kernel, 64, 64, rng)
     params.bias[:] = rng.standard_normal(64)
     assert sparse._block_count(rb.num_pairs * 64 * 64) > 1
@@ -230,7 +230,7 @@ def test_conv_backward_never_runs_a_traced_forward(monkeypatch):
     rng = np.random.default_rng(10)
     x = random_sparse(rng, max_shape=(9, 9, 9))
     for kernel in NETWORK_KERNELS:
-        rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+        rb = build_rulebook(x, kernel)
         params = init_conv_params(kernel, x.num_channels, 3, rng)
         sparse_conv_backward(x, params, rb, rng.standard_normal((len(rb.out_coords), 3)))
         u = SparseTensor(rb.out_coords, rng.standard_normal((len(rb.out_coords), 2)),
@@ -245,7 +245,7 @@ def test_conv_backward_never_runs_a_traced_forward(monkeypatch):
 def test_a_small_conv_makes_no_pool(fresh_pool):
     rng = np.random.default_rng(9)
     x = random_sparse(rng, max_shape=(9, 9, 9))
-    rb = build_rulebook(x.coords, x.spatial_shape, NETWORK_KERNELS[1])
+    rb = build_rulebook(x, NETWORK_KERNELS[1])
     params = init_conv_params(rb.kernel, x.num_channels, 4, rng)
     sparse_conv_forward(x, params, rb)
     assert sparse._POOL is None

@@ -83,7 +83,7 @@ def test_sparse_conv_forward_computes_in_float32(kernel):
         x32, x64 = _pair(rng)
         params = init_conv_params(kernel, x32.num_channels, 5, rng)
         params.bias[:] = rng.standard_normal(5)
-        rb = build_rulebook(x32.coords, x32.spatial_shape, kernel)
+        rb = build_rulebook(x32, kernel)
         out32 = sparse_conv_forward(x32, params, rb)
         _close(out32.features, sparse_conv_forward(x64, params, rb).features)
         assert params.weights.dtype == np.float64
@@ -94,7 +94,7 @@ def test_inverse_conv_forward_computes_in_float32():
     kernel = KernelSpec(3, 2, "strided")
     for _ in range(10):
         x = random_sparse(rng)
-        rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+        rb = build_rulebook(x, kernel)
         y64 = SparseTensor(rb.out_coords, rng.standard_normal((len(rb.out_coords), 4)),
                            rb.out_shape)
         y32 = y64.with_features(y64.features.astype(np.float32))
@@ -264,7 +264,7 @@ def test_fold_matches_the_unfolded_conv_and_affine_in_float64():
         conv = Conv(kernel, x.num_channels, 5, rng)
         conv.conv_params.bias[:] = rng.standard_normal(5)
         norm = _random_norm(rng, 5)
-        rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+        rb = build_rulebook(x, kernel)
         y, _ = conv.forward(x, RulebookCache(), training=False)
         unfolded, _ = norm.forward(y.features, training=False)
         params = conv.conv_params
@@ -286,8 +286,9 @@ def test_float32_conv_and_affine_fold_their_norm_and_keep_no_context(monkeypatch
     kernel = KernelSpec(3)
     x32, x64 = _pair(rng)
     norm = _random_norm(rng, 5)
-    conv = Conv(kernel, x32.num_channels, 5, rng, norm=norm)
-    affine = Affine(x32.num_channels, 5, rng, norm=norm)
+    conv = Conv(kernel, x32.num_channels, 5, rng, norm=True)
+    affine = Affine(x32.num_channels, 5, rng, norm=True)
+    conv.norm = affine.norm = norm
     cache = RulebookCache()
     expected = {
         "conv": conv.forward(x64, cache, training=False)[0].features,

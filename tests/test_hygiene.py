@@ -5,8 +5,10 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "cylseg"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cylseg"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str):
@@ -32,3 +34,44 @@ def test_the_check_finds_unused_imports():
     source = "import os\nfrom dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    x: int\n"
     assert unused_imports(source) == [(1, "os"), (2, "field")]
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
+
+
+def definitions(source: str):
+    """(line, name) of each function, class and constant a module defines at
+    its top level, dunder names aside."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, n.id) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [(line, name) for line, name in found if not name.startswith("__")]
+
+
+def names_read(source: str):
+    """Every name a source reads, bare or as an attribute; an import alone
+    (an ``__init__.py`` re-export, say) reads nothing."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_every_definition_is_read():
+    read = set().union(*(names_read(p.read_text()) for p in READERS))
+    unread = [(path.name, line, name) for path in MODULES
+              for line, name in definitions(path.read_text()) if name not in read]
+    assert unread == []
+
+
+def test_the_check_finds_unread_definitions():
+    source = ("A = 1\nB, _c = 2, 3\n__all__ = []\n"
+              "def f():\n    return A\nclass K:\n    pass\n")
+    assert definitions(source) == [(1, "A"), (2, "B"), (2, "_c"), (4, "f"), (6, "K")]
+    assert names_read(source) == {"A"}
+    assert names_read("from m import f\nimport m\nm.K\nm._c = 1\n") == {"m", "K"}

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -593,6 +594,12 @@ def _repeat_first_tensor(ckpt: bytes) -> bytes:
     return head + ckpt[at:end] + ckpt[at:]
 
 
+def _with_base_channels(ckpt: bytes, channels: int) -> bytes:
+    """``ckpt`` whose header asks for ``channels`` base channels instead of 4."""
+    header = _header(ckpt).replace("base_channels = 4\n", f"base_channels = {channels}\n")
+    return _with_header(ckpt, header)
+
+
 MALFORMED_CHECKPOINTS = {
     "empty": lambda c: b"",
     "cut_in_magic": lambda c: c[:3],
@@ -619,6 +626,8 @@ MALFORMED_CHECKPOINTS = {
     "wrong_shape": lambda c: _with_tensors(c, _first_reshaped),
     "trailing_bytes": lambda c: c + bytes(8),
     "repeated_tensor": _repeat_first_tensor,
+    "huge_base_channels": lambda c: _with_base_channels(c, 1_000_000),
+    "large_base_channels": lambda c: _with_base_channels(c, 2000),
 }
 
 
@@ -637,12 +646,20 @@ def test_cli_rejects_malformed_checkpoint_in_one_line(
 ):
     bad = tmp_path / f"{case}.ckpt"
     bad.write_bytes(MALFORMED_CHECKPOINTS[case](tiny_checkpoint))
-    code = main(["eval", "--config", str(tiny_cfg), "--checkpoint", str(bad)])
+    tracemalloc.start()
+    try:
+        code = main(["eval", "--config", str(tiny_cfg), "--checkpoint", str(bad)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     captured = capsys.readouterr()
-    assert code in (1, 2)
+    assert code == 1
     lines = captured.err.splitlines()
     assert len(lines) == 1, captured.err
     assert lines[0].startswith("error:") and str(bad) in lines[0]
+    # nothing is allocated for what the file cannot hold: the base-channel
+    # cases' headers describe 34 GiB and 8,251 TiB of weights
+    assert peak < 1 << 21
 
 
 

@@ -6,6 +6,7 @@ accounting, determinism, and the checkpoint container.
 """
 
 import dataclasses
+import math
 import os
 import struct
 import tracemalloc
@@ -403,7 +404,7 @@ def test_every_sub_module_is_a_registered_child(cfg, variant):
 
 
 def test_rulebook_cache_reuses_by_coords_identity():
-    from cylseg.sparse import KernelSpec
+    from cylseg.sparse import KernelSpec, SparseTensor
 
     rng = np.random.default_rng(49)
     x = random_sparse(rng)
@@ -412,6 +413,11 @@ def test_rulebook_cache_reuses_by_coords_identity():
     rb1 = cache.get(x, kernel)
     rb2 = cache.get(x, kernel)
     assert rb1 is rb2
+    # a distinct coords array with equal values is another site set
+    twin = SparseTensor(x.coords.copy(), x.features, x.spatial_shape)
+    rb3 = cache.get(twin, kernel)
+    assert rb3 is not rb1 and rb3.in_coords is twin.coords
+    assert cache.get(x, kernel) is rb1 and cache.get(twin, kernel) is rb3
 
 
 def test_each_rulebook_is_built_once_per_forward(monkeypatch):
@@ -426,9 +432,9 @@ def test_each_rulebook_is_built_once_per_forward(monkeypatch):
     builds, in_up = [], [False]
     build_rulebook = network_module.build_rulebook
 
-    def counted(coords, shape, kernel, sites=None):
-        builds.append((coords.tobytes(), tuple(shape), kernel, in_up[0]))
-        return build_rulebook(coords, shape, kernel, sites)
+    def counted(x, kernel):
+        builds.append((x.coords.tobytes(), x.spatial_shape, kernel, in_up[0]))
+        return build_rulebook(x, kernel)
 
     def flagged(forward):
         def run(*args, **kwargs):
@@ -532,7 +538,7 @@ def test_resaving_the_toy_checkpoint_gives_its_exact_bytes(tmp_path):
 def _full_scale_network():
     # every tensor about to be written or overwritten, so none is drawn
     cfg = load_config(os.path.join(ROOT, "configs", "semantic_kitti.cfg"))
-    return SegmentationNetwork(cfg.network, seed=network_module._NO_DRAW)
+    return SegmentationNetwork(cfg.network, seed=network_module._NoDraw(math.inf))
 
 
 def _traced_peak(run):

@@ -13,8 +13,9 @@ from cylseg.sparse import (
     MAX_CELLS,
     ConvParams,
     KernelSpec,
+    NORM_EPS,
+    NORM_MOMENTUM,
     NormParams,
-    SiteIndex,
     SparseTensor,
     batch_norm_backward,
     batch_norm_forward,
@@ -41,6 +42,11 @@ def _tensor(coords, feats, shape):
     return SparseTensor(
         np.asarray(coords, dtype=np.int64), np.asarray(feats, dtype=np.float64), shape
     )
+
+
+def _sites(coords, shape):
+    """A tensor of no channels on the sites ``coords``."""
+    return _tensor(coords, np.zeros((len(coords), 0)), shape)
 
 
 def _offsets(size):
@@ -76,7 +82,7 @@ def test_kernel_offsets_are_centered_and_c_ordered():
 
 def test_rulebook_isolated_site_has_only_center_pair():
     coords = np.array([[1, 1, 1]], dtype=np.int64)
-    rb = build_rulebook(coords, (3, 3, 3), KernelSpec((3, 3, 3)))
+    rb = build_rulebook(_sites(coords, (3, 3, 3)), KernelSpec((3, 3, 3)))
     np.testing.assert_array_equal(rb.out_coords, coords)
     for k, (src, dst) in enumerate(rb.pairs):
         if k == 13:  # the (0,0,0) offset in C-order
@@ -89,7 +95,7 @@ def test_rulebook_radius_neighbors_hand_enumerated():
     # sites (0,0,0) and (1,0,0) under a (3,1,3) kernel: the center offset
     # pairs each site with itself and the +-1 radius offsets cross-link them
     coords = np.array([[0, 0, 0], [1, 0, 0]], dtype=np.int64)
-    rb = build_rulebook(coords, (2, 1, 2), KernelSpec((3, 1, 3)))
+    rb = build_rulebook(_sites(coords, (2, 1, 2)), KernelSpec((3, 1, 3)))
     offsets = _offsets((3, 1, 3))
     expected = {
         offsets.index((-1, 0, 0)): [(1, 0)],
@@ -105,7 +111,7 @@ def test_rulebook_strided_output_sites_brute_force():
     kernel = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
     for _ in range(25):
         x = random_sparse(rng)
-        rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+        rb = build_rulebook(x, kernel)
         out_shape = tuple(-(-s // 2) for s in x.spatial_shape)
         assert rb.out_shape == out_shape
         sites = {tuple(c) for c in x.coords}
@@ -124,7 +130,7 @@ def test_rulebook_strided_output_sites_brute_force():
 def test_conv_identity_kernel_passes_features_through():
     x = _tensor([[0, 0, 0], [2, 1, 0]], [[1.0, 2.0], [3.0, 4.0]], (3, 2, 1))
     kernel = KernelSpec((1, 1, 1))
-    rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+    rb = build_rulebook(x, kernel)
     params = ConvParams(np.eye(2)[None, :, :], np.zeros(2))
     out = sparse_conv_forward(x, params, rb)
     np.testing.assert_array_equal(out.features, x.features)
@@ -134,7 +140,7 @@ def test_conv_identity_kernel_passes_features_through():
 def test_conv_empty_input_gives_empty_output():
     x = _tensor(np.zeros((0, 3)), np.zeros((0, 2)), (4, 4, 4))
     kernel = KernelSpec((3, 3, 3))
-    rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+    rb = build_rulebook(x, kernel)
     params = init_conv_params(kernel, 2, 3, np.random.default_rng(0))
     out = sparse_conv_forward(x, params, rb)
     assert out.features.shape == (0, 3)
@@ -162,7 +168,7 @@ def test_conv_is_permutation_invariant():
 
     def conv(order):
         x = scatter_features(feats[order], assign_cells(xyz[order], grid))
-        return x, sparse_conv_forward(x, params, build_rulebook(x.coords, grid.resolution, kernel))
+        return x, sparse_conv_forward(x, params, build_rulebook(x, kernel))
 
     x, out = conv(np.arange(400))
     xp, outp = conv(rng.permutation(400))
@@ -177,7 +183,7 @@ def test_conv_backward_zero_grad_gives_zero():
     x = random_sparse(rng, max_shape=(6, 6, 6))
     kernel = KernelSpec((3, 3, 3))
     params = init_conv_params(kernel, x.features.shape[1], 2, rng)
-    rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+    rb = build_rulebook(x, kernel)
     gin, gw, gb = sparse_conv_backward(x, params, rb, np.zeros((len(x.coords), 2)))
     assert not gin.any() and not gw.any() and not gb.any()
 
@@ -185,7 +191,7 @@ def test_conv_backward_zero_grad_gives_zero():
 def test_conv_backward_identity_layer():
     x = _tensor([[1, 1, 1]], [[2.0, -3.0]], (3, 3, 3))
     kernel = KernelSpec((1, 1, 1))
-    rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+    rb = build_rulebook(x, kernel)
     params = ConvParams(np.eye(2)[None, :, :], np.zeros(2))
     grad = np.array([[0.5, 1.5]])
     gin, _, gb = sparse_conv_backward(x, params, rb, grad)
@@ -199,7 +205,7 @@ def test_conv_backward_matches_finite_differences():
     kernel = KernelSpec((3, 1, 3))
     c_in = x.features.shape[1]
     params = init_conv_params(kernel, c_in, 2, rng)
-    rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+    rb = build_rulebook(x, kernel)
     probe = rng.standard_normal((len(rb.out_coords), 2))
 
     def objective():
@@ -221,7 +227,7 @@ def test_inverse_conv_restores_input_coordinates():
     rng = np.random.default_rng(26)
     x = random_sparse(rng, max_shape=(10, 10, 10))
     kernel = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
-    rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+    rb = build_rulebook(x, kernel)
     c = x.features.shape[1]
     down = sparse_conv_forward(x, init_conv_params(kernel, c, 2, rng), rb)
     up = inverse_conv_forward(down, init_conv_params(kernel, 2, c, rng), rb)
@@ -234,7 +240,7 @@ def test_inverse_conv_is_adjoint_of_forward():
     rng = np.random.default_rng(27)
     x = random_sparse(rng, max_shape=(8, 8, 8), max_channels=3)
     kernel = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
-    rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+    rb = build_rulebook(x, kernel)
     c_in = x.features.shape[1]
     w = rng.standard_normal((kernel.volume, c_in, 2))
     u = rng.standard_normal((len(rb.out_coords), 2))
@@ -254,7 +260,7 @@ def test_transposed_rulebook_swaps_sides_and_round_trips():
     rng = np.random.default_rng(29)
     x = random_sparse(rng, max_shape=(8, 8, 8))
     for kernel in (KernelSpec((3, 3, 3), (2, 2, 2), "strided"), KernelSpec((1, 3, 3))):
-        rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+        rb = build_rulebook(x, kernel)
         t = rb.transposed()
         assert t.in_coords is rb.out_coords and t.out_coords is rb.in_coords
         assert (t.in_shape, t.out_shape) == (rb.out_shape, rb.in_shape)
@@ -284,7 +290,7 @@ def test_inverse_conv_is_forward_over_transposed_rulebook_bitwise():
     kernel = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
     for _ in range(5):
         x = random_sparse(rng, max_shape=(10, 10, 10), max_channels=5)
-        rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+        rb = build_rulebook(x, kernel)
         u = SparseTensor(rb.out_coords, rng.standard_normal((len(rb.out_coords), 3)), rb.out_shape)
         params = init_conv_params(kernel, 3, 4, rng)
         params.bias[:] = rng.standard_normal(4)
@@ -388,7 +394,7 @@ def _site_sets(seed, count=12):
         _rejects_out_of_order(x, rng.permutation(x.num_sites))
 
 
-def test_shared_site_index_rulebooks_equal_fresh_per_kernel_builds():
+def test_cached_rulebooks_equal_the_reference_per_kernel_builds():
     from cylseg.network import RulebookCache
 
     for x in _site_sets(60):
@@ -396,20 +402,12 @@ def test_shared_site_index_rulebooks_equal_fresh_per_kernel_builds():
         for kernel in NETWORK_KERNELS:
             reference = _old_build_rulebook(x.coords, x.spatial_shape, kernel)
             _assert_same_rulebook(cache.get(x, kernel), reference)
-            _assert_same_rulebook(build_rulebook(x.coords, x.spatial_shape, kernel), reference)
-
-
-def test_site_index_searches_each_offset_once():
-    x = random_sparse(np.random.default_rng(61), max_sites=200)
-    sites = SiteIndex(x.coords, x.spatial_shape)
-    a = build_rulebook(x.coords, x.spatial_shape, KernelSpec((1, 3, 3)), sites)
-    b = build_rulebook(x.coords, x.spatial_shape, KernelSpec((3, 1, 3)), sites)
-    # offsets (0, 0, -1), (0, 0, 0) and (0, 0, 1) sit at 3, 4 and 5 in both
-    for k in (3, 4, 5):
-        assert a.pairs[k] is b.pairs[k]
-    in_idx, out_idx = a.pairs[a.identity_offset]
-    assert in_idx is out_idx
-    np.testing.assert_array_equal(in_idx, np.arange(x.num_sites))
+            rb = build_rulebook(x, kernel)
+            _assert_same_rulebook(rb, reference)
+            if kernel.mode == "submanifold":
+                in_idx, out_idx = rb.pairs[rb.identity_offset]
+                assert in_idx is out_idx
+                np.testing.assert_array_equal(in_idx, np.arange(x.num_sites))
 
 
 def test_strided_out_coords_equal_unique_rows_of_the_candidates():
@@ -428,7 +426,7 @@ def test_strided_out_coords_equal_unique_rows_of_the_candidates():
                 ok = (target >= 0).all(axis=1) & (target % stride == 0).all(axis=1)
                 ok &= (target // stride < out_shape).all(axis=1)
                 candidates.append(target[ok] // stride)
-            rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+            rb = build_rulebook(x, kernel)
             expected = np.unique(np.vstack(candidates), axis=0)
             np.testing.assert_array_equal(rb.out_coords, expected)
             _assert_same_rulebook(rb, _old_build_rulebook(x.coords, x.spatial_shape, kernel))
@@ -448,13 +446,13 @@ def test_strided_builds_on_odd_shapes_reach_the_last_output_cell(shape):
         KernelSpec((1, 1, 1), (2, 2, 2), "strided"),
     ]
     for kernel in kernels:
-        rb = build_rulebook(coords, shape, kernel)
+        rb = build_rulebook(_sites(coords, shape), kernel)
         _assert_same_rulebook(rb, _old_build_rulebook(coords, shape, kernel))
         assert rb.out_coords[-1].tolist() == [s - 1 for s in rb.out_shape]
     perm = rng.permutation(len(coords))
     if (perm != np.arange(len(coords))).any():
         with pytest.raises(ValueError, match="duplicate sites or out of order"):
-            build_rulebook(coords[perm], shape, kernels[0])
+            _sites(coords[perm], shape)
 
 
 def _assert_ascending(rb):
@@ -470,7 +468,7 @@ def test_every_rulebook_keeps_both_pair_lists_ascending(monkeypatch):
     books = 0
     for x in _site_sets(67, count=20):
         for kernel in NETWORK_KERNELS:
-            _assert_ascending(build_rulebook(x.coords, x.spatial_shape, kernel))
+            _assert_ascending(build_rulebook(x, kernel))
             books += 1
     assert books == 20 * len(NETWORK_KERNELS)
 
@@ -488,23 +486,18 @@ def test_every_rulebook_keeps_both_pair_lists_ascending(monkeypatch):
     for rb in fetched:
         _assert_ascending(rb)
 
-    unsorted = np.array([[0, 0, 1], [0, 0, 0]])
-    for kernel in NETWORK_KERNELS:
-        with pytest.raises(ValueError, match="duplicate sites or out of order") as err:
-            build_rulebook(unsorted, (2, 2, 2), kernel)
-        assert "\n" not in str(err.value)
+    # a site set out of key order never reaches a rulebook
+    with pytest.raises(ValueError, match="duplicate sites or out of order") as err:
+        _sites([[0, 0, 1], [0, 0, 0]], (2, 2, 2))
+    assert "\n" not in str(err.value)
 
 
 def test_shapes_over_the_cell_bound_are_rejected_before_any_table():
     huge = (2**28 + 1, 1, 1)
     site = np.zeros((1, 3), dtype=np.int64)
+    # build_rulebook takes its shape, and so its tables, from a SparseTensor
     with pytest.raises(ValueError, match=r"more than 2\^28"):
         SparseTensor(site, np.ones((1, 1)), huge)
-    strided = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
-    with pytest.raises(ValueError, match=r"more than 2\^28"):
-        build_rulebook(site, huge, strided)
-    with pytest.raises(ValueError, match=r"more than 2\^28"):
-        build_rulebook(site, huge, strided, SiteIndex(site, huge))
     assert SparseTensor(site, np.ones((1, 1)), (MAX_CELLS, 1, 1)).num_sites == 1
 
 
@@ -527,7 +520,7 @@ def test_centre_offset_fast_path_equals_gather_gemm_scatter_bitwise():
     rng = np.random.default_rng(63)
     for x in _site_sets(64, count=6):
         for kernel in NETWORK_KERNELS[:7]:
-            rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+            rb = build_rulebook(x, kernel)
             assert rb.identity_offset == kernel.volume // 2
             c_out = int(rng.integers(1, 6))
             params = init_conv_params(kernel, x.num_channels, c_out, rng)
@@ -560,7 +553,7 @@ def test_conv_backward_equals_the_hand_written_loop_bitwise():
     seen = set()
     for x in _site_sets(66, count=6):
         for kernel in NETWORK_KERNELS:
-            rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+            rb = build_rulebook(x, kernel)
             back = rb.transposed()
             u = SparseTensor(back.in_coords, rng.standard_normal((len(back.in_coords), 4)),
                              back.in_shape)
@@ -589,7 +582,7 @@ def test_conv_backward_computes_in_the_dtype_of_grad_out(inverse):
     x = random_sparse(rng, max_shape=(10, 10, 10), max_sites=400)
     x = x.with_features(rng.standard_normal((x.num_sites, 6)))
     kernel = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
-    rb = build_rulebook(x.coords, x.spatial_shape, kernel)
+    rb = build_rulebook(x, kernel)
     if inverse:
         back, book = inverse_conv_backward, rb.transposed()
         x = SparseTensor(rb.out_coords, rng.standard_normal((len(rb.out_coords), 3)),
@@ -716,13 +709,13 @@ def _var_batch_norm_forward(features, norm, training):
     if training:
         mean = features.mean(axis=0)
         var = features.var(axis=0)
-        norm.running_mean *= norm.momentum
-        norm.running_mean += (1 - norm.momentum) * mean
-        norm.running_var *= norm.momentum
-        norm.running_var += (1 - norm.momentum) * var
+        norm.running_mean *= NORM_MOMENTUM
+        norm.running_mean += (1 - NORM_MOMENTUM) * mean
+        norm.running_var *= NORM_MOMENTUM
+        norm.running_var += (1 - NORM_MOMENTUM) * var
     else:
         mean, var = norm.running_mean, norm.running_var
-    inv_std = (1.0 / np.sqrt(var + norm.eps)).astype(dtype, copy=False)
+    inv_std = (1.0 / np.sqrt(var + NORM_EPS)).astype(dtype, copy=False)
     xhat = (features - mean.astype(dtype, copy=False)) * inv_std
     scale = norm.scale.astype(dtype, copy=False)
     out = scale * xhat + norm.shift.astype(dtype, copy=False)
