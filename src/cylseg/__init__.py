@@ -9,6 +9,17 @@ cross-entropy plus Lovasz-softmax training, and a small CLI.
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread unless the user set a count, before numpy loads: the
+# program runs its own lanes, one per CPU, and the BLAS thread count changes
+# the order of the GEMM sums, so a checkpoint's bytes would depend on the
+# machine. A program that imported numpy before cylseg keeps its setting.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .pointcloud import (
     FileFormatError,
     LabelMap,

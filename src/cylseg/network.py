@@ -39,11 +39,14 @@ from .sparse import (
     NORM_EPS,
     Rulebook,
     SparseTensor,
+    _block_count,
+    _row_blocks,
     batch_norm_backward,
     batch_norm_forward,
     build_rulebook,
     concat_features,
     init_conv_params,
+    in_lanes,
     init_norm_params,
     inverse_conv_backward,
     inverse_conv_forward,
@@ -268,19 +271,42 @@ class Conv(Module):
 class Chain(Module):
     """Layers that only follow one another: each ``(layer, act)`` pair runs
     ``layer``, then a leaky ReLU if ``act`` is set. Extra forward arguments
-    (the rulebook cache, for sparse layers) go to every layer."""
+    (the rulebook cache, for sparse layers) go to every layer.
+
+    On ``predict``'s route a point array runs in blocks of rows, as a large
+    conv does (``_block_count`` of its multiply-adds, spread by
+    ``in_lanes``): each block goes through every layer and writes its rows of
+    one output."""
 
     def __init__(self, slope, layers):
         self.slope = slope
         self.layers = layers
 
     def forward(self, x, *args, training):
+        if isinstance(x, np.ndarray) and predicting(x, training):
+            return self._point_blocks(x), None
         ctxs = []
         for layer, act in self.layers:
             x, c_layer = layer.forward(x, *args, training=training)
             x, c_act = activate(x, self.slope, training) if act else (x, None)
             ctxs.append((c_layer, c_act))
         return x, ctxs
+
+    def _point_blocks(self, x):
+        n = x.shape[0]
+        macs = n * sum(layer.weight.size for layer, _ in self.layers)
+        out = np.empty((n, self.layers[-1][0].weight.shape[1]), dtype=x.dtype)
+
+        def rows(span):
+            lo, hi = span
+            h = x[lo:hi]
+            for layer, act in self.layers:
+                h, _ = layer.forward(h, training=False)
+                h, _ = activate(h, self.slope, False) if act else (h, None)
+            out[lo:hi] = h
+
+        in_lanes(rows, _row_blocks(n, _block_count(macs)))
+        return out
 
     def backward(self, grad, ctxs):
         for (layer, act), (c_layer, c_act) in zip(reversed(self.layers), reversed(ctxs)):
@@ -398,6 +424,7 @@ class UpBlock(Module):
     def forward(self, x, skip, cache, training):
         u, c_up = self.up.forward(x, cache, training, to=skip)
         cat = concat_features(u, skip)
+        del u, skip  # cat holds copies of both
         y, c_fuse = self.fuse.forward(cat, cache, training)
         return y, (c_up, c_fuse)
 

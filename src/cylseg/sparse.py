@@ -37,6 +37,7 @@ import math
 import os
 import struct
 import sys
+import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -268,29 +269,45 @@ def build_rulebook(x: SparseTensor, kernel: KernelSpec) -> Rulebook:
     offsets = kernel.offsets()
 
     if kernel.mode == "submanifold":
+        # offsets[V-1-k] == -offsets[k], and a pair (i -> j) of d is the pair
+        # (j -> i) of -d: each list past the centre is an earlier one swapped
         keys = _flatten_coords(in_coords, in_shape)
-        pairs = [_neighbours(in_coords, keys, in_shape, tuple(d.tolist())) for d in offsets]
+        half = [_neighbours(in_coords, keys, in_shape, tuple(d.tolist()))
+                for d in offsets[: kernel.volume // 2 + 1]]
+        pairs = half + [(j, i) for i, j in reversed(half[:-1])]
         return Rulebook(
             kernel, in_coords, in_shape, in_coords, in_shape, pairs, kernel.volume // 2
         )
 
     # strided downsampling: site c feeds output c' through offset d iff
-    # c + d = stride * c', so only sites with c = -d (mod stride) can
+    # c + d = stride * c', so only sites with c = r = -d (mod stride) can,
+    # and for them c' = c // stride + (r + d) / stride: one key shift per
+    # offset, bounds-checked only on the axes it moves
     stride = np.array(kernel.stride, dtype=np.int64)
     out_shape = tuple(int(-(-s // st)) for s, st in zip(in_shape, kernel.stride))
     residue_id = np.array([4, 2, 1])  # per-axis residues are 0 or 1
     residue = (in_coords % stride) @ residue_id
     by_residue = np.argsort(residue, kind="stable")
     starts = np.concatenate([[0], np.cumsum(np.bincount(residue, minlength=8))])
-    out_hi = np.array(out_shape)
+    base = (in_coords // stride)[by_residue]
+    base_keys = _flatten_coords(base, out_shape)
+    columns = np.ascontiguousarray(base.T)
     per_offset = []
     for d in offsets:
-        r = (-d % stride) @ residue_id
-        src = by_residue[starts[r] : starts[r + 1]]
-        target = in_coords[src] + d
-        down = target // stride
-        ok = (target >= 0).all(axis=1) & (down < out_hi).all(axis=1)
-        per_offset.append((src[ok], _flatten_coords(down[ok], out_shape)))
+        r = -d % stride
+        shift = ((r + d) // stride).tolist()
+        group = r @ residue_id
+        lo, hi = starts[group : group + 2].tolist()
+        src, keys = by_residue[lo:hi], base_keys[lo:hi]
+        moved = [axis for axis in range(3) if shift[axis]]
+        if moved:
+            ok = np.ones(hi - lo, dtype=bool)
+            for axis in moved:
+                s, col = shift[axis], columns[axis][lo:hi]
+                ok &= (col >= -s) if s < 0 else (col < out_shape[axis] - s)
+            step = (shift[0] * out_shape[1] + shift[1]) * out_shape[2] + shift[2]
+            src, keys = src[ok], keys[ok] + step
+        per_offset.append((src, keys))
     out_keys, rank = occupied_keys(
         np.concatenate([keys for _, keys in per_offset]), math.prod(out_shape)
     )
@@ -344,6 +361,7 @@ _BLOCK_MACS = 1 << 26
 _MAX_BLOCKS = 8
 _MAX_LANES = 8  # threads that ``in_lanes`` runs work on, the caller's included
 _POOL = None  # runs every lane but the caller's; made on first use
+_IN_LANE = threading.local()  # ``active`` while the thread runs a lane
 
 
 def _block_count(macs: int) -> int:
@@ -387,14 +405,20 @@ def in_lanes(work, items) -> list:
     failing lane's. With one lane nothing runs off the calling thread and
     no pool is made.
 
-    ``work`` must not call ``in_lanes``: a lane on the pool would then wait
-    on the pool it occupies.
+    ``work`` must not call ``in_lanes``, since a lane on the pool would then
+    wait on the pool it occupies: such a call raises a RuntimeError.
     """
+    if getattr(_IN_LANE, "active", False):
+        raise RuntimeError("in_lanes called from inside a lane, whose pool it would wait on")
     items = list(items)
     lanes = max(1, min(_cpu_count(), _MAX_LANES, len(items)))
 
     def lane(first):
-        return [work(item) for item in items[first::lanes]]
+        _IN_LANE.active = True
+        try:
+            return [work(item) for item in items[first::lanes]]
+        finally:
+            _IN_LANE.active = False
 
     waiting = [_pool().submit(lane, first) for first in range(1, lanes)]
     try:
@@ -603,11 +627,18 @@ def batch_norm_backward(grad_out: np.ndarray, ctx):
 def leaky_relu_forward(features: np.ndarray, slope: float = 0.1, inplace: bool = False):
     """``max(x, slope * x)``, which needs ``0 <= slope <= 1``. ``inplace``
     overwrites ``features`` and keeps no mask, for a forward that runs no
-    backward."""
+    backward; it works in blocks of rows of about 2^16 elements, so that its
+    ``slope * x`` stays in cache."""
     features = as_features(features)
-    ctx = None if inplace else (features < 0, slope)
-    scaled = slope * features
-    return np.maximum(features, scaled, out=features if inplace else scaled), ctx
+    if not inplace:
+        scaled = slope * features
+        return np.maximum(features, scaled, out=scaled), (features < 0, slope)
+    rows = max(1, (1 << 16) // max(1, math.prod(features.shape[1:])))
+    scaled = np.empty_like(features[:rows])
+    for lo in range(0, len(features), rows):
+        block = features[lo : lo + rows]
+        np.maximum(block, np.multiply(slope, block, out=scaled[: len(block)]), out=block)
+    return features, None
 
 
 def leaky_relu_backward(grad_out: np.ndarray, ctx):

@@ -580,10 +580,19 @@ def test_08_cli_determinism(tmp_path, capsys):
     )
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
 def _cli_in_fresh_process(args, blas_threads):
+    """Run the CLI in a fresh process with ``OPENBLAS_NUM_THREADS`` set to
+    ``blas_threads``, and every BLAS thread variable unset when it is None."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cylseg.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), PYTHONPATH=path)
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_VARS}
+    env["PYTHONPATH"] = path
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     code = "import sys; from cylseg.cli import main; sys.exit(main(sys.argv[1:]))"
     subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                    check=True, capture_output=True, timeout=600)
@@ -616,6 +625,58 @@ def test_08_cli_determinism_at_each_blas_thread_count(tmp_path):
         "; ".join(f"{t} thread(s): checkpoint, metrics, labels identical {v}"
                   for t, v in same.items())
         + f"; checkpoint identical across counts {across} (not promised)",
+    )
+
+
+_ONE_SCENE_TOY_CFG = """\
+[grid]
+rho_min = 0
+rho_max = 20
+z_min = -1
+z_max = 6
+radius_bins = 64
+azimuth_bins = 64
+height_bins = 8
+
+[network]
+num_classes = 3
+base_channels = 8
+stages = 2
+block_variant = asym
+point_mlp_widths = 64
+
+[data]
+kind = synthetic
+train_scenes = 1
+val_scenes = 1
+points = 8192
+seed = 0
+max_range = 20
+
+[train]
+epochs = 1
+lr = 1e-3
+seed = 0
+"""
+
+
+def test_08_train_with_no_blas_setting_writes_the_one_thread_checkpoint(tmp_path):
+    # cylseg sets each BLAS thread variable left unset to 1 before numpy
+    # loads; on a machine of two or more CPUs OpenBLAS would otherwise run
+    # one thread per CPU, and this network's checkpoint bytes differ then
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(_ONE_SCENE_TOY_CFG)
+    ckpts = {}
+    for threads in (None, 1):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        _cli_in_fresh_process(["train", "--config", cfg, "--output", out / "net.ckpt",
+                               "--metrics", out / "metrics.csv"], threads)
+        ckpts[threads] = (out / "net.ckpt").read_bytes()
+    assert _report(
+        "train with no BLAS setting",
+        ckpts[None] == ckpts[1],
+        "checkpoint identical to OPENBLAS_NUM_THREADS=1",
     )
 
 

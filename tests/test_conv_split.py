@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -342,6 +343,39 @@ def test_in_lanes_waits_for_every_lane_when_the_callers_raises(fresh_pool, monke
     assert sorted(finished) == [1, 2]
     assert sparse.in_lanes(lambda item: item * item, range(7)) == [i * i for i in range(7)]
     assert sparse.in_lanes(work, []) == []
+
+
+def test_a_lane_that_calls_in_lanes_raises_instead_of_waiting(fresh_pool, monkeypatch):
+    # a pool lane's nested call would wait on the pool it occupies; with the
+    # fixture's eight-CPU pool it would find a free thread instead, so a
+    # nested call that does not raise fails the test rather than hanging it
+    failures = []
+
+    def nested(item):
+        return sparse.in_lanes(lambda inner: inner, range(2))
+
+    def call():
+        for _ in range(2):  # the caller's flag is cleared again
+            try:
+                sparse.in_lanes(nested, range(2))  # two lanes
+            except RuntimeError as exc:
+                failures.append(str(exc))
+        failures.append(sparse.in_lanes(lambda item: item + 1, range(3)))
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    if caller.is_alive():
+        pytest.fail("a nested in_lanes call is waiting on its pool")
+    assert failures[:2] == ["in_lanes called from inside a lane, whose pool it would wait on"] * 2
+    assert failures[2:] == [[1, 2, 3]]
+
+    # the conv row blocks and the stats lanes, on the same pool threads
+    x, params, rb = _large_conv(4)
+    got = sparse_conv_forward(x, params, rb).features
+    assert got.tobytes() == _conv_on_lanes(x, params, rb, 8, 1).tobytes()
+    clouds = _occupancy_clouds(3)
+    assert _occupancy(clouds) == _serial_occupancy(clouds)
 
 
 def _in_child(x, params, rb, expected, clouds, rows):

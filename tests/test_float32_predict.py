@@ -233,6 +233,57 @@ def test_full_config_predict_is_float32_and_agrees_with_float64(monkeypatch):
     assert _check_predict(net, [cloud], monkeypatch) >= 0.999
 
 
+# ---------------------------------------------------------- point row blocks
+
+
+def _point_block_counts(monkeypatch):
+    """The block count of every point chain that runs on ``predict``'s route."""
+    counts = []
+    row_blocks = network_module._row_blocks
+    monkeypatch.setattr(network_module, "_row_blocks",
+                        lambda rows, blocks: counts.append(blocks) or row_blocks(rows, blocks))
+    return counts
+
+
+def _float32_point_logits(net, cloud):
+    return net.forward(cloud, _dtype=np.float32).point_logits
+
+
+def test_point_layers_split_into_row_blocks_with_the_bytes_of_one_block(monkeypatch):
+    # the full-scale point MLP (9 -> 64 -> 128 -> 32) and refine head
+    # (51 -> 38 -> 19): 8 and 4 blocks at 120k rows, 4 and 1 at 30k
+    cfg = load_config(os.path.join(ROOT, "configs", "semantic_kitti.cfg"))
+    net = SegmentationNetwork(cfg.network, seed=0)
+    _randomise_norms(net, np.random.default_rng(17))
+    rng = np.random.default_rng(18)
+    for chain, width in ((net.point_mlp, 9), (net.refine, 51)):
+        feats = rng.standard_normal((120_000, width)).astype(np.float32)
+        with monkeypatch.context() as patch:
+            counts = _point_block_counts(patch)
+            split, _ = chain.forward(feats, training=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(network_module, "_block_count", lambda macs: 1)
+            whole, _ = chain.forward(feats, training=False)
+        assert counts == [8 if chain is net.point_mlp else 4]
+        assert split.dtype == np.float32 and split.tobytes() == whole.tobytes()
+
+    cloud = generate_synthetic_scene(SyntheticSceneSpec(seed=4, num_points=30_000, max_range=50.0))
+    counts = _point_block_counts(monkeypatch)
+    split = _float32_point_logits(net, cloud)
+    assert counts == [4, 1]
+    monkeypatch.setattr(network_module, "_block_count", lambda macs: 1)
+    assert split.tobytes() == _float32_point_logits(net, cloud).tobytes()
+
+
+def test_toy_predict_runs_its_point_layers_whole(monkeypatch):
+    net = load_checkpoint(os.path.join(DATA, "toy_seed0.ckpt"))
+    cfg = load_config(os.path.join(ROOT, "configs", "toy_train.cfg"))
+    counts = _point_block_counts(monkeypatch)
+    for _, cloud in _dataset(cfg, "val"):
+        net.predict(cloud)
+    assert counts == [1, 1] * 4
+
+
 # ------------------------------------------------------------ batch-norm fold
 
 

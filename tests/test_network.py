@@ -25,6 +25,7 @@ from cylseg.config import (
 )
 from cylseg.network import (
     DDCM,
+    DOWNSAMPLE,
     Affine,
     Conv,
     DownBlock,
@@ -43,7 +44,7 @@ from cylseg.network import (
 from cylseg.partition import CylGridSpec, assign_cells
 from cylseg.pointcloud import PointCloud, SyntheticSceneSpec, generate_synthetic_scene
 from cylseg.selftest import _toy_setup, random_sparse
-from cylseg.sparse import leaky_relu_forward, read_tensors
+from cylseg.sparse import SparseTensor, key_coords, leaky_relu_forward, read_tensors
 from cylseg.training import finite_diff_check
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -267,6 +268,34 @@ def test_up_block_ignores_skip_weights_when_skip_is_zero():
             arr[:, c:, :] += rng.standard_normal((arr.shape[0], c, arr.shape[2]))
     b, _ = up.forward(y, zero_skip, cache, training=False)
     np.testing.assert_array_equal(a.features, b.features)
+
+
+def test_up_block_frees_its_inverse_conv_output_and_skip_once_concatenated():
+    # Units of one (M, 16) float32 array on the skip's sites, on predict's
+    # route. The concat copies both halves, so the inverse conv's output and
+    # the skip (which the caller hands over, as ``skips.pop()`` does) must die
+    # before the fuse block runs: keeping them costs two units more (8.49).
+    rng = np.random.default_rng(47)
+    shape = (40, 40, 24)
+    coords = key_coords(np.flatnonzero(rng.random(math.prod(shape)) < 0.5), shape)
+    c = 16
+    skip = SparseTensor(coords, rng.standard_normal((len(coords), c)).astype(np.float32), shape)
+    cache = RulebookCache()
+    rb = cache.get(skip, DOWNSAMPLE)  # the down block's rulebook, as in a pass
+    x = SparseTensor(rb.out_coords, rng.standard_normal((len(rb.out_coords), 2 * c)), rb.out_shape)
+    x = x.with_features(x.features.astype(np.float32))
+    up = UpBlock(2 * c, c, "asym", rng, 0.1)
+    expected, _ = up.forward(x, skip, cache, training=False)  # fills the cache
+    unit = skip.features.nbytes
+    tracemalloc.start()
+    try:
+        skips = [skip.with_features(skip.features.copy())]
+        out, _ = up.forward(x, skips.pop(), cache, training=False)
+        peak = tracemalloc.get_traced_memory()[1] / unit
+    finally:
+        tracemalloc.stop()
+    assert out.features.tobytes() == expected.features.tobytes()
+    assert peak < 7.5
 
 
 # ----------------------------------------------------------------------- DDCM

@@ -27,6 +27,7 @@ from cylseg.sparse import (
     init_norm_params,
     inverse_conv_backward,
     inverse_conv_forward,
+    key_coords,
     leaky_relu_backward,
     leaky_relu_forward,
     read_tensors,
@@ -453,6 +454,49 @@ def test_strided_builds_on_odd_shapes_reach_the_last_output_cell(shape):
     if (perm != np.arange(len(coords))).any():
         with pytest.raises(ValueError, match="duplicate sites or out of order"):
             _sites(coords[perm], shape)
+
+
+# size-5 kernels, and strides of 2 on some axes only: a size-5 offset of -2
+# moves an output cell back by one, and a unit-stride axis shifts by d itself
+WIDE_KERNELS = [
+    KernelSpec(5),
+    KernelSpec((5, 3, 1)),
+    KernelSpec((1, 5, 3)),
+    KernelSpec(5, (2, 1, 2), "strided"),
+    KernelSpec(5, (1, 2, 1), "strided"),
+    KernelSpec((5, 3, 5), (2, 1, 2), "strided"),
+    KernelSpec((3, 5, 1), (1, 2, 1), "strided"),
+    KernelSpec(5, 2, "strided"),
+]
+
+
+@pytest.mark.parametrize("shape", [(9, 7, 5), (8, 6, 10), (1, 1, 1), (2, 2, 2), (6, 1, 7)])
+def test_wide_and_mixed_stride_builds_equal_the_reference(shape):
+    # odd and even extents; single sites at the first, the middle and the
+    # last cell, then sets from sparse to half full
+    rng = np.random.default_rng(sum(shape) + 5)
+    total = math.prod(shape)
+    flats = [[0], [total // 2], [total - 1]] + [
+        np.unique(rng.choice(total, size=size)) for size in (2, 12, total // 2 + 1)
+    ]
+    for flat in flats:
+        coords = key_coords(np.asarray(flat), shape)
+        x = _sites(coords, shape)
+        for kernel in WIDE_KERNELS + list(NETWORK_KERNELS):
+            _assert_same_rulebook(build_rulebook(x, kernel), _old_build_rulebook(coords, shape, kernel))
+
+
+def test_submanifold_lists_past_the_centre_are_their_mirrors_swapped():
+    # offsets[V-1-k] == -offsets[k], and a pair (i -> j) of d is (j -> i) of -d
+    kernels = [k for k in WIDE_KERNELS + list(NETWORK_KERNELS) if k.mode == "submanifold"]
+    for x in _site_sets(69):
+        for kernel in kernels:
+            rb, offsets, v = build_rulebook(x, kernel), kernel.offsets(), kernel.volume
+            for k in range(v):
+                np.testing.assert_array_equal(offsets[v - 1 - k], -offsets[k])
+                (in_idx, out_idx), (back_in, back_out) = rb.pairs[k], rb.pairs[v - 1 - k]
+                np.testing.assert_array_equal(back_in, out_idx)
+                np.testing.assert_array_equal(back_out, in_idx)
 
 
 def _assert_ascending(rb):
