@@ -122,14 +122,17 @@ def _cmd_bound(args) -> int:
     else:
         clouds = [(f"scene_{i:04d}", c) for i, c in enumerate(_stats_clouds(cfg))]
     k = SYNTH_NUM_CLASSES if cfg.data.kind != "files" else cfg.network.num_classes
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cloud", "mode", "miou"])
-        for name, cloud in clouds:
-            for mode in ("majority", "minority"):
+    rows = []  # every row before the CSV is opened: a failing scan leaves no file
+    for name, cloud in clouds:
+        for mode in ("majority", "minority"):
+            try:
                 miou = encoding_upper_bound_miou(cloud, cfg.grid, mode, k, cfg.ignore_id)
-                writer.writerow([name, mode, repr(miou)])
-                print(f"{name} {mode:<9s} {miou:.4f}")
+            except ValueError as exc:
+                raise ValueError(f"scan {name}: {exc}") from None
+            rows.append([name, mode, repr(miou)])
+            print(f"{name} {mode:<9s} {miou:.4f}")
+    with open(args.output, "w", newline="") as fh:
+        csv.writer(fh).writerows([["cloud", "mode", "miou"], *rows])
     print(f"wrote {args.output}")
     return 0
 
@@ -197,6 +200,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_infer(args) -> int:
     cfg = load_config(args.config)
+    missing = np.flatnonzero(cfg.label_map.inverse < 0)
+    if missing.size:
+        raise ConfigError(f"{args.config}: [labelmap] maps no raw id to train id "
+                          f"{missing[0]}, so infer could not write it")
     network = _load_matching_checkpoint(args.checkpoint, cfg)
     clouds = _dataset(cfg, "val", with_labels=False)
     os.makedirs(args.output, exist_ok=True)

@@ -39,14 +39,12 @@ from .sparse import (
     NORM_EPS,
     Rulebook,
     SparseTensor,
-    _block_count,
-    _row_blocks,
     batch_norm_backward,
     batch_norm_forward,
     build_rulebook,
     concat_features,
+    in_row_blocks,
     init_conv_params,
-    in_lanes,
     init_norm_params,
     inverse_conv_backward,
     inverse_conv_forward,
@@ -77,14 +75,16 @@ def point_input_features(
 
 class RulebookCache:
     """One rulebook per (site set, kernel) within one pass; site sets are told
-    apart by the identity of their coords."""
+    apart by the identity of their coords. A stored rulebook holds those
+    coords (``in_coords``), so while its entry exists no other array can
+    take their ``id``."""
 
     def __init__(self):
         self._store = {}  # (id(coords), kernel) -> Rulebook
 
     def get(self, x: SparseTensor, kernel: KernelSpec) -> Rulebook:
         rb = self._store.get((id(x.coords), kernel))
-        if rb is None or rb.in_coords is not x.coords:
+        if rb is None:
             rb = self._store[id(x.coords), kernel] = build_rulebook(x, kernel)
         return rb
 
@@ -274,39 +274,31 @@ class Chain(Module):
     (the rulebook cache, for sparse layers) go to every layer.
 
     On ``predict``'s route a point array runs in blocks of rows, as a large
-    conv does (``_block_count`` of its multiply-adds, spread by
-    ``in_lanes``): each block goes through every layer and writes its rows of
-    one output."""
+    conv does (``in_row_blocks`` of its multiply-adds): each block goes
+    through every layer and writes its rows of one output."""
 
     def __init__(self, slope, layers):
         self.slope = slope
         self.layers = layers
 
     def forward(self, x, *args, training):
-        if isinstance(x, np.ndarray) and predicting(x, training):
-            return self._point_blocks(x), None
-        ctxs = []
-        for layer, act in self.layers:
-            x, c_layer = layer.forward(x, *args, training=training)
-            x, c_act = activate(x, self.slope, training) if act else (x, None)
-            ctxs.append((c_layer, c_act))
-        return x, ctxs
-
-    def _point_blocks(self, x):
-        n = x.shape[0]
-        macs = n * sum(layer.weight.size for layer, _ in self.layers)
-        out = np.empty((n, self.layers[-1][0].weight.shape[1]), dtype=x.dtype)
-
-        def rows(span):
-            lo, hi = span
-            h = x[lo:hi]
+        def run(x):
+            ctxs = []
             for layer, act in self.layers:
-                h, _ = layer.forward(h, training=False)
-                h, _ = activate(h, self.slope, False) if act else (h, None)
-            out[lo:hi] = h
+                x, c_layer = layer.forward(x, *args, training=training)
+                x, c_act = activate(x, self.slope, training) if act else (x, None)
+                ctxs.append((c_layer, c_act))
+            return x, ctxs
 
-        in_lanes(rows, _row_blocks(n, _block_count(macs)))
-        return out
+        if not (isinstance(x, np.ndarray) and predicting(x, training)):
+            return run(x)
+        out = np.empty((len(x), self.layers[-1][0].weight.shape[1]), dtype=x.dtype)
+
+        def rows(lo, hi):
+            out[lo:hi] = run(x[lo:hi])[0]
+
+        in_row_blocks(len(x), len(x) * sum(layer.weight.size for layer, _ in self.layers), rows)
+        return out, None
 
     def backward(self, grad, ctxs):
         for (layer, act), (c_layer, c_act) in zip(reversed(self.layers), reversed(ctxs)):

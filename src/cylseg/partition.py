@@ -55,8 +55,9 @@ def _bin_axis(values, lo, delta, count):
 
 class _Grid:
     """What the cylindrical and cubic grids share. A subclass defines its
-    ranges, ``resolution``, ``lowers``, ``uppers`` and ``axis_values`` (the
-    three per-axis value columns of some positions)."""
+    ranges, ``resolution``, ``lowers``, ``uppers``, ``axis_values`` (the
+    three per-axis value columns of some positions) and ``columns`` (the
+    planar distance of each group of cells that ``stats`` bins together)."""
 
     def __post_init__(self):
         object.__setattr__(self, "resolution", check_shape(self.resolution))
@@ -124,16 +125,11 @@ class CylGridSpec(_Grid):
     def axis_values(self, xyz: np.ndarray):
         return _cyl_columns(xyz)
 
-    def cell_planar_distance(self, cells: np.ndarray) -> np.ndarray:
-        """Planar distance of each cell's center from the origin (= its
-        center radius)."""
-        cells = np.asarray(cells)
-        return self.rho_range[0] + (cells[:, 0] + 0.5) * self.deltas[0]
-
-    def distance_cell_counts(self, edges: np.ndarray) -> np.ndarray:
+    def columns(self) -> Tuple[np.ndarray, int]:
+        """Each radial ring's planar distance (its centre radius) and the
+        cells a ring holds: flat key ``k`` lies in ring ``k // cells``."""
         h, w, l = self.resolution
-        centers = self.rho_range[0] + (np.arange(h) + 0.5) * self.deltas[0]
-        return _count_in_bins(centers, edges) * (w * l)
+        return self.rho_range[0] + (np.arange(h) + 0.5) * self.deltas[0], w * l
 
 
 @dataclass(frozen=True)
@@ -163,16 +159,13 @@ class CubicGridSpec(_Grid):
         xyz = np.asarray(xyz, dtype=np.float64)
         return xyz[:, 0], xyz[:, 1], xyz[:, 2]
 
-    def cell_planar_distance(self, cells: np.ndarray) -> np.ndarray:
-        centers = self.cell_centers(cells)
-        return np.hypot(centers[:, 0], centers[:, 1])
-
-    def distance_cell_counts(self, edges: np.ndarray) -> np.ndarray:
+    def columns(self) -> Tuple[np.ndarray, int]:
+        """Each x-y column's planar distance (of its centre) and the cells a
+        column holds: flat key ``k`` lies in column ``k // cells``."""
         nx, ny, nz = self.resolution
         xc = self.x_range[0] + (np.arange(nx) + 0.5) * self.deltas[0]
         yc = self.y_range[0] + (np.arange(ny) + 0.5) * self.deltas[1]
-        dist = np.hypot(xc[:, None], yc[None, :]).ravel()
-        return _count_in_bins(dist, edges) * nz
+        return np.hypot(xc[:, None], yc[None, :]).ravel(), nz
 
 
 DEFAULT_CYL_GRID = CylGridSpec()
@@ -352,20 +345,21 @@ def occupancy_by_distance(
         raise ValueError("distance_bins must be at least two increasing finite edges")
     if not clouds:
         raise ValueError("need at least one cloud")
-    schemes = (("cylindrical", cyl_grid), ("cubic", cubic_grid))
+    schemes = [(scheme, grid, *grid.columns())
+               for scheme, grid in (("cylindrical", cyl_grid), ("cubic", cubic_grid))]
 
     def occupied(cloud):
         xyz = as_positions(cloud)  # widened once, for both grids
         counts = []
-        for _, grid in schemes:
-            cells = key_coords(distinct_keys(grid.cell_keys(xyz), grid.num_cells), grid.resolution)
-            counts.append(_count_in_bins(grid.cell_planar_distance(cells), edges))
+        for _, grid, dist, cells in schemes:
+            keys = distinct_keys(grid.cell_keys(xyz), grid.num_cells)
+            counts.append(_count_in_bins(dist[keys // cells], edges))
         return counts
 
     per_cloud = in_lanes(occupied, clouds)
     rows = []
-    for i, (scheme, grid) in enumerate(schemes):
-        totals = grid.distance_cell_counts(edges)
+    for i, (scheme, _, dist, cells) in enumerate(schemes):
+        totals = _count_in_bins(dist, edges) * cells
         nonzero = totals > 0
         acc = np.zeros(len(edges) - 1, dtype=np.float64)
         for occ in per_cloud:

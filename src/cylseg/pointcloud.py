@@ -152,6 +152,9 @@ class LabelMap:
         if 0 <= self.ignore_id < self.num_classes:
             raise ValueError("ignore_id must lie outside [0, num_classes)")
         lut = np.full(0x10000, self.ignore_id, dtype=np.int64)
+        # representative raw id per training id: the smallest raw id mapping
+        # to it, or -1 where none does
+        self.inverse = np.full(self.num_classes, -1, dtype=np.int64)
         for raw, train in self.raw_to_train.items():
             raw = int(raw)
             train = int(train)
@@ -160,17 +163,9 @@ class LabelMap:
             if train != self.ignore_id and not 0 <= train < self.num_classes:
                 raise ValueError(f"train id {train} out of range for raw id {raw}")
             lut[raw] = train
+            if train != self.ignore_id and not 0 <= self.inverse[train] < raw:
+                self.inverse[train] = raw  # none yet, or a larger one
         self._lut = lut
-        # representative raw id per training id: the smallest raw id mapping to it
-        inv = np.zeros(self.num_classes, dtype=np.int64)
-        seen = np.zeros(self.num_classes, dtype=bool)
-        for raw in sorted(int(r) for r in self.raw_to_train):
-            train = int(self.raw_to_train[raw])
-            if train != self.ignore_id and not seen[train]:
-                inv[train] = raw
-                seen[train] = True
-        self._inverse = inv
-        self._inverse_seen = seen
 
     def remap(self, raw_ids: np.ndarray) -> np.ndarray:
         raw_ids = np.asarray(raw_ids, dtype=np.int64)
@@ -183,9 +178,10 @@ class LabelMap:
         train_ids = np.asarray(train_ids, dtype=np.int64)
         if train_ids.size and (train_ids.min() < 0 or train_ids.max() >= self.num_classes):
             raise ValueError("train ids out of range")
-        if train_ids.size and not self._inverse_seen[np.unique(train_ids)].all():
+        raw = self.inverse[train_ids]
+        if raw.size and raw.min() < 0:
             raise ValueError("some train ids have no raw id in the mapping")
-        return self._inverse[train_ids]
+        return raw
 
 
 def identity_label_map(num_classes: int, ignore_id: int = SYNTH_IGNORE) -> LabelMap:

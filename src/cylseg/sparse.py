@@ -350,25 +350,18 @@ def _check_rulebook_input(x: SparseTensor, rulebook: Rulebook) -> None:
         raise ValueError("tensor sites do not match the rulebook's input sites")
 
 
-# A conv runs in blocks of output rows of at least _BLOCK_MACS multiply-adds
-# (pairs x C_in x C_out) each: one block below 2 x _BLOCK_MACS, which keeps
-# the toy network's convs (7.6M at most) whole, and a power of two up to
-# _MAX_BLOCKS above. Each block's per-offset GEMMs then stay large enough
-# that the BLAS gives every row the bytes of the whole-offset GEMM, as
-# OpenBLAS does above 10^6 multiply-adds but not below. The count depends
-# on the conv alone, never on the CPUs, which run the blocks round-robin.
+# A conv (pairs x C_in x C_out multiply-adds) and a point chain on predict's
+# route run in blocks of rows of at least _BLOCK_MACS multiply-adds each: one
+# block below 2 x _BLOCK_MACS, which keeps the toy network's convs (7.6M at
+# most) whole, and a power of two up to _MAX_BLOCKS above. Each block's GEMMs
+# then stay large enough that the BLAS gives every row the bytes of the whole
+# GEMM, as OpenBLAS does above 10^6 multiply-adds but not below. The count
+# depends on the job alone, never on the CPUs, which run blocks round-robin.
 _BLOCK_MACS = 1 << 26
 _MAX_BLOCKS = 8
 _MAX_LANES = 8  # threads that ``in_lanes`` runs work on, the caller's included
 _POOL = None  # runs every lane but the caller's; made on first use
 _IN_LANE = threading.local()  # ``active`` while the thread runs a lane
-
-
-def _block_count(macs: int) -> int:
-    blocks = 1
-    while blocks < _MAX_BLOCKS and macs >= 2 * blocks * _BLOCK_MACS:
-        blocks *= 2
-    return blocks
 
 
 def _cpu_count() -> int:
@@ -433,10 +426,15 @@ def in_lanes(work, items) -> list:
     return results
 
 
-def _row_blocks(rows: int, blocks: int) -> List[Tuple[int, int]]:
-    """``blocks`` contiguous, near-equal ``(lo, hi)`` ranges covering ``rows``."""
+def in_row_blocks(rows: int, macs: int, work) -> None:
+    """``work(lo, hi)`` on each of the contiguous, near-equal blocks of
+    ``rows`` rows that a job of ``macs`` multiply-adds splits into, run by
+    ``in_lanes``."""
+    blocks = 1
+    while blocks < _MAX_BLOCKS and macs >= 2 * blocks * _BLOCK_MACS:
+        blocks *= 2
     edges = [rows * b // blocks for b in range(blocks + 1)]
-    return list(zip(edges[:-1], edges[1:]))
+    in_lanes(lambda b: work(edges[b], edges[b + 1]), range(blocks))
 
 
 def _conv_rows(features, weights, bias, rulebook: Rulebook, out, lo: int, hi: int) -> None:
@@ -466,12 +464,12 @@ def _run_conv(features, weights, bias, rulebook: Rulebook) -> np.ndarray:
     """The gather-GEMM-scatter kernel: output rows in the dtype of
     ``features``, offsets accumulated in ascending order (the identity
     offset's GEMM on the whole feature array, with the same sums). A large
-    conv runs in blocks of output rows (``_block_count``), spread over the
-    CPUs by ``in_lanes``; the bytes do not depend on how many."""
+    conv runs in blocks of output rows (``in_row_blocks``), spread over the
+    CPUs; the bytes do not depend on how many."""
     _, c_in, c_out = weights.shape
     out = np.empty((rulebook.out_coords.shape[0], c_out), dtype=features.dtype)
-    blocks = _row_blocks(out.shape[0], _block_count(rulebook.num_pairs * c_in * c_out))
-    in_lanes(lambda span: _conv_rows(features, weights, bias, rulebook, out, *span), blocks)
+    in_row_blocks(len(out), rulebook.num_pairs * c_in * c_out,
+                  lambda lo, hi: _conv_rows(features, weights, bias, rulebook, out, lo, hi))
     return out
 
 

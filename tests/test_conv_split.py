@@ -27,6 +27,24 @@ from cylseg.sparse import (
 )
 
 
+def _spans(rows, macs):
+    """The ``(lo, hi)`` row blocks that ``in_row_blocks`` runs a job of
+    ``macs`` multiply-adds over ``rows`` rows in, in row order."""
+    spans = []
+    sparse.in_row_blocks(rows, macs, lambda lo, hi: spans.append((lo, hi)))
+    return sorted(spans)
+
+
+def _blocks(rows, count):
+    """The runner's ``count`` row blocks (1, 2, 4 or 8) of ``rows`` rows."""
+    return _spans(rows, count * sparse._BLOCK_MACS)
+
+
+def _conv_blocks(rb, c_in, c_out):
+    """How many row blocks the runner splits a conv over ``rb`` into."""
+    return len(_spans(len(rb.out_coords), rb.num_pairs * c_in * c_out))
+
+
 def _empty_out(x, params, rb):
     return np.empty((len(rb.out_coords), params.weights.shape[2]), dtype=x.features.dtype)
 
@@ -35,7 +53,7 @@ def _conv_on_lanes(x, params, rb, blocks, lanes):
     """The blocks run lane by lane on this thread, last lane first."""
     weights = params.weights.astype(x.features.dtype, copy=False)
     out = _empty_out(x, params, rb)
-    spans = sparse._row_blocks(len(out), blocks)
+    spans = _blocks(len(out), blocks)
     for lane in reversed(range(lanes)):
         for lo, hi in spans[lane::lanes]:
             sparse._conv_rows(x.features, weights, params.bias, rb, out, lo, hi)
@@ -47,7 +65,7 @@ def _conv_by_masks(x, params, rb, blocks):
     through gather, GEMM and scatter (the identity offset's too)."""
     weights = params.weights.astype(x.features.dtype, copy=False)
     out = _empty_out(x, params, rb)
-    for lo, hi in sparse._row_blocks(len(out), blocks):
+    for lo, hi in _blocks(len(out), blocks):
         out[lo:hi] = params.bias
         for k, (in_idx, out_idx) in enumerate(rb.pairs):
             keep = (out_idx >= lo) & (out_idx < hi)
@@ -88,8 +106,8 @@ def _small_sites(rng):
 
 def test_row_blocks_cover_the_rows_in_order():
     for rows in (0, 1, 5, 64, 1001):
-        for blocks in (1, 2, 3, 4, 8):
-            spans = sparse._row_blocks(rows, blocks)
+        for blocks in (1, 2, 4, 8):
+            spans = _blocks(rows, blocks)
             assert len(spans) == blocks
             assert spans[0][0] == 0 and spans[-1][1] == rows
             assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
@@ -98,10 +116,10 @@ def test_row_blocks_cover_the_rows_in_order():
 
 def test_block_count_keeps_blocks_large_and_the_toy_convs_whole():
     block = sparse._BLOCK_MACS
-    assert sparse._block_count(7_600_000) == 1  # the toy network's largest conv
-    assert sparse._block_count(2 * block - 1) == 1
+    assert len(_spans(1000, 7_600_000)) == 1  # the toy network's largest conv
+    assert len(_spans(1000, 2 * block - 1)) == 1
     for macs in (2 * block, 3 * block, 4 * block, 9 * block, 16 * block, 10**12):
-        blocks = sparse._block_count(macs)
+        blocks = len(_spans(1000, macs))
         assert blocks in (2, 4, 8)
         assert macs // blocks >= block
         assert blocks == sparse._MAX_BLOCKS or macs < 2 * blocks * block
@@ -111,7 +129,7 @@ def test_every_lane_count_gives_the_same_bytes():
     rng = np.random.default_rng(71)
     kinds = set()
     for x, params, rb in _cases(rng, _small_sites(rng), 1, 16):
-        for blocks in (1, 2, 3, 4, 8):
+        for blocks in (1, 2, 4, 8):
             ref = _conv_by_masks(x, params, rb, blocks)
             for lanes in (1, 2, 3, 4):
                 got = _conv_on_lanes(x, params, rb, blocks, lanes)
@@ -140,12 +158,12 @@ def test_large_convs_split_into_blocks_with_the_whole_convs_bytes():
     # Blocks of at least _BLOCK_MACS keep each per-offset GEMM on the BLAS
     # path whose rows do not depend on how many rows the call has; far
     # smaller blocks do not (OpenBLAS's small-matrix kernels), which is why
-    # _block_count never makes them.
+    # in_row_blocks never makes them.
     rng = np.random.default_rng(72)
     split = set()
     for x, params, rb in _cases(rng, _large_sites(rng), 96, 96):
         _, c_in, c_out = params.weights.shape
-        blocks = sparse._block_count(rb.num_pairs * c_in * c_out)
+        blocks = _conv_blocks(rb, c_in, c_out)
         if blocks == 1:
             continue
         whole = _conv_on_lanes(x, params, rb, 1, 1)
@@ -163,7 +181,7 @@ def _large_conv(seed):
     rb = build_rulebook(x, NETWORK_KERNELS[1])
     params = init_conv_params(rb.kernel, 64, 64, rng)
     params.bias[:] = rng.standard_normal(64)
-    assert sparse._block_count(rb.num_pairs * 64 * 64) > 1
+    assert _conv_blocks(rb, 64, 64) > 1
     return x, params, rb
 
 
@@ -184,7 +202,7 @@ def test_a_large_conv_runs_on_the_pool_with_the_bytes_of_one_lane(fresh_pool):
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
         for book in (rb, rb.transposed()):
-            blocks = sparse._block_count(book.num_pairs * 64 * 64)
+            blocks = _conv_blocks(book, 64, 64)
             assert blocks == 8
             for _ in range(3):
                 got = sparse_conv_forward(x, params, book).features
@@ -210,13 +228,13 @@ def test_a_large_conv_backward_splits_with_the_input_gradient_bytes_of_one_block
         grad = SparseTensor(book.out_coords, rng.standard_normal((len(book.out_coords), 64)),
                             book.out_shape)
         whole = _conv_on_lanes(grad, adjoint, book.transposed(), 1, 1)
-        blocks = sparse._block_count(book.num_pairs * 64 * 64)
-        assert blocks > 1
+        blocks = _spans(inp.num_sites, book.num_pairs * 64 * 64)
+        assert len(blocks) > 1
         for lanes in (1, 2):
             monkeypatch.setattr(sparse, "_cpu_count", lambda: lanes)
             spans.clear()
             grad_in = sparse_conv_backward(inp, params, book, grad.features)[0]
-            assert sorted(spans) == sparse._row_blocks(inp.num_sites, blocks)
+            assert sorted(spans) == blocks
             assert grad_in.tobytes() == whole.tobytes(), (book is rb, lanes)
 
 
@@ -265,19 +283,33 @@ def _occupancy_clouds(count, points=3_000):
             for i in range(count)]
 
 
-def _serial_occupancy(clouds):
-    """Reference: the default grids' rows, one grid and then one cloud after
-    another, on this thread."""
-    edges = np.asarray(partition.DEFAULT_DISTANCE_EDGES)
+DEFAULT_GRIDS = (partition.DEFAULT_CYL_GRID, partition.DEFAULT_CUBIC_GRID)
+
+
+def _serial_occupancy(clouds, grids=DEFAULT_GRIDS, edges=partition.DEFAULT_DISTANCE_EDGES):
+    """Reference: the rows of the cylindrical and the cubic grid of
+    ``grids``, one grid and then one cloud after another, on this thread,
+    each cell at the planar distance of its centre (``cell_centers``): the
+    radius, or the norm of x and y. A grid's totals are those of its lowest
+    height layer times the layer count, since no distance depends on the
+    height."""
+    edges = np.asarray(edges, dtype=np.float64)
     rows = []
-    for scheme, grid in (("cylindrical", partition.DEFAULT_CYL_GRID),
-                         ("cubic", partition.DEFAULT_CUBIC_GRID)):
-        totals = grid.distance_cell_counts(edges)
+    for scheme, grid in zip(("cylindrical", "cubic"), grids):
+        def planar(cells):
+            centers = grid.cell_centers(cells)
+            if scheme == "cylindrical":
+                return centers[:, 0]
+            return np.hypot(centers[:, 0], centers[:, 1])
+
+        h, w, l = grid.resolution
+        layer = np.stack(np.meshgrid(np.arange(h), np.arange(w), [0], indexing="ij"), axis=-1)
+        totals = partition._count_in_bins(planar(layer.reshape(-1, 3)), edges) * l
         nonzero = totals > 0
         acc = np.zeros(len(edges) - 1)
         for cloud in clouds:
             cells = partition.assign_cells(cloud, grid).cells
-            occ = partition._count_in_bins(grid.cell_planar_distance(cells), edges)
+            occ = partition._count_in_bins(planar(cells), edges)
             acc[nonzero] += occ[nonzero] / totals[nonzero]
         acc /= len(clouds)
         rows += [(scheme, float(lo), float(hi), float(a) if n else None)
@@ -285,9 +317,25 @@ def _serial_occupancy(clouds):
     return rows
 
 
-def _occupancy(clouds):
+def _occupancy(clouds, grids=DEFAULT_GRIDS, edges=partition.DEFAULT_DISTANCE_EDGES):
     return [(r.scheme, r.distance_lo, r.distance_hi, r.nonempty_proportion)
-            for r in partition.occupancy_by_distance(clouds)]
+            for r in partition.occupancy_by_distance(clouds, *grids, edges)]
+
+
+def test_occupancy_rows_on_odd_grids_and_edges_are_the_serial_loops():
+    # rings of 2 m from rho = 1, centred at 2, 4, ..., 14; cubic columns of
+    # 2 m, x-y centres between 1 and 13.6 m out. The edge 4 lies on a ring
+    # centre, -5 and 0 below every distance, 20 and 30 past the grids.
+    grids = (partition.CylGridSpec((1.0, 15.0), (-2.0, 3.0), (7, 5, 3)),
+             partition.CubicGridSpec((-10.0, 12.0), (-9.0, 9.0), (-2.0, 3.0), (11, 9, 3)))
+    assert grids[0].cell_centers([[1, 0, 0]])[0, 0] == 4.0
+    clouds = [generate_synthetic_scene(SyntheticSceneSpec(seed=60 + i, num_points=2_000,
+                                                          max_range=16.0))
+              for i in range(3)]
+    for edges in ((-5.0, 0.0, 4.0, 5.5, 20.0, 30.0), (0.0, 50.0)):
+        rows = _occupancy(clouds, grids, edges)
+        assert repr(rows) == repr(_serial_occupancy(clouds, grids, edges)), edges
+        assert {r[3] is None for r in rows} == ({True, False} if len(edges) > 2 else {False})
 
 
 def test_occupancy_rows_are_the_serial_loops_at_every_lane_count(fresh_pool, monkeypatch):

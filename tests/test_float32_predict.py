@@ -46,6 +46,7 @@ from cylseg.sparse import (
     SparseTensor,
     batch_norm_forward,
     build_rulebook,
+    in_row_blocks,
     init_conv_params,
     inverse_conv_forward,
     leaky_relu_forward,
@@ -237,12 +238,22 @@ def test_full_config_predict_is_float32_and_agrees_with_float64(monkeypatch):
 
 
 def _point_block_counts(monkeypatch):
-    """The block count of every point chain that runs on ``predict``'s route."""
+    """The block count of every point chain that runs on ``predict``'s route:
+    how many blocks the row-block runner hands its work."""
     counts = []
-    row_blocks = network_module._row_blocks
-    monkeypatch.setattr(network_module, "_row_blocks",
-                        lambda rows, blocks: counts.append(blocks) or row_blocks(rows, blocks))
+
+    def counted(rows, macs, work):
+        spans = []
+        in_row_blocks(rows, macs, lambda lo, hi: spans.append(lo) or work(lo, hi))
+        counts.append(len(spans))
+
+    monkeypatch.setattr(network_module, "in_row_blocks", counted)
     return counts
+
+
+def _whole(monkeypatch):
+    """Point chains run as one block, whatever their size."""
+    monkeypatch.setattr(network_module, "in_row_blocks", lambda rows, macs, work: work(0, rows))
 
 
 def _float32_point_logits(net, cloud):
@@ -262,7 +273,7 @@ def test_point_layers_split_into_row_blocks_with_the_bytes_of_one_block(monkeypa
             counts = _point_block_counts(patch)
             split, _ = chain.forward(feats, training=False)
         with monkeypatch.context() as patch:
-            patch.setattr(network_module, "_block_count", lambda macs: 1)
+            _whole(patch)
             whole, _ = chain.forward(feats, training=False)
         assert counts == [8 if chain is net.point_mlp else 4]
         assert split.dtype == np.float32 and split.tobytes() == whole.tobytes()
@@ -271,7 +282,7 @@ def test_point_layers_split_into_row_blocks_with_the_bytes_of_one_block(monkeypa
     counts = _point_block_counts(monkeypatch)
     split = _float32_point_logits(net, cloud)
     assert counts == [4, 1]
-    monkeypatch.setattr(network_module, "_block_count", lambda macs: 1)
+    _whole(monkeypatch)
     assert split.tobytes() == _float32_point_logits(net, cloud).tobytes()
 
 

@@ -36,6 +36,26 @@ def test_the_check_finds_unused_imports():
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
 
 
+def private_imports(source: str):
+    """(line, module, name) of each underscore-prefixed name a module imports
+    from another module, dunder names aside."""
+    return [(node.lineno, node.module, alias.name)
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_name(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_the_check_finds_private_imports():
+    source = ("from __future__ import annotations\nfrom .sparse import (\n    KernelSpec,\n"
+              "    _row_blocks,\n)\nfrom os import __doc__, _exit as leave\n")
+    assert private_imports(source) == [(2, "sparse", "_row_blocks"), (6, "os", "_exit")]
+
+
 def definitions(source: str):
     """(line, name) of each function, class and constant a module defines at
     its top level, dunder names aside."""

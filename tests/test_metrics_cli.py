@@ -533,6 +533,46 @@ def test_cli_names_the_flag_of_a_missing_scans_directory(tiny_cfg, tmp_path, mon
     assert err == [f"error: --scans 'missing' (config {tiny_cfg}): {os.strerror(errno.ENOENT)}"]
 
 
+def test_bound_names_the_failing_scan_and_writes_no_csv(tmp_path, capsys):
+    # the third scan's labels all map to ignore: raw id 7 is not one of the
+    # tiny config's three classes
+    scans, labels = tmp_path / "scans", tmp_path / "labels"
+    scans.mkdir()
+    labels.mkdir()
+    for i in range(3):
+        spec = SyntheticSceneSpec(seed=i, num_points=300, max_range=12.0)
+        write_kitti_bin(scans / f"{i:06d}.bin", generate_synthetic_scene(spec))
+        raw = np.arange(300) % 3 if i < 2 else np.full(300, 7)
+        write_kitti_labels(labels / f"{i:06d}.label", raw)
+    path = _files_cfg(tmp_path, f"scans = {scans}\nlabels = {labels}")
+    out = tmp_path / "bound.csv"
+    code = main(["bound", "--config", str(path), "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == ["error: scan 000002: cloud has no non-ignore labels"]
+    assert "wrote" not in captured.out
+    assert not out.exists()
+
+
+def test_infer_refuses_a_labelmap_with_a_train_id_no_raw_id_maps_to(tmp_path, capsys):
+    # train accepts the map; infer refuses it before it reads the checkpoint,
+    # whatever the network would predict
+    path = tmp_path / "lm.cfg"
+    path.write_text(TINY_CFG + "\n[labelmap]\n10 = 0\n11 = 1\n12 = ignore\n")
+    ckpt = tmp_path / "net.ckpt"
+    assert main(["train", "--config", str(path), "--output", str(ckpt)]) == 0
+    capsys.readouterr()
+    preds = tmp_path / "preds"
+    for checkpoint in (ckpt, tmp_path / "absent.ckpt"):
+        code = main(["infer", "--config", str(path), "--checkpoint", str(checkpoint),
+                     "--output", str(preds)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: [labelmap] maps no raw id to train id 2, so infer could not write it"
+        ]
+        assert not preds.exists()
+
+
 def test_cli_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -149,6 +149,17 @@ def test_label_map_inverse_picks_smallest_raw_id():
     assert lm.to_raw(np.array([0, 1, 0])).tolist() == [10, 11, 10]
 
 
+def test_label_map_inverse_marks_train_ids_without_a_raw_id():
+    lm = LabelMap({10: 0, 13: 2, 12: 2, 14: 255}, num_classes=4)
+    assert lm.inverse.tolist() == [10, -1, 12, -1]
+    assert lm.to_raw(np.array([2, 0, 2])).tolist() == [12, 10, 12]
+    assert lm.to_raw(np.array([], dtype=np.int64)).tolist() == []
+    for ids in ([1], [0, 2, 3]):
+        with pytest.raises(ValueError, match="some train ids have no raw id in the mapping"):
+            lm.to_raw(np.array(ids))
+    assert identity_label_map(3).inverse.tolist() == [0, 1, 2]
+
+
 def test_label_map_remap_vectorized():
     lm = LabelMap({1: 0, 2: 1}, num_classes=2, ignore_id=255)
     out = lm.remap(np.array([1, 2, 3, 1], dtype=np.uint32))
