@@ -7,10 +7,12 @@ All commands are deterministic given identical config, data and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -90,22 +92,23 @@ def _dataset(cfg: RunConfig, split: str, with_labels: bool = True):
     return _synthetic_clouds(cfg, cfg.data.val_scenes, cfg.data.seed + VAL_SEED_OFFSET)
 
 
-def _stats_clouds(cfg: RunConfig) -> List[PointCloud]:
+def _stats_scenes(cfg: RunConfig) -> List[Callable[[], PointCloud]]:
+    """A function making each of the [stats] synthetic scenes."""
     return [
-        generate_synthetic_scene(
-            SyntheticSceneSpec(seed=cfg.stats.seed + i, num_points=cfg.stats.points)
-        )
+        functools.partial(generate_synthetic_scene,
+                          SyntheticSceneSpec(seed=cfg.stats.seed + i, num_points=cfg.stats.points))
         for i in range(cfg.stats.scenes)
     ]
 
 
 def _cmd_stats(args) -> int:
     cfg = load_config(args.config)
+    # each scan is read or made in the lane that bins it, so one is held per lane
     if args.scans:
-        clouds = [read_kitti_bin(os.path.join(args.scans, name + ".bin"))
+        clouds = [functools.partial(read_kitti_bin, os.path.join(args.scans, name + ".bin"))
                   for name in _scan_names(args.scans, "--scans", args.config)]
     else:
-        clouds = _stats_clouds(cfg)
+        clouds = _stats_scenes(cfg)
     rows = occupancy_by_distance(clouds, cfg.grid, cfg.cubic, cfg.stats.edges)
     write_occupancy_csv(rows, args.output)
     for row in rows:
@@ -120,7 +123,7 @@ def _cmd_bound(args) -> int:
     if cfg.data.kind == "files":
         clouds = _dataset(cfg, "val")
     else:
-        clouds = [(f"scene_{i:04d}", c) for i, c in enumerate(_stats_clouds(cfg))]
+        clouds = [(f"scene_{i:04d}", make()) for i, make in enumerate(_stats_scenes(cfg))]
     k = SYNTH_NUM_CLASSES if cfg.data.kind != "files" else cfg.network.num_classes
     rows = []  # every row before the CSV is opened: a failing scan leaves no file
     for name, cloud in clouds:
@@ -207,10 +210,25 @@ def _cmd_infer(args) -> int:
     network = _load_matching_checkpoint(args.checkpoint, cfg)
     clouds = _dataset(cfg, "val", with_labels=False)
     os.makedirs(args.output, exist_ok=True)
-    for name, cloud in clouds:
-        pred = network.predict(cloud)
-        path = os.path.join(args.output, name + ".label")
-        write_kitti_labels(path, cfg.label_map.to_raw(pred))
+    # each scan's labels go to a temporary file, renamed only once every scan
+    # has succeeded: a failing scan leaves no output behind
+    written = []
+    try:
+        for name, cloud in clouds:
+            try:
+                pred = network.predict(cloud)
+            except ValueError as exc:
+                raise ValueError(f"scan {name}: {exc}") from None
+            path = os.path.join(args.output, name + ".label")
+            written.append((path + ".tmp", path))
+            write_kitti_labels(path + ".tmp", cfg.label_map.to_raw(pred))
+    except BaseException:
+        for tmp, _ in written:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+    for tmp, path in written:
+        os.replace(tmp, path)
         print(f"wrote {path}")
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -21,43 +21,75 @@ from .sparse import (
     SparseTensor,
     as_features,
     check_shape,
-    distinct_keys,
     in_lanes,
     key_coords,
     occupied_keys,
 )
 
 
-def _cyl_columns(xyz) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """rho, theta and z of (..., 3) positions, as three arrays."""
+def _cyl_columns(xyz) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """x, y, theta and z of (..., 3) positions, as four float64 arrays:
+    radius is left to the caller, which makes it from x and y."""
     xyz = np.asarray(xyz, dtype=np.float64)
-    rho = np.hypot(xyz[..., 0], xyz[..., 1])
-    theta = np.arctan2(xyz[..., 1], xyz[..., 0])
+    x, y = xyz[..., 0], xyz[..., 1]
+    theta = np.asarray(np.arctan2(y, x))
     # arctan2 returns values in [-pi, pi]; fold the single closed endpoint
-    theta = np.where(theta >= np.pi, theta - TWO_PI, theta)
-    return rho, theta, xyz[..., 2]
+    theta[theta >= np.pi] -= TWO_PI
+    return x, y, theta, xyz[..., 2]
 
 
 def cart_to_cyl(xyz: np.ndarray) -> np.ndarray:
     """(x, y, z) -> (rho, theta, z) with rho >= 0 and theta in [-pi, pi)."""
-    return np.stack(_cyl_columns(xyz), axis=-1)
+    x, y, theta, z = _cyl_columns(xyz)
+    return np.stack([np.hypot(x, y), theta, z], axis=-1)
 
 
-def _bin_axis(values, lo, delta, count):
-    """``floor((v - lo) / delta)`` clipped to [0, count - 1] while still a
-    float: past 2^63 the int64 cast would wrap to bin 0."""
-    idx = values - lo
+def _bin_axis(values, lo, delta, count, out=None):
+    """``floor((v - lo) / delta)`` clamped to [0, count - 1] while still a
+    float: past 2^63 the int64 cast would wrap to bin 0. The cast truncates,
+    which on the clamped values is floor; NaN stays NaN. ``out`` is a float64
+    scratch array for ``v - lo``, which may be ``values`` itself."""
+    idx = np.subtract(values, lo, out=out)
     idx /= delta
-    np.floor(idx, out=idx)
-    np.clip(idx, 0, count - 1, out=idx)
+    np.maximum(idx, 0, out=idx)
+    np.minimum(idx, count - 1, out=idx)
     return idx.astype(np.int64)
+
+
+# r = sqrt(x*x + y*y) is within a few ulps of glibc's hypot (itself at most
+# 1 ulp off) wherever x*x + y*y neither overflows nor loses all precision to
+# underflow, which r in [2^-400, 2^400] ensures. Then hypot lies between
+# r * (1 - 2^-48) and r * (1 + 2^-48), and as _bin_axis is monotone in its
+# input, where those two bound bins agree hypot's bin is that bin too.
+_RADIUS_SLACK = 2.0 ** -48
+_RADIUS_RANGE = (2.0 ** -400, 2.0 ** 400)
+
+
+def _radial_bins(x, y, lo, delta, count):
+    """``_bin_axis(np.hypot(x, y), ...)``, calling ``hypot`` only on the
+    points near a bin edge, at NaN, or outside ``_RADIUS_RANGE``."""
+    r = np.multiply(x, x)
+    r += y * y
+    np.sqrt(r, out=r)
+    odd = ~((r >= _RADIUS_RANGE[0]) & (r <= _RADIUS_RANGE[1]))  # NaN compares false
+    high = r * (1 + _RADIUS_SLACK)
+    high = _bin_axis(high, lo, delta, count, out=high)
+    r *= 1 - _RADIUS_SLACK
+    bins = _bin_axis(r, lo, delta, count, out=r)
+    del r
+    odd |= bins != high
+    del high
+    if odd.any():
+        bins[odd] = _bin_axis(np.hypot(x[odd], y[odd]), lo, delta, count)
+    return bins
 
 
 class _Grid:
     """What the cylindrical and cubic grids share. A subclass defines its
-    ranges, ``resolution``, ``lowers``, ``uppers``, ``axis_values`` (the
-    three per-axis value columns of some positions) and ``columns`` (the
-    planar distance of each group of cells that ``stats`` bins together)."""
+    ranges, ``resolution``, ``lowers``, ``uppers``, ``_axis_bins`` (the
+    per-axis cell indices of some positions, each value column dropped as
+    soon as its axis is binned) and ``columns`` (the planar distance of each
+    group of cells that ``stats`` bins together)."""
 
     def __post_init__(self):
         object.__setattr__(self, "resolution", check_shape(self.resolution))
@@ -71,12 +103,9 @@ class _Grid:
         h, w, l = self.resolution
         return h * w * l
 
-    def _axis_bins(self, xyz: np.ndarray) -> List[np.ndarray]:
-        """Per-axis cell indices of the positions; each value column is
-        dropped as soon as its axis is binned."""
-        columns = list(self.axis_values(xyz))
-        return [_bin_axis(columns.pop(0), lo, delta, count)
-                for lo, delta, count in zip(self.lowers, self.deltas, self.resolution)]
+    def _axes(self):
+        """(lower, delta, count) of each axis."""
+        return zip(self.lowers, self.deltas, self.resolution)
 
     def bin_points(self, xyz: np.ndarray) -> np.ndarray:
         """(N, 3) cell coordinates of the positions."""
@@ -122,8 +151,12 @@ class CylGridSpec(_Grid):
     def uppers(self) -> np.ndarray:
         return np.array([self.rho_range[1], np.pi, self.z_range[1]])
 
-    def axis_values(self, xyz: np.ndarray):
-        return _cyl_columns(xyz)
+    def _axis_bins(self, xyz: np.ndarray) -> List[np.ndarray]:
+        x, y, theta, z = _cyl_columns(xyz)
+        rho_axis, theta_axis, z_axis = self._axes()
+        bins = [_radial_bins(x, y, *rho_axis), _bin_axis(theta, *theta_axis, out=theta)]
+        del theta
+        return bins + [_bin_axis(z, *z_axis)]
 
     def columns(self) -> Tuple[np.ndarray, int]:
         """Each radial ring's planar distance (its centre radius) and the
@@ -155,9 +188,9 @@ class CubicGridSpec(_Grid):
     def uppers(self) -> np.ndarray:
         return np.array([self.x_range[1], self.y_range[1], self.z_range[1]])
 
-    def axis_values(self, xyz: np.ndarray):
+    def _axis_bins(self, xyz: np.ndarray) -> List[np.ndarray]:
         xyz = np.asarray(xyz, dtype=np.float64)
-        return xyz[:, 0], xyz[:, 1], xyz[:, 2]
+        return [_bin_axis(xyz[:, i], *axis) for i, axis in enumerate(self._axes())]
 
     def columns(self) -> Tuple[np.ndarray, int]:
         """Each x-y column's planar distance (of its centre) and the cells a
@@ -200,13 +233,19 @@ class VoxelMapping:
         return order, counts, np.cumsum(counts) - counts
 
 
+def _raw_positions(cloud) -> np.ndarray:
+    """The (N, 3) positions of a PointCloud or a raw array, in their dtype."""
+    xyz = np.asarray(cloud.xyz if isinstance(cloud, PointCloud) else cloud)
+    if xyz.ndim != 2 or xyz.shape[1] != 3:
+        raise ValueError(f"expected (N, 3) positions, got {xyz.shape}")
+    return xyz
+
+
 def as_positions(cloud) -> np.ndarray:
     """The positions of a PointCloud or a raw array, as (N, 3) float64. Any
     other dtype is widened into one contiguous array per axis: a float32
     scan's strided (N, 3) view widens several times faster that way."""
-    xyz = np.asarray(cloud.xyz if isinstance(cloud, PointCloud) else cloud)
-    if xyz.ndim != 2 or xyz.shape[1] != 3:
-        raise ValueError(f"expected (N, 3) positions, got {xyz.shape}")
+    xyz = _raw_positions(cloud)
     return xyz if xyz.dtype == np.float64 else np.array(xyz.T, dtype=np.float64, order="C").T
 
 
@@ -325,8 +364,13 @@ class OccupancyRow:
     nonempty_proportion: Optional[float]
 
 
+# Points a stats lane widens and bins at a time: a column of 2^16 float64s
+# (512 KiB) stays in a typical L2 cache, where a 524k-point scan's does not.
+_STATS_CHUNK = 1 << 16
+
+
 def occupancy_by_distance(
-    clouds: Sequence[PointCloud],
+    clouds: Sequence[Union[PointCloud, Callable[[], PointCloud]]],
     cyl_grid: CylGridSpec = DEFAULT_CYL_GRID,
     cubic_grid: CubicGridSpec = DEFAULT_CUBIC_GRID,
     distance_bins: Sequence[float] = DEFAULT_DISTANCE_EDGES,
@@ -338,6 +382,10 @@ def occupancy_by_distance(
     input clouds. Bins containing no cells report ``None``. The clouds are
     binned one per CPU (``in_lanes``) and summed in their order, so the
     rows do not depend on how many CPUs there are.
+
+    Each item is a cloud (or raw (N, 3) positions) or a function of no
+    arguments returning one, which its lane calls: a lane then holds one
+    scan at a time, and no more than ``_STATS_CHUNK`` of its points widened.
     """
     edges = np.asarray(distance_bins, dtype=np.float64)
     if (edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all()
@@ -348,13 +396,15 @@ def occupancy_by_distance(
     schemes = [(scheme, grid, *grid.columns())
                for scheme, grid in (("cylindrical", cyl_grid), ("cubic", cubic_grid))]
 
-    def occupied(cloud):
-        xyz = as_positions(cloud)  # widened once, for both grids
-        counts = []
-        for _, grid, dist, cells in schemes:
-            keys = distinct_keys(grid.cell_keys(xyz), grid.num_cells)
-            counts.append(_count_in_bins(dist[keys // cells], edges))
-        return counts
+    def occupied(item):
+        xyz = _raw_positions(item() if callable(item) else item)
+        seen = [np.zeros(grid.num_cells, dtype=bool) for _, grid, _, _ in schemes]
+        for lo in range(0, len(xyz), _STATS_CHUNK):
+            part = as_positions(xyz[lo:lo + _STATS_CHUNK])  # widened once, for both grids
+            for table, (_, grid, _, _) in zip(seen, schemes):
+                table[grid.cell_keys(part)] = True
+        return [_count_in_bins(dist[np.flatnonzero(table) // cells], edges)
+                for table, (_, _, dist, cells) in zip(seen, schemes)]
 
     per_cloud = in_lanes(occupied, clouds)
     rows = []

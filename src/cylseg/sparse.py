@@ -81,18 +81,13 @@ def check_shape(shape) -> Tuple[int, int, int]:
     return shape
 
 
-def distinct_keys(keys: np.ndarray, cells: int) -> np.ndarray:
-    """The distinct ``keys`` (each in [0, cells)) in ascending order."""
+def occupied_keys(keys: np.ndarray, cells: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` (each in [0, cells)) in ascending order, and an
+    int32 table giving each of them its rank there. Only the entries at
+    ``keys`` are written; the rest of the table is left unset."""
     seen = np.zeros(cells, dtype=bool)
     seen[keys] = True
-    return np.flatnonzero(seen)
-
-
-def occupied_keys(keys: np.ndarray, cells: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``distinct_keys``, and an int32 table giving each of them its rank
-    there. Only the entries at ``keys`` are written; the rest of the table is
-    left unset."""
-    distinct = distinct_keys(keys, cells)
+    distinct = np.flatnonzero(seen)
     rank = np.empty(cells, dtype=np.int32)
     rank[distinct] = np.arange(distinct.size, dtype=np.int32)
     return distinct, rank

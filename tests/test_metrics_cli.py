@@ -554,6 +554,62 @@ def test_bound_names_the_failing_scan_and_writes_no_csv(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_infer_names_the_failing_scan_and_leaves_no_labels(tiny_checkpoint, tmp_path, capsys):
+    # the third scan is empty; the first two used to be written before it failed
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    for i in range(2):
+        spec = SyntheticSceneSpec(seed=i, num_points=300, max_range=12.0)
+        write_kitti_bin(scans / f"{i:06d}.bin", generate_synthetic_scene(spec))
+    (scans / "000002.bin").write_bytes(b"")
+    ckpt = tmp_path / "net.ckpt"
+    ckpt.write_bytes(tiny_checkpoint)
+    path = _files_cfg(tmp_path, f"scans = {scans}")
+    out = tmp_path / "preds"
+    argv = ["infer", "--config", str(path), "--checkpoint", str(ckpt), "--output", str(out)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == [
+        "error: scan 000002: cannot run the network on an empty cloud"]
+    assert "wrote" not in captured.out
+    assert os.listdir(out) == []
+
+    (scans / "000002.bin").unlink()
+    assert main(argv) == 0
+    assert sorted(os.listdir(out)) == ["000000.label", "000001.label"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {out / '000000.label'}", f"wrote {out / '000001.label'}"]
+
+
+@pytest.mark.parametrize("source", ["scans", "synthetic"])
+def test_stats_holds_one_scan_per_lane(source, tmp_path, capsys):
+    # stats used to read or make every scan before binning the first
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    points = 1 << 17  # 2 MiB a scan as float32
+    peaks = []
+    for count in (2, 8):
+        cfg = tmp_path / f"stats{count}.cfg"
+        cfg.write_text(TINY_CFG.replace("scenes = 2\npoints = 2048",
+                                        f"scenes = {count}\npoints = {points}"))
+        argv = ["stats", "--config", str(cfg), "--output", str(tmp_path / "occ.csv")]
+        if source == "scans":
+            for i in range(len(os.listdir(scans)), count):
+                spec = SyntheticSceneSpec(seed=i, num_points=points, max_range=12.0)
+                write_kitti_bin(scans / f"{i:06d}.bin", generate_synthetic_scene(spec))
+            argv += ["--scans", str(scans)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    # two scans' worth of slack: the lanes' peaks coincide more or less by chance
+    assert peaks[1] - peaks[0] < 2 * 16 * points, [p / 2**20 for p in peaks]
+
+
 def test_infer_refuses_a_labelmap_with_a_train_id_no_raw_id_maps_to(tmp_path, capsys):
     # train accepts the map; infer refuses it before it reads the checkpoint,
     # whatever the network would predict

@@ -1,10 +1,12 @@
 import math
+import os
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from cylseg.config import load_config
 from cylseg.partition import (
     DEFAULT_CUBIC_GRID,
     DEFAULT_CYL_GRID,
@@ -137,6 +139,61 @@ def test_far_out_points_land_in_the_boundary_bin_on_their_side():
     assert cyl[4:, 2].tolist() == [DEFAULT_CYL_GRID.resolution[2] - 1, 0]
     np.testing.assert_array_equal(np.diag(cubic[:3]), np.array(DEFAULT_CUBIC_GRID.resolution) - 1)
     np.testing.assert_array_equal(np.diag(cubic[3:]), 0)
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+_EDGE_GRIDS = {
+    "semantic_kitti": load_config(os.path.join(CONFIGS, "semantic_kitti.cfg")).grid,
+    "toy": load_config(os.path.join(CONFIGS, "toy_train.cfg")).grid,
+    "odd": CylGridSpec((0.3, 7.7), (-1.0, 1.0), (37, 9, 4)),
+    "tiny_radii": CylGridSpec((1e-200, 3e-200), (-1.0, 1.0), (37, 9, 4)),
+    "huge_radii": CylGridSpec((0.0, 1e300), (-1.0, 1.0), (37, 9, 4)),
+}
+
+
+def _hypot_keys(grid, xyz):
+    """Flat keys from cart_to_cyl's hypot radius, floored and clipped."""
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN casts to an arbitrary bin
+        idx = np.floor((cart_to_cyl(xyz) - grid.lowers) / grid.deltas)
+        idx = np.clip(idx, 0, np.array(grid.resolution) - 1).astype(np.int64)
+    _, w, l = grid.resolution
+    return (idx[:, 0] * w + idx[:, 1]) * l + idx[:, 2]
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_GRIDS))
+def test_radial_bins_equal_hypots_at_every_edge(name):
+    # the radius is sqrt(x*x + y*y) away from bin edges, with hypot only near
+    # one; 1e155 squared overflows and 3e-155 or 1e-170 squared underflows
+    grid = _EDGE_GRIDS[name]
+    rng = np.random.default_rng(31)
+    count = grid.resolution[0]
+    edges = grid.rho_range[0] + np.arange(count + 1) * grid.deltas[0]
+    steps = np.concatenate([-np.arange(1, 41), np.arange(1, 41)])
+    rho = (edges[:, None] + steps * np.spacing(edges)[:, None]).ravel().repeat(12)
+    theta = rng.uniform(-math.pi, math.pi, rho.size)
+    xyz = np.stack([rho * np.cos(theta), rho * np.sin(theta), rng.uniform(-2, 2, rho.size)], 1)
+    odd = [np.nan, np.inf, -np.inf, 1e155, -1e155, 3e-155, 1e-170, 0.0, -0.0, 1.0]
+    x, y = np.meshgrid(odd, odd)
+    special = np.stack([x.ravel(), y.ravel(), np.zeros(x.size)], 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for positions in (xyz, xyz.astype(np.float32), special):
+            np.testing.assert_array_equal(grid.cell_keys(positions), _hypot_keys(grid, positions))
+
+
+def test_a_stats_lane_bins_its_scan_in_chunks():
+    # a lane widens, keys and marks 2^16 points at a time into its two cell
+    # tables; binning the whole float32 scan at once peaked at ~30 MiB
+    scene = generate_synthetic_scene(SyntheticSceneSpec(seed=3, num_points=524_288))
+    cloud = PointCloud(scene.xyz.astype(np.float32), scene.intensity.astype(np.float32))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        occupancy_by_distance([cloud])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    tables = DEFAULT_CYL_GRID.num_cells + DEFAULT_CUBIC_GRID.num_cells
+    assert peak <= tables + 12 * 8 * 2**16, (peak - tables) / (8 * 2**16)
 
 
 @pytest.mark.parametrize("bins", [2**60, 2**63 - 1])
