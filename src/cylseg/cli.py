@@ -12,7 +12,7 @@ import csv
 import functools
 import os
 import sys
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,19 +35,17 @@ from .training import evaluate_network, train_network, write_metrics_csv
 VAL_SEED_OFFSET = 10_000
 
 
-def _synthetic_clouds(cfg: RunConfig, count: int, seed_base: int) -> List[Tuple[str, PointCloud]]:
+def _synthetic_clouds(
+    cfg: RunConfig, count: int, seed_base: int
+) -> Iterator[Tuple[str, PointCloud]]:
     if cfg.network.num_classes != SYNTH_NUM_CLASSES:
         raise ValueError(
             f"synthetic data carries {SYNTH_NUM_CLASSES} classes; "
             f"[network] num_classes is {cfg.network.num_classes}"
         )
-    out = []
-    for i in range(count):
-        spec = SyntheticSceneSpec(
-            seed=seed_base + i, num_points=cfg.data.points, max_range=cfg.data.max_range
-        )
-        out.append((f"scene_{i:04d}", generate_synthetic_scene(spec)))
-    return out
+    specs = (SyntheticSceneSpec(seed=seed_base + i, num_points=cfg.data.points,
+                                max_range=cfg.data.max_range) for i in range(count))
+    return ((f"scene_{i:04d}", generate_synthetic_scene(spec)) for i, spec in enumerate(specs))
 
 
 def _list_dir(directory, source: str, cfg_path) -> List[str]:
@@ -66,25 +64,29 @@ def _scan_names(directory, source: str, cfg_path) -> List[str]:
     return names
 
 
-def _file_clouds(cfg: RunConfig, with_labels: bool) -> List[Tuple[str, PointCloud]]:
+def _file_clouds(cfg: RunConfig, with_labels: bool) -> Iterator[Tuple[str, PointCloud]]:
     scans_dir = cfg.data.scans
     names = _scan_names(scans_dir, "[data] scans", cfg.path)
     if with_labels:
         if not cfg.data.labels:
             raise ValueError("[data] labels directory is required for labeled runs")
         _list_dir(cfg.data.labels, "[data] labels", cfg.path)
-    out = []
-    for name in names:
+
+    def read(name):
         cloud = read_kitti_bin(os.path.join(scans_dir, name + ".bin"))
-        if with_labels:
-            path = os.path.join(cfg.data.labels, name + ".label")
-            cloud = cloud.with_labels(read_kitti_labels(path, cfg.label_map, cloud.n))
-        out.append((name, cloud))
-    return out
+        if not with_labels:
+            return cloud
+        path = os.path.join(cfg.data.labels, name + ".label")
+        return cloud.with_labels(read_kitti_labels(path, cfg.label_map, cloud.n))
+
+    return ((name, read(name)) for name in names)
 
 
 def _dataset(cfg: RunConfig, split: str, with_labels: bool = True):
-    """Named clouds for a split: 'train' or 'val' (files ignore the split)."""
+    """Named clouds for a split: 'train' or 'val' (files ignore the split).
+    The class count and the directories are checked at once, but each cloud
+    is read or made only when the iteration reaches it, so a loop over them
+    holds one at a time."""
     if cfg.data.kind == "files":
         return _file_clouds(cfg, with_labels)
     if split == "train":
@@ -123,7 +125,7 @@ def _cmd_bound(args) -> int:
     if cfg.data.kind == "files":
         clouds = _dataset(cfg, "val")
     else:
-        clouds = [(f"scene_{i:04d}", make()) for i, make in enumerate(_stats_scenes(cfg))]
+        clouds = ((f"scene_{i:04d}", make()) for i, make in enumerate(_stats_scenes(cfg)))
     k = SYNTH_NUM_CLASSES if cfg.data.kind != "files" else cfg.network.num_classes
     rows = []  # every row before the CSV is opened: a failing scan leaves no file
     for name, cloud in clouds:
@@ -189,13 +191,17 @@ def _cmd_eval(args) -> int:
         cm = ConfusionMatrix(cfg.network.num_classes, cfg.ignore_id)
         for name, cloud in _dataset(cfg, "val"):
             path = os.path.join(args.predictions, name + ".label")
-            cm.update(cloud.labels, read_kitti_labels(path, cfg.label_map, cloud.n))
+            pred = read_kitti_labels(path, cfg.label_map, cloud.n)
+            try:
+                cm.update(cloud.labels, pred)
+            except ValueError as exc:
+                raise ValueError(f"scan {name}: {path}: {exc}") from None
         iou, miou = compute_miou(cm)
     else:
         if not args.checkpoint:
             raise ValueError("eval needs --checkpoint or --predictions")
         network = _load_matching_checkpoint(args.checkpoint, cfg)
-        clouds = [cloud for _, cloud in _dataset(cfg, "val")]
+        clouds = (cloud for _, cloud in _dataset(cfg, "val"))
         miou, iou, _ = evaluate_network(network, clouds, cfg.ignore_id)
     _print_eval(iou, miou)
     return 0

@@ -301,7 +301,10 @@ class Chain(Module):
         return out, None
 
     def backward(self, grad, ctxs):
-        for (layer, act), (c_layer, c_act) in zip(reversed(self.layers), reversed(ctxs)):
+        """Each layer's context leaves ``ctxs`` before that layer runs, so the
+        list is empty once the backward returns."""
+        for layer, act in reversed(self.layers):
+            c_layer, c_act = ctxs.pop()
             grad = leaky_relu_backward(grad, c_act) if act else grad
             grad = layer.backward(grad, c_layer)
         return grad
@@ -478,6 +481,7 @@ class ForwardResult:
     point_logits: np.ndarray  # (N, K)
     mapping: VoxelMapping
     ctx: Optional[tuple] = None
+    consumed: bool = False  # set once a backward has used ``ctx``
 
 
 class SegmentationNetwork(Module):
@@ -553,10 +557,17 @@ class SegmentationNetwork(Module):
 
     def backward(self, result: ForwardResult, grad_voxel: np.ndarray, grad_point: np.ndarray):
         """Accumulate parameter gradients for a training-mode forward pass,
-        computing in that pass's dtype; the gradient buffers stay float64."""
+        computing in that pass's dtype; the gradient buffers stay float64.
+
+        It consumes the pass's context: ``result.ctx`` is cleared, and each
+        part of it and each skip gradient goes as soon as it has been used,
+        so a consumed context is not held under the rest of the backward."""
+        if result.consumed:
+            raise ValueError("a backward already consumed this forward pass's context")
         if result.ctx is None:
             raise ValueError("backward requires a forward pass run with training=True")
         winners, c_mlp, c_downs, c_ddcm, c_ups, c_head, c_refine = result.ctx
+        result.ctx, result.consumed = None, True
         k = self.config.num_classes
         mapping = result.mapping
 
@@ -565,20 +576,25 @@ class SegmentationNetwork(Module):
         g_logits = np.array(grad_voxel, dtype=dtype)
         np.add.at(g_logits, mapping.point_site, g_refine_in[:, :k])
         g_h = g_refine_in[:, k:].copy()
+        del g_refine_in
 
         g = self.head.backward(g_logits, c_head)
+        del g_logits, c_head
         g_skips = [None] * self.config.stages
-        for i in range(self.config.stages):
-            g, g_skips[i] = self.ups[i].backward(g, c_ups[i])
+        for i, up in enumerate(self.ups):
+            g, g_skips[i] = up.backward(g, c_ups.pop(0))
         g = self.ddcm.backward(g, c_ddcm)
-        for i in reversed(range(self.config.stages)):
-            g = self.downs[i].backward(g, g_skips[i], c_downs[i])
+        del c_ddcm
+        for down in reversed(self.downs):
+            g = down.backward(g, g_skips.pop(), c_downs.pop())
 
         # max-scatter routes each cell-channel gradient to its winning point;
         # a point wins at most one cell per channel, so no target repeats
         g_points = np.zeros_like(g_h)
         g_points[winners, np.arange(g.shape[1])] += g
+        del g, winners
         g_h += g_points
+        del g_points
         self.point_mlp.backward(g_h, c_mlp)
 
     def predict(self, cloud: PointCloud) -> np.ndarray:

@@ -234,26 +234,36 @@ class VoxelMapping:
 
 
 def _raw_positions(cloud) -> np.ndarray:
-    """The (N, 3) positions of a PointCloud or a raw array, in their dtype."""
-    xyz = np.asarray(cloud.xyz if isinstance(cloud, PointCloud) else cloud)
+    """The (N, 3) positions of a PointCloud or a raw array, in their dtype.
+    A raw array must be finite; a PointCloud checked its own when made."""
+    if isinstance(cloud, PointCloud):
+        return cloud.xyz
+    xyz = np.asarray(cloud)
     if xyz.ndim != 2 or xyz.shape[1] != 3:
         raise ValueError(f"expected (N, 3) positions, got {xyz.shape}")
+    if not np.isfinite(xyz).all():
+        raise ValueError("positions contain non-finite values")
     return xyz
 
 
-def as_positions(cloud) -> np.ndarray:
-    """The positions of a PointCloud or a raw array, as (N, 3) float64. Any
-    other dtype is widened into one contiguous array per axis: a float32
-    scan's strided (N, 3) view widens several times faster that way."""
-    xyz = _raw_positions(cloud)
+def _widened(xyz: np.ndarray) -> np.ndarray:
+    """(N, 3) positions as float64. Any other dtype is widened into one
+    contiguous array per axis: a float32 scan's strided (N, 3) view widens
+    several times faster that way."""
     return xyz if xyz.dtype == np.float64 else np.array(xyz.T, dtype=np.float64, order="C").T
+
+
+def as_positions(cloud) -> np.ndarray:
+    """The positions of a PointCloud or a raw array, as (N, 3) float64."""
+    return _widened(_raw_positions(cloud))
 
 
 def assign_cells(cloud, grid) -> VoxelMapping:
     """Map every point of ``cloud`` to a cell of ``grid``.
 
     Out-of-range points are clamped into the boundary bins, so the mapping
-    is total. Accepts a PointCloud or a raw (N, 3) array.
+    is total. Accepts a PointCloud or a raw (N, 3) array, which must be
+    finite: a NaN point has no cell, and an infinite one is no far point.
     """
     flat = grid.cell_keys(as_positions(cloud))
     keys, rank = occupied_keys(flat, grid.num_cells)
@@ -400,7 +410,7 @@ def occupancy_by_distance(
         xyz = _raw_positions(item() if callable(item) else item)
         seen = [np.zeros(grid.num_cells, dtype=bool) for _, grid, _, _ in schemes]
         for lo in range(0, len(xyz), _STATS_CHUNK):
-            part = as_positions(xyz[lo:lo + _STATS_CHUNK])  # widened once, for both grids
+            part = _widened(xyz[lo:lo + _STATS_CHUNK])  # once, for both grids
             for table, (_, grid, _, _) in zip(seen, schemes):
                 table[grid.cell_keys(part)] = True
         return [_count_in_bins(dist[np.flatnonzero(table) // cells], edges)

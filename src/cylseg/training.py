@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -303,7 +303,7 @@ def write_metrics_csv(stats: Sequence[EpochStats], path) -> None:
             writer.writerow([s.epoch, *(repr(float(v)) for v in values)])
 
 
-def evaluate_network(network: SegmentationNetwork, clouds: Sequence[PointCloud], ignore_id: int = 255):
+def evaluate_network(network: SegmentationNetwork, clouds: Iterable[PointCloud], ignore_id: int = 255):
     """Point-level confusion over ``clouds`` using the refined predictions."""
     cm = ConfusionMatrix(network.config.num_classes, ignore_id)
     for cloud in clouds:

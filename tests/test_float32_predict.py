@@ -393,7 +393,7 @@ def test_predict_leaves_parameters_state_and_gradients_untouched():
     # state and gradient buffers
     net = load_checkpoint(os.path.join(DATA, "toy_seed0.ckpt"))
     cfg = load_config(os.path.join(ROOT, "configs", "toy_train.cfg"))
-    cloud = _dataset(cfg, "val")[0][1]
+    _, cloud = next(_dataset(cfg, "val"))
     rng = np.random.default_rng(17)
     result = net.forward(cloud, training=True)
     net.backward(result, rng.standard_normal(result.voxel_logits.features.shape),

@@ -5,7 +5,6 @@ import math
 import os
 import re
 import struct
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +23,7 @@ from cylseg.pointcloud import (
     write_kitti_labels,
 )
 from cylseg.sparse import read_tensors, write_tensors
+from helpers import traced_memory
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -582,6 +582,48 @@ def test_infer_names_the_failing_scan_and_leaves_no_labels(tiny_checkpoint, tmp_
         f"wrote {out / '000000.label'}", f"wrote {out / '000001.label'}"]
 
 
+def test_cli_eval_names_the_predictions_file_holding_an_ignored_id(tiny_cfg, tmp_path, capsys):
+    # raw id 7 has no train id, so the map sends it to ignore; the line used
+    # to say only "predictions out of range"
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    label = preds / "scene_0000.label"
+    ids = np.zeros(512, dtype=np.int64)
+    ids[100] = 7
+    write_kitti_labels(label, ids)
+    code = main(["eval", "--config", str(tiny_cfg), "--predictions", str(preds)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: scan scene_0000: {label}: predictions out of range"]
+
+
+@pytest.mark.parametrize("source", ["files", "synthetic"])
+def test_bound_holds_one_scan_at_a_time(source, tmp_path, capsys):
+    # bound used to read or make every scan before it bounded the first
+    points = 1 << 17  # 2 MiB a scan as float32, 3 MiB as float64
+    peaks = []
+    for count in (2, 8):
+        text = TINY_CFG.replace("scenes = 2\npoints = 2048", f"scenes = {count}\npoints = {points}")
+        if source == "files":
+            scans, labels = tmp_path / f"scans{count}", tmp_path / f"labels{count}"
+            scans.mkdir()
+            labels.mkdir()
+            for i in range(count):
+                spec = SyntheticSceneSpec(seed=i, num_points=points, max_range=12.0)
+                cloud = generate_synthetic_scene(spec)
+                write_kitti_bin(scans / f"{i:06d}.bin", cloud)
+                write_kitti_labels(labels / f"{i:06d}.label", cloud.labels)
+            data = f"kind = files\nscans = {scans}\nlabels = {labels}"
+            text = text.replace("kind = synthetic", data)
+        cfg = tmp_path / f"bound{count}.cfg"
+        cfg.write_text(text)
+        with traced_memory() as memory:
+            assert main(["bound", "--config", str(cfg), "--output", str(tmp_path / "b.csv")]) == 0
+            peaks.append(memory.peak())
+    capsys.readouterr()
+    assert peaks[1] - peaks[0] < 2**20, [p / 2**20 for p in peaks]
+
+
 @pytest.mark.parametrize("source", ["scans", "synthetic"])
 def test_stats_holds_one_scan_per_lane(source, tmp_path, capsys):
     # stats used to read or make every scan before binning the first
@@ -599,12 +641,9 @@ def test_stats_holds_one_scan_per_lane(source, tmp_path, capsys):
                 spec = SyntheticSceneSpec(seed=i, num_points=points, max_range=12.0)
                 write_kitti_bin(scans / f"{i:06d}.bin", generate_synthetic_scene(spec))
             argv += ["--scans", str(scans)]
-        tracemalloc.start()
-        try:
+        with traced_memory() as memory:
             assert main(argv) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+            peaks.append(memory.peak())
     capsys.readouterr()
     # two scans' worth of slack: the lanes' peaks coincide more or less by chance
     assert peaks[1] - peaks[0] < 2 * 16 * points, [p / 2**20 for p in peaks]
@@ -742,12 +781,9 @@ def test_cli_rejects_malformed_checkpoint_in_one_line(
 ):
     bad = tmp_path / f"{case}.ckpt"
     bad.write_bytes(MALFORMED_CHECKPOINTS[case](tiny_checkpoint))
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         code = main(["eval", "--config", str(tiny_cfg), "--checkpoint", str(bad)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        peak = memory.peak()
     captured = capsys.readouterr()
     assert code == 1
     lines = captured.err.splitlines()

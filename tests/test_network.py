@@ -9,7 +9,6 @@ import dataclasses
 import math
 import os
 import struct
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,7 +44,8 @@ from cylseg.partition import CylGridSpec, assign_cells
 from cylseg.pointcloud import PointCloud, SyntheticSceneSpec, generate_synthetic_scene
 from cylseg.selftest import _toy_setup, random_sparse
 from cylseg.sparse import SparseTensor, key_coords, leaky_relu_forward, read_tensors
-from cylseg.training import finite_diff_check
+from cylseg.training import Adam, finite_diff_check, train_step
+from helpers import traced_memory
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 ROOT = os.path.dirname(os.path.dirname(DATA))
@@ -149,15 +149,11 @@ def test_point_mlp_frees_each_training_buffer_when_it_is_done():
     feats = rng.standard_normal((n, 9))
     probe = rng.standard_normal((n, 64))
     mlp.forward(feats, training=True)
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         out, ctx = mlp.forward(feats, training=True)
-        forward_peak = tracemalloc.get_traced_memory()[1] / unit
-        tracemalloc.reset_peak()
+        forward_peak = memory.peak() / unit
         mlp.backward(probe, ctx)
-        backward_peak = tracemalloc.get_traced_memory()[1] / unit
-    finally:
-        tracemalloc.stop()
+        backward_peak = memory.peak() / unit
     assert forward_peak < 6.7
     assert backward_peak < 7.6
 
@@ -169,12 +165,9 @@ def test_affine_adds_its_bias_into_the_product():
     rng = np.random.default_rng(1)
     affine = Affine(64, 64, rng)
     feats = rng.standard_normal((n, 64))
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         affine.forward(feats, training=True)
-        peak = tracemalloc.get_traced_memory()[1] / unit
-    finally:
-        tracemalloc.stop()
+        peak = memory.peak() / unit
     assert peak < 1.5
 
 
@@ -287,13 +280,10 @@ def test_up_block_frees_its_inverse_conv_output_and_skip_once_concatenated():
     up = UpBlock(2 * c, c, "asym", rng, 0.1)
     expected, _ = up.forward(x, skip, cache, training=False)  # fills the cache
     unit = skip.features.nbytes
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         skips = [skip.with_features(skip.features.copy())]
         out, _ = up.forward(x, skips.pop(), cache, training=False)
-        peak = tracemalloc.get_traced_memory()[1] / unit
-    finally:
-        tracemalloc.stop()
+        peak = memory.peak() / unit
     assert out.features.tobytes() == expected.features.tobytes()
     assert peak < 7.5
 
@@ -375,14 +365,49 @@ def test_inference_forward_keeps_no_backward_context():
     cloud = generate_synthetic_scene(SyntheticSceneSpec(seed=3, num_points=4096, max_range=20.0))
 
     def peak_bytes(training):
-        tracemalloc.start()
-        try:
+        with traced_memory() as memory:
             net.forward(cloud, training=training)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return memory.peak()
 
     assert peak_bytes(False) < 0.75 * peak_bytes(True)
+
+
+def test_a_train_step_peaks_little_above_what_its_forward_leaves_live(monkeypatch):
+    # A backward drops each context as soon as it has used it. When every
+    # context lived until the backward returned, a toy step peaked at 1.79
+    # times what its forward left live; with each dropped, 1.19, which the
+    # loss sets, between the forward and the backward.
+    cfg = load_config(os.path.join(ROOT, "configs", "toy_train.cfg"))
+    net = SegmentationNetwork(cfg.network, seed=0)
+    optimizer = Adam(net.named_params(), lr=cfg.train.lr)
+    clouds = [generate_synthetic_scene(SyntheticSceneSpec(seed=s, num_points=16_384,
+                                                          max_range=20.0)) for s in (0, 1)]
+    train_step(net, optimizer, clouds[0])
+    forward, live = net.forward, []
+
+    def recorded_forward(*args, **kwargs):
+        result = forward(*args, **kwargs)
+        live.append(memory.live())
+        return result
+
+    monkeypatch.setattr(net, "forward", recorded_forward)
+    with traced_memory() as memory:
+        train_step(net, optimizer, clouds[1])
+        peak = memory.peak()
+    assert len(live) == 1
+    assert peak < 1.35 * live[0], peak / live[0]
+
+
+def test_a_second_backward_of_one_forward_is_refused():
+    net, cloud = _toy_setup(seed=0)
+    result = net.forward(cloud, training=True)
+    grads = (np.ones_like(result.voxel_logits.features), np.ones_like(result.point_logits))
+    net.backward(result, *grads)
+    assert result.ctx is None
+    with pytest.raises(ValueError, match="a backward already consumed"):
+        net.backward(result, *grads)
+    with pytest.raises(ValueError, match="training=True"):
+        net.backward(net.forward(cloud), *grads)
 
 
 def test_network_variants_swap_without_shape_changes():
@@ -570,18 +595,6 @@ def _full_scale_network():
     return SegmentationNetwork(cfg.network, seed=network_module._NoDraw(math.inf))
 
 
-def _traced_peak(run):
-    """What ``run()`` returns, and its tracemalloc peak above what was
-    traced when it started."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = run()
-        return out, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.fixture(scope="module")
 def full_scale_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("full") / "net.ckpt"
@@ -592,7 +605,9 @@ def full_scale_checkpoint(tmp_path_factory):
 
 def test_checkpoint_load_reads_each_tensor_into_its_array(full_scale_checkpoint):
     # the parent read the whole 150 MiB file into one bytes object first
-    net, peak = _traced_peak(lambda: load_checkpoint(full_scale_checkpoint))
+    with traced_memory() as memory:
+        net = load_checkpoint(full_scale_checkpoint)
+        peak = memory.peak()
     arrays = [*net.named_params().values(), *net.named_state().values(),
               *net.named_grads().values()]
     own = sum(arr.nbytes for arr in arrays)
@@ -604,7 +619,9 @@ def test_checkpoint_save_writes_each_tensor_from_its_array():
     # the parent packed every tensor into one blob, then copied it
     net = _full_scale_network()
     largest = max(arr.nbytes for arr in net.named_params().values())
-    _, peak = _traced_peak(lambda: save_checkpoint(os.devnull, net))
+    with traced_memory() as memory:
+        save_checkpoint(os.devnull, net)
+        peak = memory.peak()
     assert peak <= largest, (peak / 2**20, largest / 2**20)
 
 

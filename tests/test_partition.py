@@ -1,6 +1,5 @@
 import math
 import os
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +23,7 @@ from cylseg.partition import (
 )
 from cylseg.pointcloud import PointCloud, SyntheticSceneSpec, generate_synthetic_scene
 from cylseg.sparse import MAX_CELLS
-from helpers import cell_points
+from helpers import cell_points, traced_memory
 
 
 def _cyl_to_cart(cyl):
@@ -103,13 +102,9 @@ def test_cell_keys_drops_each_axis_column_once_it_is_binned(grid):
     # last axis was binned: a peak of 6 arrays of N float64s instead of 4
     n = 1 << 16
     xyz = np.random.default_rng(12).uniform(-50.0, 50.0, (n, 3))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as memory:
         grid.cell_keys(xyz)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+        peak = memory.peak()
     assert peak <= 4.5 * 8 * n, peak / (8 * n)
 
 
@@ -185,15 +180,21 @@ def test_a_stats_lane_bins_its_scan_in_chunks():
     # tables; binning the whole float32 scan at once peaked at ~30 MiB
     scene = generate_synthetic_scene(SyntheticSceneSpec(seed=3, num_points=524_288))
     cloud = PointCloud(scene.xyz.astype(np.float32), scene.intensity.astype(np.float32))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as memory:
         occupancy_by_distance([cloud])
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+        peak = memory.peak()
     tables = DEFAULT_CYL_GRID.num_cells + DEFAULT_CUBIC_GRID.num_cells
     assert peak <= tables + 12 * 8 * 2**16, (peak - tables) / (8 * 2**16)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_raw_positions_must_be_finite(bad):
+    # a NaN point used to land in cell (0, 0, 21), with only a RuntimeWarning
+    # from the cast, and to count as an occupied cell
+    xyz = np.array([[bad, 0.0, 0.0], [1.0, 1.0, 0.0]])
+    for run in (lambda: assign_cells(xyz, DEFAULT_CYL_GRID), lambda: occupancy_by_distance([xyz])):
+        with pytest.raises(ValueError, match="positions contain non-finite values"):
+            run()
 
 
 @pytest.mark.parametrize("bins", [2**60, 2**63 - 1])

@@ -1,7 +1,6 @@
 import io
 import math
 import struct
-import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -37,6 +36,7 @@ from cylseg.sparse import (
     write_tensors,
 )
 from cylseg.training import finite_diff_check
+from helpers import traced_memory
 
 
 def _tensor(coords, feats, shape):
@@ -848,12 +848,9 @@ def test_leaky_relu_keeps_the_bytes_of_its_where_form(shape, dtype, training, sl
 def _peak_units(fn, *args):
     """Peak traced allocation of ``fn(*args)``, its result included, in
     units of one 16,384 x 64 float64 array."""
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         fn(*args)
-        return tracemalloc.get_traced_memory()[1] / (16_384 * 64 * 8)
-    finally:
-        tracemalloc.stop()
+        return memory.peak() / (16_384 * 64 * 8)
 
 
 def test_training_kernels_make_no_second_full_size_temporary():
@@ -1003,13 +1000,10 @@ def test_unpack_into_arrays_checks_names_and_shapes_before_reading_data():
 def test_unpack_allocates_nothing_for_a_declared_size_beyond_the_file():
     # 2^40 float64s declared, 8 bytes present: the check comes before np.empty
     blob = b"CYLT" + struct.pack("<II", 1, 1) + _entry("a", (1 << 20, 1 << 20)) + b"\x00" * 8
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         with pytest.raises(ValueError, match="cut short in entry 0 \\('a'\\)"):
             _unpack(blob)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        peak = memory.peak()
     assert peak < 1 << 20
 
 
