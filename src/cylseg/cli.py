@@ -12,7 +12,7 @@ import csv
 import functools
 import os
 import sys
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,19 +35,6 @@ from .training import evaluate_network, train_network, write_metrics_csv
 VAL_SEED_OFFSET = 10_000
 
 
-def _synthetic_clouds(
-    cfg: RunConfig, count: int, seed_base: int
-) -> Iterator[Tuple[str, PointCloud]]:
-    if cfg.network.num_classes != SYNTH_NUM_CLASSES:
-        raise ValueError(
-            f"synthetic data carries {SYNTH_NUM_CLASSES} classes; "
-            f"[network] num_classes is {cfg.network.num_classes}"
-        )
-    specs = (SyntheticSceneSpec(seed=seed_base + i, num_points=cfg.data.points,
-                                max_range=cfg.data.max_range) for i in range(count))
-    return ((f"scene_{i:04d}", generate_synthetic_scene(spec)) for i, spec in enumerate(specs))
-
-
 def _list_dir(directory, source: str, cfg_path) -> List[str]:
     """The entries of ``directory``; a failure names ``source`` and the config."""
     try:
@@ -56,62 +43,66 @@ def _list_dir(directory, source: str, cfg_path) -> List[str]:
         raise ValueError(f"{source} {directory!r} (config {cfg_path}): {exc.strerror}") from None
 
 
-def _scan_names(directory, source: str, cfg_path) -> List[str]:
-    """Sorted stems of the ``.bin`` scans in ``directory``, named by ``source``."""
-    names = sorted(f[:-4] for f in _list_dir(directory, source, cfg_path) if f.endswith(".bin"))
-    if not names:
-        raise ValueError(f"no .bin scans under {directory}")
-    return names
+@contextlib.contextmanager
+def _in_scan(name: str, *files: str):
+    """Prefix any ValueError raised inside with ``scan <name>: `` and the
+    ``files`` it concerns. As a decorator it wraps each scan's loader."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(": ".join([f"scan {name}", *files, str(exc)])) from None
 
 
-def _file_clouds(cfg: RunConfig, with_labels: bool) -> Iterator[Tuple[str, PointCloud]]:
-    scans_dir = cfg.data.scans
-    names = _scan_names(scans_dir, "[data] scans", cfg.path)
-    if with_labels:
-        if not cfg.data.labels:
-            raise ValueError("[data] labels directory is required for labeled runs")
-        _list_dir(cfg.data.labels, "[data] labels", cfg.path)
+def _scan_loaders(cfg: RunConfig, split: str, scans: Optional[str] = None,
+                  with_labels: bool = True) -> List[Tuple[str, Callable[[], PointCloud]]]:
+    """Named loaders ``[(name, load)]`` for the [data] 'train' or 'val' split
+    (files ignore it), the [stats] scenes ('stats'), or the unlabeled ``.bin``
+    files under ``scans``. The class count and the directories are checked at
+    once; each ``load()`` reads or makes its scan only when called, refuses a
+    file holding no points, and names its scan in any failure."""
+    if scans or (split != "stats" and cfg.data.kind == "files"):
+        source = "--scans" if scans else "[data] scans"
+        with_labels = with_labels and not scans
+        scans = scans or cfg.data.scans
+        names = sorted(f[:-4] for f in _list_dir(scans, source, cfg.path) if f.endswith(".bin"))
+        if not names:
+            raise ValueError(f"no .bin scans under {scans}")
+        if with_labels:
+            if not cfg.data.labels:
+                raise ValueError("[data] labels directory is required for labeled runs")
+            _list_dir(cfg.data.labels, "[data] labels", cfg.path)
 
-    def read(name):
-        cloud = read_kitti_bin(os.path.join(scans_dir, name + ".bin"))
-        if not with_labels:
-            return cloud
-        path = os.path.join(cfg.data.labels, name + ".label")
-        return cloud.with_labels(read_kitti_labels(path, cfg.label_map, cloud.n))
+        def read(name):
+            path = os.path.join(scans, name + ".bin")
+            cloud = read_kitti_bin(path)
+            if cloud.n == 0:
+                raise ValueError(f"{path}: the scan holds no points")
+            if not with_labels:
+                return cloud
+            path = os.path.join(cfg.data.labels, name + ".label")
+            return cloud.with_labels(read_kitti_labels(path, cfg.label_map, cloud.n))
 
-    return ((name, read(name)) for name in names)
-
-
-def _dataset(cfg: RunConfig, split: str, with_labels: bool = True):
-    """Named clouds for a split: 'train' or 'val' (files ignore the split).
-    The class count and the directories are checked at once, but each cloud
-    is read or made only when the iteration reaches it, so a loop over them
-    holds one at a time."""
-    if cfg.data.kind == "files":
-        return _file_clouds(cfg, with_labels)
-    if split == "train":
-        return _synthetic_clouds(cfg, cfg.data.train_scenes, cfg.data.seed)
-    return _synthetic_clouds(cfg, cfg.data.val_scenes, cfg.data.seed + VAL_SEED_OFFSET)
-
-
-def _stats_scenes(cfg: RunConfig) -> List[Callable[[], PointCloud]]:
-    """A function making each of the [stats] synthetic scenes."""
-    return [
-        functools.partial(generate_synthetic_scene,
-                          SyntheticSceneSpec(seed=cfg.stats.seed + i, num_points=cfg.stats.points))
-        for i in range(cfg.stats.scenes)
-    ]
+        return [(name, _in_scan(name)(functools.partial(read, name))) for name in names]
+    if split == "stats":
+        specs = [SyntheticSceneSpec(seed=cfg.stats.seed + i, num_points=cfg.stats.points)
+                 for i in range(cfg.stats.scenes)]
+    else:
+        if cfg.network.num_classes != SYNTH_NUM_CLASSES:
+            raise ValueError(f"synthetic data carries {SYNTH_NUM_CLASSES} classes; "
+                             f"[network] num_classes is {cfg.network.num_classes}")
+        count, seed = ((cfg.data.train_scenes, cfg.data.seed) if split == "train" else
+                       (cfg.data.val_scenes, cfg.data.seed + VAL_SEED_OFFSET))
+        specs = [SyntheticSceneSpec(seed=seed + i, num_points=cfg.data.points,
+                                    max_range=cfg.data.max_range) for i in range(count)]
+    makers = [functools.partial(generate_synthetic_scene, spec) for spec in specs]
+    return [(f"scene_{i:04d}", _in_scan(f"scene_{i:04d}")(make)) for i, make in enumerate(makers)]
 
 
 def _cmd_stats(args) -> int:
     cfg = load_config(args.config)
     # each scan is read or made in the lane that bins it, so one is held per lane
-    if args.scans:
-        clouds = [functools.partial(read_kitti_bin, os.path.join(args.scans, name + ".bin"))
-                  for name in _scan_names(args.scans, "--scans", args.config)]
-    else:
-        clouds = _stats_scenes(cfg)
-    rows = occupancy_by_distance(clouds, cfg.grid, cfg.cubic, cfg.stats.edges)
+    loads = [load for _, load in _scan_loaders(cfg, "stats", args.scans)]
+    rows = occupancy_by_distance(loads, cfg.grid, cfg.cubic, cfg.stats.edges)
     write_occupancy_csv(rows, args.output)
     for row in rows:
         prop = "n/a" if row.nonempty_proportion is None else f"{row.nonempty_proportion:.4f}"
@@ -122,18 +113,14 @@ def _cmd_stats(args) -> int:
 
 def _cmd_bound(args) -> int:
     cfg = load_config(args.config)
-    if cfg.data.kind == "files":
-        clouds = _dataset(cfg, "val")
-    else:
-        clouds = ((f"scene_{i:04d}", make()) for i, make in enumerate(_stats_scenes(cfg)))
-    k = SYNTH_NUM_CLASSES if cfg.data.kind != "files" else cfg.network.num_classes
+    files = cfg.data.kind == "files"
+    k = cfg.network.num_classes if files else SYNTH_NUM_CLASSES
     rows = []  # every row before the CSV is opened: a failing scan leaves no file
-    for name, cloud in clouds:
+    for name, load in _scan_loaders(cfg, "val" if files else "stats"):
+        cloud = load()
         for mode in ("majority", "minority"):
-            try:
+            with _in_scan(name):
                 miou = encoding_upper_bound_miou(cloud, cfg.grid, mode, k, cfg.ignore_id)
-            except ValueError as exc:
-                raise ValueError(f"scan {name}: {exc}") from None
             rows.append([name, mode, repr(miou)])
             print(f"{name} {mode:<9s} {miou:.4f}")
     with open(args.output, "w", newline="") as fh:
@@ -144,8 +131,9 @@ def _cmd_bound(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
-    train_clouds = [c for _, c in _dataset(cfg, "train")]
-    val_clouds = [c for _, c in _dataset(cfg, "val")] if cfg.data.kind == "synthetic" else []
+    train_clouds = [load() for _, load in _scan_loaders(cfg, "train")]
+    val_clouds = ([load() for _, load in _scan_loaders(cfg, "val")]
+                  if cfg.data.kind == "synthetic" else [])
     network = SegmentationNetwork(cfg.network, seed=cfg.train.seed)
     history = train_network(
         network,
@@ -189,19 +177,19 @@ def _cmd_eval(args) -> int:
     cfg = load_config(args.config)
     if args.predictions:
         cm = ConfusionMatrix(cfg.network.num_classes, cfg.ignore_id)
-        for name, cloud in _dataset(cfg, "val"):
+        for name, load in _scan_loaders(cfg, "val"):
+            cloud = load()
             path = os.path.join(args.predictions, name + ".label")
-            pred = read_kitti_labels(path, cfg.label_map, cloud.n)
-            try:
+            with _in_scan(name):
+                pred = read_kitti_labels(path, cfg.label_map, cloud.n)
+            with _in_scan(name, path):
                 cm.update(cloud.labels, pred)
-            except ValueError as exc:
-                raise ValueError(f"scan {name}: {path}: {exc}") from None
         iou, miou = compute_miou(cm)
     else:
         if not args.checkpoint:
             raise ValueError("eval needs --checkpoint or --predictions")
         network = _load_matching_checkpoint(args.checkpoint, cfg)
-        clouds = (cloud for _, cloud in _dataset(cfg, "val"))
+        clouds = (load() for _, load in _scan_loaders(cfg, "val"))
         miou, iou, _ = evaluate_network(network, clouds, cfg.ignore_id)
     _print_eval(iou, miou)
     return 0
@@ -214,17 +202,16 @@ def _cmd_infer(args) -> int:
         raise ConfigError(f"{args.config}: [labelmap] maps no raw id to train id "
                           f"{missing[0]}, so infer could not write it")
     network = _load_matching_checkpoint(args.checkpoint, cfg)
-    clouds = _dataset(cfg, "val", with_labels=False)
+    loaders = _scan_loaders(cfg, "val", with_labels=False)
     os.makedirs(args.output, exist_ok=True)
     # each scan's labels go to a temporary file, renamed only once every scan
     # has succeeded: a failing scan leaves no output behind
     written = []
     try:
-        for name, cloud in clouds:
-            try:
+        for name, load in loaders:
+            cloud = load()
+            with _in_scan(name):
                 pred = network.predict(cloud)
-            except ValueError as exc:
-                raise ValueError(f"scan {name}: {exc}") from None
             path = os.path.join(args.output, name + ".label")
             written.append((path + ".tmp", path))
             write_kitti_labels(path + ".tmp", cfg.label_map.to_raw(pred))

@@ -382,13 +382,6 @@ def make_res_block(variant, c_in, c_out, rng, slope):
     return ResBlock(slope, ("a", a), ("b", _ConvBNActConvBN(c_in, c_out, k_b, k_a, rng, slope)))
 
 
-def conv_weight_count(module: Module) -> int:
-    """Total number of convolution weights (bias and norm excluded)."""
-    return sum(
-        arr.size for name, arr in module.named_params().items() if name.endswith("weights")
-    )
-
-
 class DownBlock(Module):
     """Residual block at constant width, then a stride-2 conv doubling it."""
 

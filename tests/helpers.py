@@ -5,6 +5,13 @@ import tracemalloc
 import numpy as np
 
 
+def conv_weight_count(module) -> int:
+    """Total number of convolution weights (bias and norm excluded)."""
+    return sum(
+        arr.size for name, arr in module.named_params().items() if name.endswith("weights")
+    )
+
+
 def cell_points(mapping):
     """Per cell of ``mapping``, the indices of its points in ascending order."""
     if mapping.num_cells == 0:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 import cylseg
-from cylseg.cli import _dataset, main
+from cylseg.cli import _scan_loaders, main
 from cylseg.config import load_config
 from cylseg.metrics import ConfusionMatrix, compute_miou
 from cylseg.network import (
@@ -24,7 +24,6 @@ from cylseg.network import (
     RulebookCache,
     SegmentationNetwork,
     UpBlock,
-    conv_weight_count,
     make_res_block,
 )
 from cylseg.partition import (
@@ -73,7 +72,7 @@ from cylseg.training import (
     train_network,
     weighted_cross_entropy,
 )
-from helpers import cell_points
+from helpers import cell_points, conv_weight_count
 
 
 def _report(tag, ok, detail=""):
@@ -475,8 +474,8 @@ def test_06_parameter_count_ratio():
 
 def test_07_toy_training():
     cfg = load_config("configs/toy_train.cfg")
-    train_clouds = [c for _, c in _dataset(cfg, "train")]
-    val_clouds = [c for _, c in _dataset(cfg, "val")]
+    train_clouds = [load() for _, load in _scan_loaders(cfg, "train")]
+    val_clouds = [load() for _, load in _scan_loaders(cfg, "val")]
     iterations = len(train_clouds) * cfg.train.epochs
     assert iterations == 200, f"shipped schedule is {iterations} optimizer steps, expected 200"
 

@@ -18,7 +18,7 @@ import pytest
 
 import cylseg.network as network_module
 import cylseg.partition as partition
-from cylseg.cli import _dataset, main
+from cylseg.cli import _scan_loaders, main
 from cylseg.config import load_config
 from cylseg.network import (
     Affine,
@@ -222,7 +222,7 @@ def test_toy_predict_is_float32_and_agrees_with_float64(monkeypatch):
     # scenes: 4 x 16,384 points
     net = load_checkpoint(os.path.join(DATA, "toy_seed0.ckpt"))
     cfg = load_config(os.path.join(ROOT, "configs", "toy_train.cfg"))
-    clouds = [cloud for _, cloud in _dataset(cfg, "val")]
+    clouds = [load() for _, load in _scan_loaders(cfg, "val")]
     assert _check_predict(net, clouds, monkeypatch) >= 0.999
 
 
@@ -290,8 +290,8 @@ def test_toy_predict_runs_its_point_layers_whole(monkeypatch):
     net = load_checkpoint(os.path.join(DATA, "toy_seed0.ckpt"))
     cfg = load_config(os.path.join(ROOT, "configs", "toy_train.cfg"))
     counts = _point_block_counts(monkeypatch)
-    for _, cloud in _dataset(cfg, "val"):
-        net.predict(cloud)
+    for _, load in _scan_loaders(cfg, "val"):
+        net.predict(load())
     assert counts == [1, 1] * 4
 
 
@@ -371,7 +371,8 @@ def test_float32_conv_and_affine_fold_their_norm_and_keep_no_context(monkeypatch
 
 def _toy_net():
     cfg = load_config(os.path.join(ROOT, "configs", "toy_train.cfg"))
-    return SegmentationNetwork(cfg.network, seed=0), [c for _, c in _dataset(cfg, "val")]
+    clouds = [load() for _, load in _scan_loaders(cfg, "val")]
+    return SegmentationNetwork(cfg.network, seed=0), clouds
 
 
 def _full_net():
@@ -393,7 +394,7 @@ def test_predict_leaves_parameters_state_and_gradients_untouched():
     # state and gradient buffers
     net = load_checkpoint(os.path.join(DATA, "toy_seed0.ckpt"))
     cfg = load_config(os.path.join(ROOT, "configs", "toy_train.cfg"))
-    _, cloud = next(_dataset(cfg, "val"))
+    cloud = _scan_loaders(cfg, "val")[0][1]()
     rng = np.random.default_rng(17)
     result = net.forward(cloud, training=True)
     net.backward(result, rng.standard_normal(result.voxel_logits.features.shape),

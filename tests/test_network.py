@@ -34,7 +34,6 @@ from cylseg.network import (
     RulebookCache,
     SegmentationNetwork,
     UpBlock,
-    conv_weight_count,
     load_checkpoint,
     make_res_block,
     point_input_features,
@@ -45,7 +44,7 @@ from cylseg.pointcloud import PointCloud, SyntheticSceneSpec, generate_synthetic
 from cylseg.selftest import _toy_setup, random_sparse
 from cylseg.sparse import SparseTensor, key_coords, leaky_relu_forward, read_tensors
 from cylseg.training import Adam, finite_diff_check, train_step
-from helpers import traced_memory
+from helpers import conv_weight_count, traced_memory
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 ROOT = os.path.dirname(os.path.dirname(DATA))
