@@ -46,11 +46,14 @@ def _list_dir(directory, source: str, cfg_path) -> List[str]:
 @contextlib.contextmanager
 def _in_scan(name: str, *files: str):
     """Prefix any ValueError raised inside with ``scan <name>: `` and the
-    ``files`` it concerns. As a decorator it wraps each scan's loader."""
+    ``files`` it concerns; an OSError reads ``<file>: <reason>`` after them.
+    As a decorator it wraps each scan's loader."""
     try:
         yield
-    except ValueError as exc:
-        raise ValueError(": ".join([f"scan {name}", *files, str(exc)])) from None
+    except (ValueError, OSError) as exc:
+        named = isinstance(exc, OSError) and exc.filename is not None
+        reason = f"{exc.filename}: {exc.strerror}" if named else str(exc)
+        raise ValueError(": ".join([f"scan {name}", *files, reason])) from None
 
 
 def _scan_loaders(cfg: RunConfig, split: str, scans: Optional[str] = None,

@@ -172,8 +172,9 @@ def _check_ce_values():
     logits = np.zeros((5, 4))
     value, _ = weighted_cross_entropy(logits, np.array([0, 1, 2, 3, 1]))
     assert abs(value - np.log(4.0)) < 1e-12, value
-    value, grad = weighted_cross_entropy(logits, np.full(5, 255), ignore_id=255)
-    assert value == 0.0 and not grad.any(), "all-ignored rows must cost 0"
+    report = segmentation_loss(logits, np.full(5, 255), logits[:2], np.full(2, 255))
+    assert report.total == 0.0, "all-ignored rows must cost 0"
+    assert not (report.grad_voxel_logits.any() or report.grad_point_logits.any())
 
 
 def _check_loss_gradients():

@@ -60,32 +60,22 @@ def class_weights(labels: Sequence[np.ndarray], num_classes: int, ignore_id: int
 
 
 def weighted_cross_entropy(
-    logits: np.ndarray,
-    targets: np.ndarray,
-    weights: Optional[np.ndarray] = None,
-    ignore_id: int = 255,
+    logits: np.ndarray, targets: np.ndarray, weights: Optional[np.ndarray] = None
 ):
-    """Class-weighted cross-entropy, normalized by the summed target weights.
+    """Class-weighted cross-entropy over labelled rows (a target outside the
+    classes is refused), normalized by the summed target weights.
 
-    Returns (value, grad_logits). Rows whose target equals ``ignore_id``
-    contribute nothing; if every row is ignored the loss is zero. Each row's
-    ``-log p_t`` is ``log sum exp(z - max) - (z_t - max)``, which stays finite
-    where ``p_t`` underflows to 0 (a target logit more than about 745 below
-    the row's maximum).
+    Returns (value, grad_logits). Each row's ``-log p_t`` is ``log sum exp(z
+    - max) - (z_t - max)``, which stays finite where ``p_t`` underflows to 0
+    (a target logit more than about 745 below the row's maximum).
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.int64)
-    k = logits.shape[1]
-    if weights is None:
-        weights = np.ones(k)
-    grad = np.zeros_like(logits)
-    keep = targets != ignore_id
-    if not keep.any():
-        return 0.0, grad
-    t = targets[keep]
+    k = np.shape(logits)[1]
+    t = np.asarray(targets, dtype=np.int64)
     if t.min() < 0 or t.max() >= k:
         raise ValueError("targets out of range")
-    z, e, total = _shifted_exp(logits[keep])
+    if weights is None:
+        weights = np.ones(k)
+    z, e, total = _shifted_exp(logits)
     p = e / total
     rows = np.arange(len(t))
     w = weights[t]
@@ -93,32 +83,24 @@ def weighted_cross_entropy(
     value = float((w * (np.log(total[:, 0]) - z[rows, t])).sum() / denom)
     g = p * w[:, None]
     g[rows, t] -= w
-    grad[keep] = g / denom
-    return value, grad
+    return value, g / denom
 
 
-def lovasz_softmax(
-    probs: np.ndarray, targets: np.ndarray, ignore_id: Optional[int] = None
-):
-    """Lovasz extension of the Jaccard loss over softmax probabilities.
+def lovasz_softmax(probs: np.ndarray, targets: np.ndarray):
+    """Lovasz extension of the Jaccard loss over the softmax probabilities
+    of labelled rows (a target outside the classes is refused).
 
-    For each class c present among the (kept) targets, the errors
-    m_i = |1{t_i = c} - p_ic| are sorted descending (stable) and dotted
-    with the gradient of the Jaccard level-set interpolation; the loss is
-    the mean over present classes. Returns (value, grad_probs); the
-    gradient is piecewise-linear in each p column.
+    For each class c present among the targets, the errors m_i = |1{t_i =
+    c} - p_ic| are sorted descending (stable) and dotted with the gradient
+    of the Jaccard level-set interpolation; the loss is the mean over
+    present classes. Returns (value, grad_probs); the gradient is
+    piecewise-linear in each p column.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.int64)
-    grad = np.zeros_like(probs)
-    keep = (
-        np.ones(len(targets), dtype=bool) if ignore_id is None else targets != ignore_id
-    )
-    if not keep.any():
-        return 0.0, grad
-    rows = np.nonzero(keep)[0]
-    p = probs[rows]
-    t = targets[rows]
+    p = np.asarray(probs, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.int64)
+    if t.min() < 0 or t.max() >= p.shape[1]:
+        raise ValueError("targets out of range")
+    grad = np.zeros_like(p)
     present = np.unique(t)
     total = 0.0
     for c in present:
@@ -134,7 +116,7 @@ def lovasz_softmax(
         total += float(m[order] @ gvec)
         # d m_i / d p_ic is -1 on the class, +1 off it
         sign = np.where(gt[order] > 0, -1.0, 1.0)
-        grad[rows[order], c] += gvec * sign / len(present)
+        grad[order, c] += gvec * sign / len(present)
     return total / len(present), grad
 
 
@@ -159,13 +141,26 @@ def segmentation_loss(
     weights: Optional[np.ndarray] = None,
     ignore_id: int = 255,
 ) -> LossReport:
-    """Sum of voxel CE, voxel Lovasz-softmax and point CE (unit weights)."""
-    ce_v, g_ce_v = weighted_cross_entropy(voxel_logits, voxel_targets, weights, ignore_id)
-    p = softmax(voxel_logits)
-    lov, g_lov_p = lovasz_softmax(p, voxel_targets, ignore_id)
-    g_lov = softmax_grad_to_logits(p, g_lov_p)
-    ce_p, g_ce_p = weighted_cross_entropy(point_logits, point_targets, weights, ignore_id)
-    return LossReport(ce_v, lov, ce_p, g_ce_v + g_lov, g_ce_p)
+    """Sum of voxel CE, voxel Lovasz-softmax and point CE (unit weights).
+
+    The only loss code that reads ``ignore_id``: the labelled rows of the
+    voxels, then of the points, are selected once, the losses see only
+    those, and each gradient is zero on the ignored rows. An array without
+    a labelled row adds 0.0.
+    """
+    ce_v = lov = ce_p = 0.0
+    grad_v, grad_p = np.zeros(voxel_logits.shape), np.zeros(point_logits.shape)
+    keep = voxel_targets != ignore_id
+    if keep.any():
+        logits, targets = voxel_logits[keep], voxel_targets[keep]
+        ce_v, g_ce = weighted_cross_entropy(logits, targets, weights)
+        p = softmax(logits)
+        lov, g_lov = lovasz_softmax(p, targets)
+        grad_v[keep] = g_ce + softmax_grad_to_logits(p, g_lov)
+    keep = point_targets != ignore_id
+    if keep.any():
+        ce_p, grad_p[keep] = weighted_cross_entropy(point_logits[keep], point_targets[keep], weights)
+    return LossReport(ce_v, lov, ce_p, grad_v, grad_p)
 
 
 # Adam's decay rates of the first and second moment estimates, and the

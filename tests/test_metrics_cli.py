@@ -629,6 +629,40 @@ def test_cli_names_a_defective_scan_in_one_line_and_writes_nothing(
     assert os.listdir(out) == []
 
 
+# a command reading a fourth scan's labels, and the directory whose label is missing
+MISSING_LABEL_COMMANDS = {
+    "bound": (["bound", "--output", "{out}/bound.csv"], "labels"),
+    "train": (["train", "--output", "{out}/net.ckpt", "--metrics", "{out}/metrics.csv"], "labels"),
+    "eval-data": (["eval", "--predictions", "{preds}"], "labels"),
+    "eval-predictions": (["eval", "--predictions", "{preds}"], "preds"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MISSING_LABEL_COMMANDS))
+def test_cli_names_the_scan_of_a_missing_label_file_in_one_line(command, tmp_path, capsys):
+    # the line used to be a bare "[Errno 2] No such file or directory: ..."
+    dirs = {d: tmp_path / d for d in ("scans", "labels", "preds", "out")}
+    for directory in dirs.values():
+        directory.mkdir()
+    for i in range(4):
+        cloud = generate_synthetic_scene(SyntheticSceneSpec(seed=i, num_points=300, max_range=12.0))
+        write_kitti_bin(dirs["scans"] / f"{i:06d}.bin", cloud)
+        write_kitti_labels(dirs["labels"] / f"{i:06d}.label", cloud.labels)
+        write_kitti_labels(dirs["preds"] / f"{i:06d}.label", np.arange(300) % 3)
+    args, missing = MISSING_LABEL_COMMANDS[command]
+    label = dirs[missing] / "000003.label"
+    label.unlink()
+    cfg = _files_cfg(tmp_path, f"scans = {dirs['scans']}\nlabels = {dirs['labels']}")
+    argv = [args[0], "--config", str(cfg)]
+    argv += [arg.format(out=dirs["out"], preds=dirs["preds"]) for arg in args[1:]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == [
+        f"error: scan 000003: {label}: No such file or directory"]
+    assert os.listdir(dirs["out"]) == []
+
+
 def test_cli_eval_names_the_predictions_file_holding_an_ignored_id(tiny_cfg, tmp_path, capsys):
     # raw id 7 has no train id, so the map sends it to ignore; the line used
     # to say only "predictions out of range"

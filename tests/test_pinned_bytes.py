@@ -1,18 +1,28 @@
-"""Pinned bytes of a short training run, for changes that promise the
-bytes of the code before them.
+"""Pinned bytes of a short training run and of a full-scale ``predict``,
+for changes that promise the bytes of the code before them.
 
-Three ``train_step`` calls on the toy config's first three training scenes,
-for each ``block_variant``, then a float64 forward and a ``predict`` on the
-first validation scene. A SHA-256 of each part (the losses, parameters,
-running state, gradients, float64 point logits and predictions) must match
-``tests/data/three_step_digests.json``. The run is a fresh process at
-``OPENBLAS_NUM_THREADS=1``: bytes are promised at a fixed BLAS thread count,
-which OpenBLAS reads when it loads.
+``three_step_digests``: three ``train_step`` calls on the toy config's first
+three training scenes, for each ``block_variant``, then a float64 forward and
+a ``predict`` on the first validation scene. A SHA-256 of each part (the
+losses, parameters, running state, gradients, float64 point logits and
+predictions) must match ``tests/data/three_step_digests.json``. The toy
+network's convs and point chains never split into row blocks.
+
+``full_predict_digests``: the seed-0 ``semantic_kitti.cfg`` network's float32
+``predict`` on one 12,000-point synthetic scan, large enough that forward
+convs, transposed convs and point chains run in several row blocks. The
+digests of its float32 point logits and predictions, and the block count of
+every row-block run, must match ``tests/data/full_predict_digests.json``.
+
+Each runs in a fresh process at ``OPENBLAS_NUM_THREADS=1``: bytes are
+promised at a fixed BLAS thread count, which OpenBLAS reads when it loads.
 
 A change that alters the bytes on purpose records new digests with
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_pinned_bytes.py \\
-        > tests/data/three_step_digests.json
+    for name in three_step_digests full_predict_digests; do
+        PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_pinned_bytes.py \\
+            $name > tests/data/$name.json
+    done
 """
 
 import dataclasses
@@ -21,10 +31,12 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 
 import cylseg
+from cylseg import network, sparse
 from cylseg.cli import VAL_SEED_OFFSET
 from cylseg.config import BLOCK_VARIANTS, load_config
 from cylseg.network import SegmentationNetwork
@@ -32,8 +44,8 @@ from cylseg.pointcloud import SyntheticSceneSpec, generate_synthetic_scene
 from cylseg.training import Adam, class_weights, train_step
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DIGESTS = os.path.join(ROOT, "tests", "data", "three_step_digests.json")
 STEPS = 3
+FULL_PREDICT_POINTS = 12000
 
 
 def _sha256(named):
@@ -77,22 +89,78 @@ def three_step_digests():
     return digests
 
 
-def test_three_toy_steps_give_the_pinned_bytes():
+def full_predict_digests():
+    cfg = load_config(os.path.join(ROOT, "configs", "semantic_kitti.cfg"))
+    net = SegmentationNetwork(cfg.network, seed=0)
+    cloud = generate_synthetic_scene(SyntheticSceneSpec(seed=0, num_points=FULL_PREDICT_POINTS))
+    blocks = {"conv": [], "inverse_conv": [], "point_chain": []}
+    row_blocks = sparse.in_row_blocks
+
+    def counted(kind):
+        def run(rows, macs, work):
+            starts = []
+            row_blocks(rows, macs, lambda lo, hi: starts.append(lo) or work(lo, hi))
+            blocks[kind].append(len(starts))
+        return run
+
+    def conv_counted(kind, conv):
+        def run(*args):
+            with mock.patch.object(sparse, "in_row_blocks", counted(kind)):
+                return conv(*args)
+        return run
+
+    logits = []
+    forward = net.forward
+
+    def kept_forward(*args, **kwargs):
+        result = forward(*args, **kwargs)
+        logits.append(result.point_logits)
+        return result
+
+    with mock.patch.object(network, "sparse_conv_forward",
+                           conv_counted("conv", network.sparse_conv_forward)), \
+            mock.patch.object(network, "inverse_conv_forward",
+                              conv_counted("inverse_conv", network.inverse_conv_forward)), \
+            mock.patch.object(network, "in_row_blocks", counted("point_chain")), \
+            mock.patch.object(net, "forward", kept_forward):
+        predictions = net.predict(cloud)
+    (point_logits,) = logits
+    parts = {"logits": [("logits", point_logits)], "predict": [("predict", predictions)]}
+    return {"blocks": blocks, "digests": {part: _sha256(named) for part, named in parts.items()}}
+
+
+def _pinned_run(name):
+    """The record ``name`` made in a fresh process, and the one pinned."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cylseg.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    run = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
+    run = subprocess.run([sys.executable, os.path.abspath(__file__), name], env=env,
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
-    got = json.loads(run.stdout)
-    with open(DIGESTS) as fh:
-        pinned = json.load(fh)
+    with open(os.path.join(ROOT, "tests", "data", f"{name}.json")) as fh:
+        return json.loads(run.stdout), json.load(fh)
+
+
+def test_three_toy_steps_give_the_pinned_bytes():
+    got, pinned = _pinned_run("three_step_digests")
     assert sorted(got) == sorted(pinned)
     differ = [f"{variant} {part}" for variant in pinned for part in pinned[variant]
               if got[variant].get(part) != pinned[variant][part]]
     assert not differ, f"bytes differ from the pinned run: {', '.join(differ)}"
 
 
+def test_a_full_scale_predict_splits_into_row_blocks_and_gives_the_pinned_bytes():
+    got, pinned = _pinned_run("full_predict_digests")
+    for kind, counts in got["blocks"].items():
+        assert max(counts) > 1, f"no {kind} ran in more than one row block"
+    assert got["blocks"] == pinned["blocks"]
+    differ = [part for part in pinned["digests"]
+              if got["digests"].get(part) != pinned["digests"][part]]
+    assert not differ, f"bytes differ from the pinned run: {', '.join(differ)}"
+
+
 if __name__ == "__main__":
-    json.dump(three_step_digests(), sys.stdout, indent=2, sort_keys=True)
+    record = {"three_step_digests": three_step_digests,
+              "full_predict_digests": full_predict_digests}[sys.argv[1]]
+    json.dump(record(), sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")

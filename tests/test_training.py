@@ -84,24 +84,14 @@ def test_ce_invariant_to_weight_scaling():
     assert a == pytest.approx(b, rel=1e-14)
 
 
-def test_ce_ignored_rows_contribute_nothing():
-    rng = np.random.default_rng(53)
-    logits = rng.standard_normal((5, 3))
-    targets = np.array([0, 1, 2, 0, 1])
-    base, base_grad = weighted_cross_entropy(logits, targets)
-
-    padded_logits = np.vstack([logits, rng.standard_normal((2, 3))])
-    padded_targets = np.concatenate([targets, [255, 255]])
-    value, grad = weighted_cross_entropy(padded_logits, padded_targets)
-    assert value == pytest.approx(base, rel=1e-14)
-    np.testing.assert_allclose(grad[:5], base_grad, atol=1e-14)
-    assert not grad[5:].any()
-
-
-def test_ce_all_ignored_is_zero():
-    value, grad = weighted_cross_entropy(np.ones((3, 2)), np.full(3, 255))
-    assert value == 0.0
-    assert not grad.any()
+@pytest.mark.parametrize("bad", [255, -1])
+def test_losses_refuse_a_target_outside_the_classes(bad):
+    # the ignore id is dropped by segmentation_loss alone; here it is an error
+    targets = np.array([0, bad, 1])
+    with pytest.raises(ValueError, match="targets out of range"):
+        weighted_cross_entropy(np.zeros((3, 2)), targets)
+    with pytest.raises(ValueError, match="targets out of range"):
+        lovasz_softmax(np.full((3, 2), 0.5), targets)
 
 
 def test_ce_stays_finite_at_a_logit_gap_of_1000():
@@ -175,14 +165,6 @@ def test_lovasz_improving_a_correct_class_never_hurts():
         assert after <= before + 1e-12
 
 
-def test_lovasz_ignores_ignore_rows():
-    probs = np.array([[0.8, 0.2], [0.4, 0.6], [0.5, 0.5]])
-    targets = np.array([0, 1, 255])
-    a, _ = lovasz_softmax(probs, targets, ignore_id=255)
-    b, _ = lovasz_softmax(probs[:2], targets[:2], ignore_id=255)
-    assert a == pytest.approx(b, abs=1e-14)
-
-
 def test_lovasz_through_softmax_gradient():
     rng = np.random.default_rng(58)
     logits = rng.standard_normal((5, 3))
@@ -219,6 +201,56 @@ def test_loss_near_zero_on_perfect_predictions():
     logits_p = 60.0 * (np.eye(3)[targets_p] - 0.5)
     report = segmentation_loss(logits_v, targets_v, logits_p, targets_p)
     assert report.total < 1e-8
+
+
+def _padded_with_ignored_rows(rng, logits, targets, at):
+    """``logits`` and ``targets`` with random rows labelled 255 inserted
+    before the rows ``at``, and the mask of the original rows."""
+    padded = np.insert(logits, at, rng.standard_normal((len(at), logits.shape[1])), axis=0)
+    padded_targets = np.insert(targets, at, 255)
+    return padded, padded_targets, padded_targets != 255
+
+
+def _losses_with_and_without_ignored_rows(seed):
+    rng = np.random.default_rng(seed)
+    logits_v, targets_v = rng.standard_normal((5, 3)), np.array([0, 1, 2, 0, 1])
+    logits_p, targets_p = rng.standard_normal((6, 3)), np.array([2, 0, 1, 1, 0, 2])
+    base = segmentation_loss(logits_v, targets_v, logits_p, targets_p)
+    padded_v, padded_tv, keep_v = _padded_with_ignored_rows(rng, logits_v, targets_v, [0, 3, 5])
+    padded_p, padded_tp, keep_p = _padded_with_ignored_rows(rng, logits_p, targets_p, [2, 6])
+    padded = segmentation_loss(padded_v, padded_tv, padded_p, padded_tp)
+    return base, padded, keep_v, keep_p
+
+
+def test_loss_ignored_rows_add_no_cross_entropy():
+    base, padded, _, keep_p = _losses_with_and_without_ignored_rows(53)
+    assert padded.voxel_ce == pytest.approx(base.voxel_ce, rel=1e-14)
+    assert padded.point_ce == pytest.approx(base.point_ce, rel=1e-14)
+    np.testing.assert_allclose(padded.grad_point_logits[keep_p], base.grad_point_logits,
+                               atol=1e-14)
+    assert not padded.grad_point_logits[~keep_p].any()
+
+
+def test_loss_ignored_rows_add_no_lovasz():
+    base, padded, keep_v, _ = _losses_with_and_without_ignored_rows(54)
+    assert padded.voxel_lovasz == pytest.approx(base.voxel_lovasz, abs=1e-14)
+    np.testing.assert_allclose(padded.grad_voxel_logits[keep_v], base.grad_voxel_logits,
+                               atol=1e-14)
+    assert not padded.grad_voxel_logits[~keep_v].any()
+
+
+def test_loss_of_an_all_ignored_array_is_zero():
+    logits_p, targets_p = np.array([[0.5, -1.0], [2.0, 0.0]]), np.array([1, 0])
+    points_alone = segmentation_loss(np.ones((0, 2)), np.zeros(0, int), logits_p, targets_p)
+    report = segmentation_loss(np.ones((3, 2)), np.full(3, 255), logits_p, targets_p)
+    assert report.voxel_ce == report.voxel_lovasz == 0.0
+    assert report.grad_voxel_logits.shape == (3, 2) and not report.grad_voxel_logits.any()
+    assert report.point_ce == points_alone.point_ce
+    np.testing.assert_array_equal(report.grad_point_logits, points_alone.grad_point_logits)
+    report = segmentation_loss(np.ones((3, 2)), np.full(3, 255), np.ones((4, 2)), np.full(4, 255))
+    assert report.total == 0.0
+    assert report.grad_point_logits.shape == (4, 2) and not report.grad_point_logits.any()
+    assert not report.grad_voxel_logits.any()
 
 
 def test_class_weights_inverse_sqrt_frequency():
