@@ -19,7 +19,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config, network_header
 from .metrics import ConfusionMatrix, compute_miou, format_iou_table
 from .network import SegmentationNetwork, load_checkpoint, save_checkpoint
-from .partition import encoding_upper_bound_miou, occupancy_by_distance, write_occupancy_csv
+from .partition import encoding_upper_bound_miou, occupancy_by_distance
 from .pointcloud import (
     SYNTH_NUM_CLASSES,
     PointCloud,
@@ -30,9 +30,47 @@ from .pointcloud import (
     write_kitti_labels,
 )
 from .selftest import run_selftest
-from .training import evaluate_network, train_network, write_metrics_csv
+from .training import evaluate_network, train_network
 
 VAL_SEED_OFFSET = 10_000
+METRICS_HEADER = ("epoch", "l_voxel_ce", "l_voxel_lovasz", "l_point_ce", "total", "val_miou")
+
+
+@contextlib.contextmanager
+def _published(*paths: str):
+    """The temps ``<path>.tmp`` of a command's outputs, made on entry; a path
+    that cannot be made, or is named twice, fails at once in one line naming
+    it. On success each temp replaces its path in order, and then ``wrote
+    <path>`` is printed for each; on failure every temp is removed."""
+    seen, temps = set(), []
+    try:
+        for path in paths:
+            if os.path.realpath(path) in seen:
+                raise ValueError(f"{path}: named for two outputs")
+            if os.path.isdir(path):
+                raise ValueError(f"{path}: Is a directory")
+            seen.add(os.path.realpath(path))
+            try:
+                open(path + ".tmp", "wb").close()
+            except OSError as exc:
+                raise ValueError(f"{path}: {exc.strerror}") from None
+            temps.append(path + ".tmp")
+        yield temps
+    except BaseException:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+    for tmp, path in zip(temps, paths):
+        os.replace(tmp, path)
+    for path in paths:
+        print(f"wrote {path}")
+
+
+def _write_csv(path: str, rows) -> None:
+    """Each of ``rows``, the header first, as it comes; None is an empty cell."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _list_dir(directory, source: str, cfg_path) -> List[str]:
@@ -105,12 +143,13 @@ def _cmd_stats(args) -> int:
     cfg = load_config(args.config)
     # each scan is read or made in the lane that bins it, so one is held per lane
     loads = [load for _, load in _scan_loaders(cfg, "stats", args.scans)]
-    rows = occupancy_by_distance(loads, cfg.grid, cfg.cubic, cfg.stats.edges)
-    write_occupancy_csv(rows, args.output)
-    for row in rows:
-        prop = "n/a" if row.nonempty_proportion is None else f"{row.nonempty_proportion:.4f}"
-        print(f"{row.scheme:<12s} [{row.distance_lo:5.1f}, {row.distance_hi:5.1f}) {prop}")
-    print(f"wrote {args.output}")
+    with _published(args.output) as (csv_tmp,):
+        rows = occupancy_by_distance(loads, cfg.grid, cfg.cubic, cfg.stats.edges)
+        _write_csv(csv_tmp, [("scheme", "distance_lo", "distance_hi", "nonempty_proportion"), *(
+            [r.scheme, r.distance_lo, r.distance_hi, r.nonempty_proportion] for r in rows)])
+        for row in rows:
+            prop = "n/a" if row.nonempty_proportion is None else f"{row.nonempty_proportion:.4f}"
+            print(f"{row.scheme:<12s} [{row.distance_lo:5.1f}, {row.distance_hi:5.1f}) {prop}")
     return 0
 
 
@@ -118,41 +157,37 @@ def _cmd_bound(args) -> int:
     cfg = load_config(args.config)
     files = cfg.data.kind == "files"
     k = cfg.network.num_classes if files else SYNTH_NUM_CLASSES
-    rows = []  # every row before the CSV is opened: a failing scan leaves no file
-    for name, load in _scan_loaders(cfg, "val" if files else "stats"):
-        cloud = load()
-        for mode in ("majority", "minority"):
-            with _in_scan(name):
-                miou = encoding_upper_bound_miou(cloud, cfg.grid, mode, k, cfg.ignore_id)
-            rows.append([name, mode, repr(miou)])
-            print(f"{name} {mode:<9s} {miou:.4f}")
-    with open(args.output, "w", newline="") as fh:
-        csv.writer(fh).writerows([["cloud", "mode", "miou"], *rows])
-    print(f"wrote {args.output}")
+    loaders = _scan_loaders(cfg, "val" if files else "stats")
+
+    def rows():
+        yield "cloud", "mode", "miou"
+        for name, load in loaders:
+            cloud = load()
+            for mode in ("majority", "minority"):
+                with _in_scan(name):
+                    miou = encoding_upper_bound_miou(cloud, cfg.grid, mode, k, cfg.ignore_id)
+                print(f"{name} {mode:<9s} {miou:.4f}")
+                yield [name, mode, repr(miou)]
+
+    with _published(args.output) as (csv_tmp,):
+        _write_csv(csv_tmp, rows())
     return 0
 
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
-    train_clouds = [load() for _, load in _scan_loaders(cfg, "train")]
-    val_clouds = ([load() for _, load in _scan_loaders(cfg, "val")]
-                  if cfg.data.kind == "synthetic" else [])
-    network = SegmentationNetwork(cfg.network, seed=cfg.train.seed)
-    history = train_network(
-        network,
-        train_clouds,
-        val_clouds,
-        epochs=cfg.train.epochs,
-        lr=cfg.train.lr,
-        seed=cfg.train.seed,
-        ignore_id=cfg.ignore_id,
-        log=print,
-    )
-    save_checkpoint(args.output, network)
-    print(f"wrote {args.output}")
-    if args.metrics:
-        write_metrics_csv(history, args.metrics)
-        print(f"wrote {args.metrics}")
+    train_loaders = _scan_loaders(cfg, "train")
+    val_loaders = _scan_loaders(cfg, "val") if cfg.data.kind == "synthetic" else []
+    with _published(args.output, *filter(None, [args.metrics])) as (checkpoint, *metrics):
+        network = SegmentationNetwork(cfg.network, seed=cfg.train.seed)
+        history = train_network(
+            network, [load() for _, load in train_loaders], [load() for _, load in val_loaders],
+            epochs=cfg.train.epochs, lr=cfg.train.lr, seed=cfg.train.seed,
+            ignore_id=cfg.ignore_id, log=print)
+        save_checkpoint(checkpoint, network)
+        for path in metrics:
+            _write_csv(path, [METRICS_HEADER, *([s.epoch, *map(float, (
+                s.voxel_ce, s.voxel_lovasz, s.point_ce, s.total, s.val_miou))] for s in history)])
     return 0
 
 
@@ -206,26 +241,14 @@ def _cmd_infer(args) -> int:
                           f"{missing[0]}, so infer could not write it")
     network = _load_matching_checkpoint(args.checkpoint, cfg)
     loaders = _scan_loaders(cfg, "val", with_labels=False)
-    os.makedirs(args.output, exist_ok=True)
-    # each scan's labels go to a temporary file, renamed only once every scan
-    # has succeeded: a failing scan leaves no output behind
-    written = []
-    try:
-        for name, load in loaders:
+    with contextlib.suppress(OSError):  # any failure is named at the first label
+        os.mkdir(args.output)
+    with _published(*(os.path.join(args.output, name + ".label") for name, _ in loaders)) as temps:
+        for (name, load), tmp in zip(loaders, temps):
             cloud = load()
             with _in_scan(name):
                 pred = network.predict(cloud)
-            path = os.path.join(args.output, name + ".label")
-            written.append((path + ".tmp", path))
-            write_kitti_labels(path + ".tmp", cfg.label_map.to_raw(pred))
-    except BaseException:
-        for tmp, _ in written:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
-        raise
-    for tmp, path in written:
-        os.replace(tmp, path)
-        print(f"wrote {path}")
+            write_kitti_labels(tmp, cfg.label_map.to_raw(pred))
     return 0
 
 

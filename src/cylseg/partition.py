@@ -8,7 +8,6 @@ cell. Cell index along an axis is ``floor((v - v_min) / delta_v)``.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -429,12 +428,3 @@ def occupancy_by_distance(
             prop = float(acc[b]) if totals[b] > 0 else None
             rows.append(OccupancyRow(scheme, float(edges[b]), float(edges[b + 1]), prop))
     return rows
-
-
-def write_occupancy_csv(rows: Sequence[OccupancyRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scheme", "distance_lo", "distance_hi", "nonempty_proportion"])
-        for row in rows:
-            prop = "" if row.nonempty_proportion is None else repr(row.nonempty_proportion)
-            writer.writerow([row.scheme, row.distance_lo, row.distance_hi, prop])

@@ -9,7 +9,6 @@ the whole pipeline stays closed-form.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -59,20 +58,28 @@ def class_weights(labels: Sequence[np.ndarray], num_classes: int, ignore_id: int
     return 1.0 / np.sqrt(freq + 1e-3)
 
 
+def _labelled_targets(loss: str, targets, num_classes: int) -> np.ndarray:
+    """``targets`` as int64; ``loss`` refuses no rows or a target outside the classes."""
+    t = np.asarray(targets, dtype=np.int64)
+    if t.size == 0:
+        raise ValueError(f"{loss} needs at least one labelled row")
+    if t.min() < 0 or t.max() >= num_classes:
+        raise ValueError("targets out of range")
+    return t
+
+
 def weighted_cross_entropy(
     logits: np.ndarray, targets: np.ndarray, weights: Optional[np.ndarray] = None
 ):
-    """Class-weighted cross-entropy over labelled rows (a target outside the
-    classes is refused), normalized by the summed target weights.
+    """Class-weighted cross-entropy over labelled rows (no rows, or a target
+    outside the classes, is refused), normalized by the summed target weights.
 
     Returns (value, grad_logits). Each row's ``-log p_t`` is ``log sum exp(z
     - max) - (z_t - max)``, which stays finite where ``p_t`` underflows to 0
     (a target logit more than about 745 below the row's maximum).
     """
     k = np.shape(logits)[1]
-    t = np.asarray(targets, dtype=np.int64)
-    if t.min() < 0 or t.max() >= k:
-        raise ValueError("targets out of range")
+    t = _labelled_targets("weighted_cross_entropy", targets, k)
     if weights is None:
         weights = np.ones(k)
     z, e, total = _shifted_exp(logits)
@@ -88,7 +95,7 @@ def weighted_cross_entropy(
 
 def lovasz_softmax(probs: np.ndarray, targets: np.ndarray):
     """Lovasz extension of the Jaccard loss over the softmax probabilities
-    of labelled rows (a target outside the classes is refused).
+    of labelled rows (no rows, or a target outside the classes, is refused).
 
     For each class c present among the targets, the errors m_i = |1{t_i =
     c} - p_ic| are sorted descending (stable) and dotted with the gradient
@@ -97,9 +104,7 @@ def lovasz_softmax(probs: np.ndarray, targets: np.ndarray):
     piecewise-linear in each p column.
     """
     p = np.asarray(probs, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.int64)
-    if t.min() < 0 or t.max() >= p.shape[1]:
-        raise ValueError("targets out of range")
+    t = _labelled_targets("lovasz_softmax", targets, p.shape[1])
     grad = np.zeros_like(p)
     present = np.unique(t)
     total = 0.0
@@ -284,18 +289,6 @@ class EpochStats:
     point_ce: float
     total: float
     val_miou: float  # NaN when no validation clouds were given
-
-
-METRICS_HEADER = ("epoch", "l_voxel_ce", "l_voxel_lovasz", "l_point_ce", "total", "val_miou")
-
-
-def write_metrics_csv(stats: Sequence[EpochStats], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
-        for s in stats:
-            values = (s.voxel_ce, s.voxel_lovasz, s.point_ce, s.total, s.val_miou)
-            writer.writerow([s.epoch, *(repr(float(v)) for v in values)])
 
 
 def evaluate_network(network: SegmentationNetwork, clouds: Iterable[PointCloud], ignore_id: int = 255):

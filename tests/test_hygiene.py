@@ -95,3 +95,50 @@ def test_the_check_finds_unread_definitions():
     assert definitions(source) == [(1, "A"), (2, "B"), (2, "_c"), (4, "f"), (6, "K")]
     assert names_read(source) == {"A"}
     assert names_read("from m import f\nimport m\nm.K\nm._c = 1\n") == {"m", "K"}
+
+
+def file_writers(source: str):
+    """(line, function) of each call that opens a file for writing: ``open``
+    with a mode holding w, a, x or + (or a mode that is not a literal), or
+    ``tofile``. ``function`` is the innermost function around the call, None
+    at module level."""
+    found = []
+
+    def writes(call):
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (k.value for k in call.keywords if k.arg == "mode"), None)
+        return name == "tofile" or name == "open" and mode is not None and (
+            not isinstance(mode, ast.Constant) or any(c in str(mode.value) for c in "wax+"))
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and writes(child):
+                found.append((child.lineno, function))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+# the publisher and the CSV writer of the commands, and the writers of the
+# data formats: checkpoints, .bin and .label
+FILE_WRITERS = {("cli.py", "_published"), ("cli.py", "_write_csv"),
+                ("network.py", "save_checkpoint"), ("pointcloud.py", "write_kitti_bin"),
+                ("pointcloud.py", "write_kitti_labels")}
+
+
+def test_only_the_publisher_the_csv_writer_and_the_data_formats_write_files():
+    found = {(path.name, function) for path in sorted(PACKAGE.glob("*.py"))
+             for _, function in file_writers(path.read_text())}
+    assert found == FILE_WRITERS
+
+
+def test_the_check_finds_file_writers():
+    source = ("def a(p):\n    open(p, 'w').close()\n"
+              "def b(p):\n    with open(p) as fh, open(p, 'rb') as gh:\n        return fh, gh\n"
+              "def c(p, x, m):\n    def inner():\n        x.tofile(p)\n"
+              "    open(p, mode='xb'), open(p, m), io.open(p, 'r+')\n"
+              "open('log', 'a')\n")
+    assert file_writers(source) == [(2, "a"), (8, "inner"), (9, "c"), (9, "c"), (9, "c"),
+                                    (10, None)]

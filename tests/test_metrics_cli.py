@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import errno
 import io
 import math
@@ -10,8 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from cylseg import sparse
-from cylseg.cli import main
+from cylseg import cli, sparse
+from cylseg.cli import METRICS_HEADER, main
 from cylseg.config import ConfigError, load_config, network_header, parse_network_header
 from cylseg.metrics import ConfusionMatrix, compute_miou, format_iou_table
 from cylseg.network import SegmentationNetwork, save_checkpoint
@@ -394,11 +395,16 @@ def test_cli_bad_config_path_is_config_error(capsys):
 def test_cli_stats_writes_csv(tiny_cfg, tmp_path, capsys):
     out = tmp_path / "occ.csv"
     assert main(["stats", "--config", str(tiny_cfg), "--output", str(out)]) == 0
+    *printed, wrote = capsys.readouterr().out.splitlines()
     lines = out.read_text().splitlines()
+    assert wrote == f"wrote {out}"
     assert lines[0] == "scheme,distance_lo,distance_hi,nonempty_proportion"
+    # one row per printed row: ten 5 m bins for each scheme
+    assert len(lines) == len(printed) + 1 == 2 * 10 + 1
     assert any(line.startswith("cylindrical,") for line in lines[1:])
     assert any(line.startswith("cubic,") for line in lines[1:])
-    capsys.readouterr()
+    # no cell of the 12 m grid lies in [20, 25): an empty proportion
+    assert "cylindrical,20.0,25.0," in lines and "cubic,20.0,25.0," in lines
 
 
 def test_cli_stats_takes_a_scan_with_a_point_far_out(tiny_cfg, tmp_path, capsys):
@@ -463,6 +469,86 @@ def test_cli_train_eval_infer_round_trip(tiny_cfg, tmp_path, capsys):
     ]) == 0
     pred_out = capsys.readouterr().out
     assert pred_out == eval_out
+
+
+def test_cli_train_metrics_csv_holds_plain_numbers(tiny_cfg, tmp_path, capsys):
+    # train_network's epoch means are numpy scalars; every cell must still
+    # parse as a plain number
+    ckpt, metrics = tmp_path / "net.ckpt", tmp_path / "metrics.csv"
+    argv = ["train", "--config", str(tiny_cfg), "--output", str(ckpt), "--metrics", str(metrics)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with open(metrics, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == list(METRICS_HEADER)
+    assert len(rows) == 1 and len(rows[0]) == len(METRICS_HEADER)
+    assert all(math.isfinite(float(cell)) for cell in rows[0])
+
+
+def test_cli_train_metrics_csv_reads_nan_without_validation(tmp_path, capsys):
+    # a files config has no validation split: each epoch's val_miou is nan
+    scans, labels = tmp_path / "scans", tmp_path / "labels"
+    scans.mkdir()
+    labels.mkdir()
+    cloud = generate_synthetic_scene(SyntheticSceneSpec(seed=0, num_points=300, max_range=12.0))
+    write_kitti_bin(scans / "000000.bin", cloud)
+    write_kitti_labels(labels / "000000.label", cloud.labels)
+    cfg = tmp_path / "files.cfg"
+    cfg.write_text(TINY_CFG.replace("kind = synthetic", f"kind = files\nscans = {scans}\n"
+                                    f"labels = {labels}").replace("epochs = 1", "epochs = 2"))
+    metrics = tmp_path / "metrics.csv"
+    argv = ["train", "--config", str(cfg), "--output", str(tmp_path / "net.ckpt"),
+            "--metrics", str(metrics)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    lines = metrics.read_text().splitlines()
+    assert lines[0] == ",".join(METRICS_HEADER)
+    assert lines[0] == "epoch,l_voxel_ce,l_voxel_lovasz,l_point_ce,total,val_miou"
+    assert len(lines) == 3
+    assert lines[1].startswith("0,") and lines[2].startswith("1,")
+    assert [line.split(",")[-1] for line in lines[1:]] == ["nan", "nan"]
+
+
+# an output that cannot be made: each command's arguments past --config, and
+# its one error line after "error: ". ENOENT is an output in a missing directory.
+UNMADE_OUTPUTS = {
+    "train-output": (["train", "--output", "{out}/missing/net.ckpt", "--metrics",
+                      "{out}/metrics.csv"], "{out}/missing/net.ckpt: No such file or directory"),
+    "train-metrics": (["train", "--output", "{out}/net.ckpt", "--metrics",
+                       "{out}/missing/m.csv"], "{out}/missing/m.csv: No such file or directory"),
+    "stats": (["stats", "--output", "{out}/missing/occ.csv"],
+              "{out}/missing/occ.csv: No such file or directory"),
+    "bound": (["bound", "--output", "{out}/missing/bound.csv"],
+              "{out}/missing/bound.csv: No such file or directory"),
+    "infer": (["infer", "--checkpoint", "{ckpt}", "--output", "{out}/missing/preds"],
+              "{out}/missing/preds/scene_0000.label: No such file or directory"),
+    "train-one-path-twice": (["train", "--output", "{out}/x", "--metrics", "{out}/x"],
+                             "{out}/x: named for two outputs"),
+    "train-one-file-two-spellings": (["train", "--output", "{out}/x", "--metrics", "{out}/./x"],
+                                     "{out}/./x: named for two outputs"),
+    "stats-a-directory": (["stats", "--output", "{out}"], "{out}: Is a directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNMADE_OUTPUTS))
+def test_an_output_that_cannot_be_made_fails_before_any_scan_and_leaves_nothing(
+    case, tiny_cfg, tiny_checkpoint, tmp_path, monkeypatch, capsys
+):
+    ckpt, out = tmp_path / "net.ckpt", tmp_path / "out"
+    ckpt.write_bytes(tiny_checkpoint)
+    out.mkdir()
+    made = []  # every synthetic scene the command makes
+    monkeypatch.setattr(cli, "generate_synthetic_scene", made.append)
+    args, message = UNMADE_OUTPUTS[case]
+    before = sorted(tmp_path.rglob("*"))
+    code = main([args[0], "--config", str(tiny_cfg),
+                 *(arg.format(out=out, ckpt=ckpt) for arg in args[1:])])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == [f"error: {message.format(out=out)}"]
+    assert captured.out == ""  # no epoch or row line
+    assert made == []
+    assert sorted(tmp_path.rglob("*")) == before  # no output, no .tmp
 
 
 @pytest.mark.parametrize("count", [511, 513, 0])

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import warnings
@@ -5,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cylseg.cli import main
 from cylseg.config import load_config
 from cylseg.partition import (
     DEFAULT_CUBIC_GRID,
@@ -18,10 +20,15 @@ from cylseg.partition import (
     occupancy_by_distance,
     scatter_features,
     scatter_max_winners,
-    write_occupancy_csv,
     _count_in_bins,
 )
-from cylseg.pointcloud import PointCloud, SyntheticSceneSpec, generate_synthetic_scene
+from cylseg.pointcloud import (
+    PointCloud,
+    SyntheticSceneSpec,
+    generate_synthetic_scene,
+    read_kitti_bin,
+    write_kitti_bin,
+)
 from cylseg.sparse import MAX_CELLS
 from helpers import cell_points, traced_memory
 
@@ -573,14 +580,30 @@ def test_occupancy_empty_cloud_is_zero_everywhere():
             assert row.nonempty_proportion == 0.0
 
 
-def test_occupancy_csv_format(tmp_path):
-    cloud = _cloud(np.zeros((0, 3)))
-    rows = occupancy_by_distance([cloud])
+def test_occupancy_csv_format(tmp_path, capsys):
+    # the stats CSV holds a header, then each occupancy row as it comes; a bin
+    # with no cells (None) is an empty cell
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    for seed in range(2):
+        spec = SyntheticSceneSpec(seed=seed, num_points=300, max_range=20.0)
+        write_kitti_bin(scans / f"{seed:06d}.bin", generate_synthetic_scene(spec))
+    cfg_path = os.path.join(CONFIGS, "toy_train.cfg")
+    cfg = load_config(cfg_path)
+    rows = occupancy_by_distance([read_kitti_bin(scans / f"{seed:06d}.bin") for seed in range(2)],
+                                 cfg.grid, cfg.cubic, cfg.stats.edges)
+    assert any(row.nonempty_proportion is None for row in rows)
     path = tmp_path / "occ.csv"
-    write_occupancy_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "scheme,distance_lo,distance_hi,nonempty_proportion"
-    assert len(lines) == len(rows) + 1
+    assert main(["stats", "--config", cfg_path, "--scans", str(scans),
+                 "--output", str(path)]) == 0
+    capsys.readouterr()
+    with open(path, newline="") as fh:
+        header, *lines = csv.reader(fh)
+    assert header == ["scheme", "distance_lo", "distance_hi", "nonempty_proportion"]
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        prop = "" if row.nonempty_proportion is None else row.nonempty_proportion
+        assert line == [row.scheme, *map(str, (row.distance_lo, row.distance_hi, prop))]
 
 
 def test_occupancy_cylindrical_wins_far_field_on_synthetic_scene():

@@ -1,4 +1,3 @@
-import csv
 import math
 import os
 import warnings
@@ -12,9 +11,7 @@ from cylseg.partition import CylGridSpec, encode_cell_labels
 from cylseg.pointcloud import PointCloud, SyntheticSceneSpec, generate_synthetic_scene
 from cylseg.selftest import lovasz_brute_force
 from cylseg.training import (
-    METRICS_HEADER,
     Adam,
-    EpochStats,
     class_weights,
     directional_grad_check,
     evaluate_network,
@@ -25,7 +22,6 @@ from cylseg.training import (
     train_network,
     train_step,
     weighted_cross_entropy,
-    write_metrics_csv,
 )
 
 
@@ -92,6 +88,14 @@ def test_losses_refuse_a_target_outside_the_classes(bad):
         weighted_cross_entropy(np.zeros((3, 2)), targets)
     with pytest.raises(ValueError, match="targets out of range"):
         lovasz_softmax(np.full((3, 2), 0.5), targets)
+
+
+@pytest.mark.parametrize("loss", [weighted_cross_entropy, lovasz_softmax], ids=lambda f: f.__name__)
+def test_losses_name_themselves_when_given_no_rows(loss):
+    # used to be numpy's "zero-size array to reduction operation minimum ..."
+    with pytest.raises(ValueError) as caught:
+        loss(np.zeros((0, 3)), np.zeros(0, dtype=int))
+    assert str(caught.value) == f"{loss.__name__} needs at least one labelled row"
 
 
 def test_ce_stays_finite_at_a_logit_gap_of_1000():
@@ -481,31 +485,3 @@ def test_evaluate_network_returns_unit_interval_miou():
     miou, iou, cm = evaluate_network(net, [cloud])
     assert 0.0 <= miou <= 1.0
     assert iou.shape == (3,)
-
-
-def test_metrics_csv_header_and_rows(tmp_path):
-    stats = [
-        EpochStats(0, 1.0, 0.5, 1.2, 2.7, 0.4),
-        EpochStats(1, 0.9, 0.4, 1.0, 2.3, float("nan")),
-    ]
-    path = tmp_path / "metrics.csv"
-    write_metrics_csv(stats, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(METRICS_HEADER)
-    assert lines[0] == "epoch,l_voxel_ce,l_voxel_lovasz,l_point_ce,total,val_miou"
-    assert len(lines) == 3
-    assert lines[1].startswith("0,")
-
-
-def test_metrics_csv_from_training_holds_plain_numbers(tmp_path):
-    # train_network's epoch means are numpy scalars; every cell must still
-    # parse as a plain number
-    config, cloud = _tiny_setup()
-    stats = train_network(SegmentationNetwork(config, seed=0), [cloud], [cloud], epochs=1, seed=0)
-    path = tmp_path / "metrics.csv"
-    write_metrics_csv(stats, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    assert len(rows) == 1 and len(rows[0]) == len(METRICS_HEADER)
-    values = [float(cell) for cell in rows[0]]
-    assert all(math.isfinite(v) for v in values)
