@@ -45,7 +45,6 @@ from .partition import (
 from .sparse import (
     ConvParams,
     KernelSpec,
-    NormParams,
     Rulebook,
     SparseTensor,
     build_rulebook,

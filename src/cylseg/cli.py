@@ -81,17 +81,21 @@ def _list_dir(directory, source: str, cfg_path) -> List[str]:
         raise ValueError(f"{source} {directory!r} (config {cfg_path}): {exc.strerror}") from None
 
 
+def _reason(exc: Exception) -> str:
+    """The message of ``exc``; an OSError naming a file reads ``<file>: <reason>``."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"{exc.filename}: {exc.strerror}"
+    return str(exc)
+
+
 @contextlib.contextmanager
 def _in_scan(name: str, *files: str):
-    """Prefix any ValueError raised inside with ``scan <name>: `` and the
-    ``files`` it concerns; an OSError reads ``<file>: <reason>`` after them.
-    As a decorator it wraps each scan's loader."""
+    """Prefix any ValueError or OSError raised inside with ``scan <name>: ``
+    and the ``files`` it concerns. As a decorator it wraps each scan's loader."""
     try:
         yield
     except (ValueError, OSError) as exc:
-        named = isinstance(exc, OSError) and exc.filename is not None
-        reason = f"{exc.filename}: {exc.strerror}" if named else str(exc)
-        raise ValueError(": ".join([f"scan {name}", *files, reason])) from None
+        raise ValueError(": ".join([f"scan {name}", *files, _reason(exc)])) from None
 
 
 def _scan_loaders(cfg: RunConfig, split: str, scans: Optional[str] = None,
@@ -213,7 +217,7 @@ def _print_eval(iou: np.ndarray, miou: float) -> None:
 
 def _cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    if args.predictions:
+    if args.predictions is not None:
         cm = ConfusionMatrix(cfg.network.num_classes, cfg.ignore_id)
         for name, load in _scan_loaders(cfg, "val"):
             cloud = load()
@@ -224,8 +228,6 @@ def _cmd_eval(args) -> int:
                 cm.update(cloud.labels, pred)
         iou, miou = compute_miou(cm)
     else:
-        if not args.checkpoint:
-            raise ValueError("eval needs --checkpoint or --predictions")
         network = _load_matching_checkpoint(args.checkpoint, cfg)
         clouds = (load() for _, load in _scan_loaders(cfg, "val"))
         miou, iou, _ = evaluate_network(network, clouds, cfg.ignore_id)
@@ -282,8 +284,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="per-class IoU / mIoU on labeled data")
     p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint")
-    p.add_argument("--predictions", help="directory of predicted .label files")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint")
+    source.add_argument("--predictions", help="directory of predicted .label files")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("infer", help="write .label predictions for the eval split")
@@ -309,7 +312,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_reason(exc)}", file=sys.stderr)
         return 1
 
 

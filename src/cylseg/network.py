@@ -45,7 +45,6 @@ from .sparse import (
     concat_features,
     in_row_blocks,
     init_conv_params,
-    init_norm_params,
     inverse_conv_backward,
     inverse_conv_forward,
     leaky_relu_backward,
@@ -92,7 +91,8 @@ class RulebookCache:
 class Module:
     """Parameter bookkeeping shared by all layers and blocks.
 
-    A leaf layer registers its tensors once with ``declare``; a block
+    A leaf layer holds each of its tensors as an attribute named as in the
+    checkpoint, and registers them by name once with ``declare``; a block
     registers each sub-module with ``add`` where it builds it. Blocks own no
     tensors themselves.
     """
@@ -102,16 +102,17 @@ class Module:
     state: dict = {}
     _children: tuple = ()
 
-    def declare(self, params: dict, state: Optional[dict] = None) -> None:
-        """Register parameters (with zeroed gradient buffers) and running state.
+    def declare(self, params: tuple, state: tuple = ()) -> None:
+        """Register the attributes named in ``params`` as parameters (with
+        zeroed gradient buffers) and those named in ``state`` as running state.
 
         The buffers come from ``np.zeros``, not ``zeros_like``: calloc'd
         pages stay untouched until a backward pass writes them, so a network
         loaded only to predict never makes them resident.
         """
-        self.params = params
-        self.grads = {name: np.zeros(arr.shape) for name, arr in params.items()}
-        self.state = state or {}
+        self.params = {name: getattr(self, name) for name in params}
+        self.grads = {name: np.zeros(arr.shape) for name, arr in self.params.items()}
+        self.state = {name: getattr(self, name) for name in state}
 
     def add(self, name: str, child: Module, norm: Optional[str] = None) -> Module:
         """Register ``child`` under ``name``, after the children added before
@@ -170,7 +171,7 @@ class Affine(Module):
         self.weight = rng.uniform(-bound, bound, (c_in, c_out))
         self.bias = np.zeros(c_out)
         self.norm = BatchNorm(c_out) if norm else None
-        self.declare({"weight": self.weight, "bias": self.bias})
+        self.declare(("weight", "bias"))
 
     def forward(self, feats, training):
         if self.norm is not None and predicting(feats, training):
@@ -198,14 +199,12 @@ class BatchNorm(Module):
     """Batch norm, run by the ``Conv`` or ``Affine`` it follows (its ``norm``)."""
 
     def __init__(self, channels):
-        self.norm = init_norm_params(channels)
-        self.declare(
-            {"scale": self.norm.scale, "shift": self.norm.shift},
-            {"running_mean": self.norm.running_mean, "running_var": self.norm.running_var},
-        )
+        self.scale, self.shift = np.ones(channels), np.zeros(channels)
+        self.running_mean, self.running_var = np.zeros(channels), np.ones(channels)
+        self.declare(("scale", "shift"), ("running_mean", "running_var"))
 
     def forward(self, feats, training):
-        return batch_norm_forward(feats, self.norm, training)
+        return batch_norm_forward(feats, self, training)
 
     def backward(self, grad, ctx):
         grad_in, g_scale, g_shift = batch_norm_backward(grad, ctx)
@@ -218,10 +217,9 @@ class BatchNorm(Module):
         ``bias`` with this norm's inference map folded in, ``W * s`` and
         ``(b - running_mean) * s + shift`` for ``s = scale / sqrt(running_var
         + NORM_EPS)``: computed in float64, rounded once to ``dtype``."""
-        norm = self.norm
-        s = norm.scale / np.sqrt(norm.running_var + NORM_EPS)
+        s = self.scale / np.sqrt(self.running_var + NORM_EPS)
         folded = np.multiply(weight, s, out=np.empty(weight.shape, dtype), casting="same_kind")
-        return folded, ((bias - norm.running_mean) * s + norm.shift).astype(dtype)
+        return folded, ((bias - self.running_mean) * s + self.shift).astype(dtype)
 
 
 DOWNSAMPLE = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
@@ -230,7 +228,8 @@ DOWNSAMPLE = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
 class Conv(Module):
     """Sparse convolution over a rulebook: submanifold, strided or inverse,
     followed by a batch norm ``norm`` if asked for. Like ``Affine``, it draws
-    its weights first.
+    its weights first. It holds ``weights`` and ``bias`` as ``ConvParams``
+    does, and hands itself to the conv kernels.
 
     Its rulebook comes from the pass's ``RulebookCache``, for the sites of
     ``x``. Given the tensor ``to`` that a downsampling conv of the same kernel
@@ -240,19 +239,19 @@ class Conv(Module):
 
     def __init__(self, kernel: KernelSpec, c_in, c_out, rng, norm: bool = False):
         self.kernel = kernel
-        self.conv_params = init_conv_params(kernel, c_in, c_out, rng)
+        params = init_conv_params(kernel, c_in, c_out, rng)
+        self.weights, self.bias = params.weights, params.bias
         self.norm = BatchNorm(c_out) if norm else None
-        self.declare({"weights": self.conv_params.weights, "bias": self.conv_params.bias})
+        self.declare(("weights", "bias"))
 
     def forward(self, x, cache, training, to=None):
         rb = cache.get(x if to is None else to, self.kernel)
         conv = sparse_conv_forward if to is None else inverse_conv_forward
         back = sparse_conv_backward if to is None else inverse_conv_backward
-        params = self.conv_params
         if self.norm is not None and predicting(x.features, training):
-            folded = ConvParams(*self.norm.fold(params.weights, params.bias, x.features.dtype))
+            folded = ConvParams(*self.norm.fold(self.weights, self.bias, x.features.dtype))
             return conv(x, folded, rb), None
-        y = conv(x, params, rb)
+        y = conv(x, self, rb)
         if self.norm is None:
             return y, (x, rb, back, None)
         out, c_norm = self.norm.forward(y.features, training)
@@ -262,7 +261,7 @@ class Conv(Module):
         x, rb, back, c_norm = ctx
         if self.norm is not None:
             grad = self.norm.backward(grad, c_norm)
-        grad_in, gw, gb = back(x, self.conv_params, rb, grad)
+        grad_in, gw, gb = back(x, self, rb, grad)
         self.grads["weights"] += gw
         self.grads["bias"] += gb
         return grad_in

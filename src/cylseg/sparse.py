@@ -316,7 +316,8 @@ class ConvParams:
     """Weights per kernel offset, (volume, C_in, C_out), plus bias (C_out,).
 
     They are float64, except a conv's float32 weights with its batch norm
-    folded in, which ``predict``'s route builds per call.
+    folded in, which ``predict``'s route builds per call. The conv kernels
+    read only these two, so a network ``Conv``, which holds them, passes itself.
     """
 
     weights: np.ndarray
@@ -537,33 +538,10 @@ def inverse_conv_backward(
 NORM_EPS, NORM_MOMENTUM = 1e-5, 0.99
 
 
-@dataclass
-class NormParams:
-    """Per-channel affine batch normalization parameters and running stats."""
-
-    scale: np.ndarray
-    shift: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-
-    def __post_init__(self):
-        self.scale = np.asarray(self.scale, dtype=_DTYPE)
-        self.shift = np.asarray(self.shift, dtype=_DTYPE)
-        self.running_mean = np.asarray(self.running_mean, dtype=_DTYPE)
-        self.running_var = np.asarray(self.running_var, dtype=_DTYPE)
-        c = self.scale.shape
-        if not (self.shift.shape == self.running_mean.shape == self.running_var.shape == c):
-            raise ValueError("norm parameter shapes disagree")
-
-
-def init_norm_params(channels: int) -> NormParams:
-    return NormParams(
-        np.ones(channels), np.zeros(channels), np.zeros(channels), np.ones(channels)
-    )
-
-
-def batch_norm_forward(features: np.ndarray, norm: NormParams, training: bool):
-    """Normalize per channel over active sites.
+def batch_norm_forward(features: np.ndarray, norm, training: bool):
+    """Normalize per channel over active sites, by ``norm``: anything with
+    the four per-channel float64 arrays ``scale``, ``shift``, ``running_mean``
+    and ``running_var``, such as a network ``BatchNorm``.
 
     Training mode uses batch statistics (biased variance) and updates the
     running buffers in place: running = m * running + (1 - m) * batch for

@@ -19,6 +19,7 @@ from cylseg.metrics import ConfusionMatrix, compute_miou
 from cylseg.network import (
     DDCM,
     Affine,
+    BatchNorm,
     DownBlock,
     RefineMLP,
     RulebookCache,
@@ -54,7 +55,6 @@ from cylseg.sparse import (
     batch_norm_forward,
     build_rulebook,
     init_conv_params,
-    init_norm_params,
     inverse_conv_backward,
     inverse_conv_forward,
     leaky_relu_backward,
@@ -151,7 +151,7 @@ def _fd_inverse_conv(rng):
 
 def _fd_batch_norm(rng):
     feats = rng.standard_normal((15, 3))
-    norm = init_norm_params(3)
+    norm = BatchNorm(3)
     norm.scale[:] = rng.uniform(0.5, 1.5, 3)
     norm.shift[:] = rng.standard_normal(3)
     probe = rng.standard_normal((15, 3))

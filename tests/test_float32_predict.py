@@ -42,7 +42,6 @@ from cylseg.selftest import random_sparse
 from cylseg.sparse import (
     ConvParams,
     KernelSpec,
-    NormParams,
     SparseTensor,
     batch_norm_forward,
     build_rulebook,
@@ -107,8 +106,10 @@ def test_inverse_conv_forward_computes_in_float32():
 
 def test_inference_batch_norm_computes_in_float32():
     rng = np.random.default_rng(9)
-    norm = NormParams(rng.uniform(0.5, 2, 6), rng.standard_normal(6),
-                      rng.standard_normal(6), rng.uniform(0.1, 3, 6))
+    norm = BatchNorm(6)
+    norm.scale[:], norm.shift[:], norm.running_mean[:], norm.running_var[:] = (
+        rng.uniform(0.5, 2, 6), rng.standard_normal(6),
+        rng.standard_normal(6), rng.uniform(0.1, 3, 6))
     feats32 = (3 * rng.standard_normal((50, 6))).astype(np.float32)
     out32, ctx = batch_norm_forward(feats32, norm, training=False)
     out64, _ = batch_norm_forward(feats32.astype(np.float64), norm, training=False)
@@ -324,13 +325,12 @@ def test_fold_matches_the_unfolded_conv_and_affine_in_float64():
     for _ in range(5):
         x = random_sparse(rng)
         conv = Conv(kernel, x.num_channels, 5, rng)
-        conv.conv_params.bias[:] = rng.standard_normal(5)
+        conv.bias[:] = rng.standard_normal(5)
         norm = _random_norm(rng, 5)
         rb = build_rulebook(x, kernel)
         y, _ = conv.forward(x, RulebookCache(), training=False)
         unfolded, _ = norm.forward(y.features, training=False)
-        params = conv.conv_params
-        folded = ConvParams(*norm.fold(params.weights, params.bias, np.float64))
+        folded = ConvParams(*norm.fold(conv.weights, conv.bias, np.float64))
         out = sparse_conv_forward(x, folded, rb).features
         np.testing.assert_allclose(out, unfolded, rtol=0, atol=1e-10)
 

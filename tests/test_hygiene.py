@@ -2,8 +2,11 @@
 
 import ast
 import pathlib
+import shlex
 
 import pytest
+
+from cylseg import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cylseg"
@@ -142,3 +145,33 @@ def test_the_check_finds_file_writers():
               "open('log', 'a')\n")
     assert file_writers(source) == [(2, "a"), (8, "inner"), (9, "c"), (9, "c"), (9, "c"),
                                     (10, None)]
+
+
+def readme_commands(text: str):
+    """The arguments of each ``cylseg …`` line in the code blocks of ``text``."""
+    blocks = text.split("```")[1::2]
+    return [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+            if line.startswith("cylseg ")]
+
+
+def parses(argv) -> bool:
+    """Whether the command-line parser accepts ``argv``, without running it."""
+    try:
+        cli._build_parser().parse_args(argv)
+    except SystemExit:
+        return False
+    return True
+
+
+def test_every_command_line_in_the_readme_parses():
+    commands = readme_commands((ROOT / "README.md").read_text())
+    assert {argv[0] for argv in commands} == {"selftest", "train", "eval", "infer", "stats",
+                                              "bound"}
+    assert [argv for argv in commands if not parses(argv)] == []
+
+
+def test_the_check_rejects_what_the_parser_rejects():
+    text = "cylseg eval --config x\n```\ncylseg eval --config 'a b'\nrun cylseg stats\n```\n"
+    assert readme_commands(text) == [["eval", "--config", "a b"]]
+    assert not parses(["eval", "--config", "x"])
+    assert parses(["eval", "--config", "x", "--predictions", "p"])

@@ -1003,6 +1003,45 @@ def test_cli_rejects_a_checkpoint_of_another_grid(command, tiny_checkpoint, tmp_
     ]
 
 
+# a defect in the inputs of eval or infer: the command's arguments past
+# --config, its exit code, and its one error line after "error: ", or for a
+# usage error (exit 2) what argparse's last line must say. {preds} holds the
+# tiny config's one scored scan, so the predictions alone would score.
+INPUT_DEFECTS = {
+    "eval-checkpoint-missing": (["eval", "--checkpoint", "{out}/nope.ckpt"], 1,
+                                "{out}/nope.ckpt: No such file or directory"),
+    "eval-checkpoint-a-directory": (["eval", "--checkpoint", "{out}"], 1, "{out}: Is a directory"),
+    "infer-checkpoint-missing": (["infer", "--checkpoint", "{out}/nope.ckpt", "--output",
+                                  "{out}/labels"], 1, "{out}/nope.ckpt: No such file or directory"),
+    "infer-checkpoint-a-directory": (["infer", "--checkpoint", "{out}", "--output",
+                                      "{out}/labels"], 1, "{out}: Is a directory"),
+    "eval-no-source": (["eval"], 2, "one of the arguments --checkpoint --predictions is required"),
+    "eval-both-sources": (["eval", "--checkpoint", "{out}/nope.ckpt", "--predictions", "{preds}"],
+                          2, "argument --predictions: not allowed with argument --checkpoint"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_DEFECTS))
+def test_an_input_defect_fails_in_one_line_and_writes_nothing(case, tiny_cfg, tmp_path, capsys):
+    out, preds = tmp_path / "out", tmp_path / "preds"
+    out.mkdir()
+    preds.mkdir()
+    write_kitti_labels(preds / "scene_0000.label", np.zeros(512, dtype=np.int64))
+    args, exit_code, message = INPUT_DEFECTS[case]
+    before = sorted(tmp_path.rglob("*"))
+    code = main([args[0], "--config", str(tiny_cfg),
+                 *(arg.format(out=out, preds=preds) for arg in args[1:])])
+    captured = capsys.readouterr()
+    assert code == exit_code
+    assert captured.out == ""
+    message = message.format(out=out)
+    if exit_code == 1:
+        assert captured.err.splitlines() == [f"error: {message}"]
+    else:
+        assert captured.err.splitlines()[-1] == f"cylseg {args[0]}: error: {message}"
+    assert sorted(tmp_path.rglob("*")) == before  # no label directory, .label or .tmp
+
+
 # ------------------------------------------------- seeded byte cuts and flips
 
 

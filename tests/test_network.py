@@ -26,6 +26,7 @@ from cylseg.network import (
     DDCM,
     DOWNSAMPLE,
     Affine,
+    BatchNorm,
     Conv,
     DownBlock,
     Module,
@@ -454,6 +455,22 @@ def test_every_sub_module_is_a_registered_child(cfg, variant):
         stack.extend(children)
         walked += 1
     assert walked > 30
+
+
+@pytest.mark.parametrize("cfg", ["toy_train.cfg", "semantic_kitti.cfg"])
+def test_each_leaf_layer_registers_its_own_attributes(cfg):
+    # each checkpoint entry is the array the layer computes with, held once
+    config = load_config(os.path.join(ROOT, "configs", cfg)).network
+    no_draw = SimpleNamespace(uniform=lambda low, high, size: np.empty(size))
+    stack, kinds = [SegmentationNetwork(config, seed=no_draw)], set()
+    while stack:
+        module = stack.pop()
+        stack.extend(child for _, child in module.children())
+        if isinstance(module, (Affine, Conv, BatchNorm)):
+            kinds.add(type(module))
+            for name, arr in {**module.params, **module.state}.items():
+                assert arr is getattr(module, name, None), f"{type(module).__name__}.{name}"
+    assert kinds == {Affine, Conv, BatchNorm}
 
 
 def test_rulebook_cache_reuses_by_coords_identity():

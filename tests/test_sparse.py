@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from cylseg.network import BatchNorm
 from cylseg.partition import CylGridSpec, assign_cells, scatter_features
 from cylseg.selftest import NETWORK_KERNELS, conv_oracle_error, random_sparse
 from cylseg.sparse import (
@@ -14,7 +15,6 @@ from cylseg.sparse import (
     KernelSpec,
     NORM_EPS,
     NORM_MOMENTUM,
-    NormParams,
     SparseTensor,
     batch_norm_backward,
     batch_norm_forward,
@@ -23,7 +23,6 @@ from cylseg.sparse import (
     dense_conv_oracle,
     densify,
     init_conv_params,
-    init_norm_params,
     inverse_conv_backward,
     inverse_conv_forward,
     key_coords,
@@ -649,7 +648,7 @@ def test_batch_norm_backward_computes_in_the_dtype_of_grad_out():
     rng = np.random.default_rng(68)
     x = (rng.standard_normal((500, 8)) * 3.0 + 1.0).astype(np.float32)
     grad = rng.standard_normal((500, 8)).astype(np.float32)
-    norm = init_norm_params(8)
+    norm = BatchNorm(8)
     norm.scale[:] = rng.uniform(0.5, 2.0, 8)
     for training in (True, False):
         _, ctx32 = batch_norm_forward(x, norm, training)
@@ -668,7 +667,7 @@ def test_batch_norm_backward_computes_in_the_dtype_of_grad_out():
 def test_batch_norm_training_moments():
     rng = np.random.default_rng(28)
     feats = rng.standard_normal((50, 3)) * 4.0 + 2.0
-    norm = init_norm_params(3)
+    norm = BatchNorm(3)
     norm.scale[:] = [1.0, 2.0, 0.5]
     norm.shift[:] = [0.0, -1.0, 3.0]
     out, _ = batch_norm_forward(feats, norm, training=True)
@@ -678,14 +677,14 @@ def test_batch_norm_training_moments():
 
 def test_batch_norm_running_update_keep_factor():
     feats = np.array([[1.0], [3.0]])  # batch mean 2, biased var 1
-    norm = init_norm_params(1)
+    norm = BatchNorm(1)
     batch_norm_forward(feats, norm, training=True)
     np.testing.assert_allclose(norm.running_mean, [0.99 * 0.0 + 0.01 * 2.0])
     np.testing.assert_allclose(norm.running_var, [0.99 * 1.0 + 0.01 * 1.0])
 
 
 def test_batch_norm_inference_uses_running_stats():
-    norm = init_norm_params(1)
+    norm = BatchNorm(1)
     norm.running_mean[:] = 5.0
     norm.running_var[:] = 4.0
     out, _ = batch_norm_forward(np.array([[7.0]]), norm, training=False)
@@ -695,7 +694,7 @@ def test_batch_norm_inference_uses_running_stats():
 def test_batch_norm_backward_finite_differences():
     rng = np.random.default_rng(29)
     feats = rng.standard_normal((12, 2))
-    norm = init_norm_params(2)
+    norm = BatchNorm(2)
     norm.scale[:] = rng.uniform(0.5, 1.5, 2)
     norm.shift[:] = rng.standard_normal(2)
     probe = rng.standard_normal((12, 2))
@@ -811,7 +810,9 @@ def test_batch_norm_keeps_the_bytes_of_its_first_form(shape, dtype, training):
     c = shape[1]
     stats = (rng.uniform(0.5, 2.0, c), rng.normal(0.0, 0.5, c),
              rng.normal(0.0, 0.5, c), rng.uniform(0.2, 3.0, c))
-    norm, reference = (NormParams(*(a.copy() for a in stats)) for _ in range(2))
+    norm, reference = BatchNorm(c), BatchNorm(c)
+    for layer in (norm, reference):
+        layer.scale[:], layer.shift[:], layer.running_mean[:], layer.running_var[:] = stats
     for _ in range(3):
         x = _kernel_input(shape, dtype, rng)
         probe = _kernel_input(shape, np.float64, rng)
@@ -862,7 +863,7 @@ def test_training_kernels_make_no_second_full_size_temporary():
     probe = rng.standard_normal((16_384, 64))
     _, ctx = leaky_relu_forward(x, 0.1)
     peaks = {
-        "batch_norm_forward": _peak_units(batch_norm_forward, x, init_norm_params(64), True),
+        "batch_norm_forward": _peak_units(batch_norm_forward, x, BatchNorm(64), True),
         "leaky_relu_forward": _peak_units(leaky_relu_forward, x, 0.1),
         "leaky_relu_backward": _peak_units(leaky_relu_backward, probe, ctx),
     }
