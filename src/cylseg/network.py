@@ -42,6 +42,7 @@ from .sparse import (
     batch_norm_backward,
     batch_norm_forward,
     build_rulebook,
+    column_sums,
     concat_features,
     in_row_blocks,
     init_conv_params,
@@ -191,7 +192,7 @@ class Affine(Module):
         if self.norm is not None:
             grad = self.norm.backward(grad, c_norm)
         self.grads["weight"] += feats.T @ grad
-        self.grads["bias"] += grad.sum(axis=0)
+        self.grads["bias"] += column_sums(grad)
         return grad @ self.weight.T.astype(grad.dtype, copy=False)
 
 

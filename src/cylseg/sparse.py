@@ -508,7 +508,7 @@ def sparse_conv_backward(
         elif in_idx.size:
             rows = np.take(x.features, in_idx, axis=0)
             grad_w[k] = rows.T @ np.take(grad_out, out_idx, axis=0)
-    return grad_in, grad_w, grad_out.sum(axis=0)
+    return grad_in, grad_w, column_sums(grad_out)
 
 
 def inverse_conv_forward(
@@ -533,6 +533,28 @@ def inverse_conv_backward(
 # element-wise ops and normalization (functional: forward returns a context)
 
 
+def column_sums(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=0)`` of a 2-D ``x``, bitwise. Where the rows are the
+    outer stride and there are two columns or more, numpy adds each column
+    row by row from 0 but calls its inner loop once per row; ``einsum`` adds
+    in the same order in one loop, 2-4x faster. It computes value + sum
+    where numpy computes sum + value: the same bits unless both are NaN, so
+    a NaN sum is summed again by numpy. A single column, or F order, numpy
+    sums pairwise: those keep ``sum``."""
+    if x.ndim == 2 and x.shape[1] > 1 and x.strides[0] > x.strides[1] > 0:
+        sums = np.einsum("ij->j", x)
+        if not np.isnan(sums).any():
+            return sums
+    return x.sum(axis=0)
+
+
+def column_means(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=0)`` of a 2-D ``x``, bitwise: ``column_sums`` divided in
+    place by the row count as numpy's ``mean`` divides."""
+    sums = column_sums(x)
+    return np.true_divide(sums, np.intp(x.shape[0]), out=sums, casting="unsafe")
+
+
 # batch norm's variance floor, and the weight of the old running statistics
 # in each training batch's update of them
 NORM_EPS, NORM_MOMENTUM = 1e-5, 0.99
@@ -554,10 +576,10 @@ def batch_norm_forward(features: np.ndarray, norm, training: bool):
     if training:
         if features.shape[0] == 0:
             raise ValueError("batch norm in training mode needs at least one site")
-        mean = features.mean(axis=0)
+        mean = column_means(features)
         xhat = features - mean
         out = np.multiply(xhat, xhat)
-        var = out.mean(axis=0)
+        var = column_means(out)
         norm.running_mean *= NORM_MOMENTUM
         norm.running_mean += (1 - NORM_MOMENTUM) * mean
         norm.running_var *= NORM_MOMENTUM
@@ -582,8 +604,8 @@ def batch_norm_backward(grad_out: np.ndarray, ctx):
     xhat, inv_std, scale, training = ctx
     grad_out = as_features(grad_out)
     prod = grad_out * xhat
-    grad_scale = prod.sum(axis=0)
-    grad_shift = grad_out.sum(axis=0)
+    grad_scale = column_sums(prod)
+    grad_shift = column_sums(grad_out)
     if training:
         n = grad_out.shape[0]
         grad_in = grad_out - grad_shift / n
@@ -613,8 +635,16 @@ def leaky_relu_forward(features: np.ndarray, slope: float = 0.1, inplace: bool =
 
 
 def leaky_relu_backward(grad_out: np.ndarray, ctx):
+    """``grad_out`` times 1 where the input was not negative and ``slope``
+    where it was. Each factor is made from the bits of ``1.0`` and ``slope``
+    in ``grad_out``'s dtype by integer ops on the mask, 3x faster than
+    picking it from a table indexed by the mask, and exactly the same."""
     neg, slope = ctx
-    factor = np.array([1.0, slope], dtype=grad_out.dtype)[neg.view(np.uint8)]
+    one, low = np.array([1.0, slope], dtype=grad_out.dtype).view(f"u{grad_out.itemsize}")
+    bits = neg.astype(one.dtype)
+    bits *= one ^ low
+    bits ^= one
+    factor = bits.view(grad_out.dtype)
     factor *= grad_out
     return factor
 

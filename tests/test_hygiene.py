@@ -100,13 +100,26 @@ def test_the_check_finds_unread_definitions():
     assert names_read("from m import f\nimport m\nm.K\nm._c = 1\n") == {"m", "K"}
 
 
+def calls(source: str, wanted):
+    """(line, function) of each call for which ``wanted(call)`` holds.
+    ``function`` is the innermost function around the call, None at module
+    level."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and wanted(child):
+                found.append((child.lineno, function))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 def file_writers(source: str):
     """(line, function) of each call that opens a file for writing: ``open``
     with a mode holding w, a, x or + (or a mode that is not a literal), or
-    ``tofile``. ``function`` is the innermost function around the call, None
-    at module level."""
-    found = []
-
+    ``tofile``."""
     def writes(call):
         name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
         mode = call.args[1] if len(call.args) > 1 else next(
@@ -114,14 +127,7 @@ def file_writers(source: str):
         return name == "tofile" or name == "open" and mode is not None and (
             not isinstance(mode, ast.Constant) or any(c in str(mode.value) for c in "wax+"))
 
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and writes(child):
-                found.append((child.lineno, function))
-            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
-
-    visit(ast.parse(source), None)
-    return found
+    return calls(source, writes)
 
 
 # the publisher and the CSV writer of the commands, and the writers of the
@@ -145,6 +151,32 @@ def test_the_check_finds_file_writers():
               "open('log', 'a')\n")
     assert file_writers(source) == [(2, "a"), (8, "inner"), (9, "c"), (9, "c"), (9, "c"),
                                     (10, None)]
+
+
+def column_reductions(source: str):
+    """(line, function) of each ``sum`` or ``mean`` called as an attribute
+    (``x.sum``, ``np.mean``) over axis 0, given by keyword or by position."""
+    def reduces(call):
+        axes = call.args + [k.value for k in call.keywords if k.arg == "axis"]
+        return getattr(call.func, "attr", None) in ("sum", "mean") and any(
+            isinstance(a, ast.Constant) and a.value == 0 for a in axes)
+
+    return calls(source, reduces)
+
+
+def test_sparse_and_network_sum_columns_only_in_column_sums():
+    # numpy's column sum calls its inner loop once per row; column_sums and
+    # column_means give its bytes faster
+    found = {(name, function) for name in ("sparse.py", "network.py")
+             for _, function in column_reductions((PACKAGE / name).read_text())}
+    assert found == {("sparse.py", "column_sums")}
+
+
+def test_the_check_finds_column_reductions():
+    source = ("def f(x):\n    return x.sum(axis=0), x.sum(axis=1), x.sum(), sum(x, 0)\n"
+              "def g(x):\n    return np.mean(x, 0) + x.mean(0) + x.var(axis=0)\n"
+              "x.sum(keepdims=True, axis=0)\n")
+    assert column_reductions(source) == [(2, "f"), (4, "g"), (4, "g"), (5, None)]
 
 
 def readme_commands(text: str):

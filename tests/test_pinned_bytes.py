@@ -8,6 +8,13 @@ losses, parameters, running state, gradients, float64 point logits and
 predictions) must match ``tests/data/three_step_digests.json``. The toy
 network's convs and point chains never split into row blocks.
 
+``float64_step_digests``: one float64 training-mode ``forward``,
+``segmentation_loss`` and ``backward`` of the toy network on the config's
+first training scene, for each ``block_variant``: the route of
+``train_step``'s overflow fallback and of the gradient checks. The digests of
+its losses, gradients and running state must match
+``tests/data/float64_step_digests.json``.
+
 ``full_predict_digests``: the seed-0 ``semantic_kitti.cfg`` network's float32
 ``predict`` on one 12,000-point synthetic scan, large enough that forward
 convs, transposed convs and point chains run in several row blocks. The
@@ -32,8 +39,8 @@ promised at a fixed BLAS thread count, which OpenBLAS reads when it loads.
 
 A change that alters the bytes on purpose records new digests with
 
-    for name in three_step_digests full_predict_digests full_train_step_digests \\
-            cli_output_digests; do
+    for name in three_step_digests float64_step_digests full_predict_digests \\
+            full_train_step_digests cli_output_digests; do
         PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_pinned_bytes.py \\
             $name > tests/data/$name.json
     done
@@ -57,8 +64,9 @@ from cylseg import network, sparse
 from cylseg.cli import VAL_SEED_OFFSET, main
 from cylseg.config import BLOCK_VARIANTS, load_config
 from cylseg.network import SegmentationNetwork
+from cylseg.partition import encode_cell_labels
 from cylseg.pointcloud import SyntheticSceneSpec, generate_synthetic_scene
-from cylseg.training import Adam, class_weights, train_step
+from cylseg.training import Adam, class_weights, segmentation_loss, train_step
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STEPS = 3
@@ -113,16 +121,16 @@ def _sha256(named):
     return h.hexdigest()
 
 
+def _toy_scene(cfg, seed):
+    spec = SyntheticSceneSpec(seed=seed, num_points=cfg.data.points,
+                              max_range=cfg.data.max_range)
+    return generate_synthetic_scene(spec)
+
+
 def three_step_digests():
     cfg = load_config(os.path.join(ROOT, "configs", "toy_train.cfg"))
-
-    def scene(seed):
-        spec = SyntheticSceneSpec(seed=seed, num_points=cfg.data.points,
-                                  max_range=cfg.data.max_range)
-        return generate_synthetic_scene(spec)
-
-    clouds = [scene(cfg.data.seed + i) for i in range(STEPS)]
-    val = scene(cfg.data.seed + VAL_SEED_OFFSET)
+    clouds = [_toy_scene(cfg, cfg.data.seed + i) for i in range(STEPS)]
+    val = _toy_scene(cfg, cfg.data.seed + VAL_SEED_OFFSET)
     weights = class_weights([c.labels for c in clouds], cfg.network.num_classes, cfg.ignore_id)
     digests = {}
     for variant in BLOCK_VARIANTS:
@@ -140,6 +148,30 @@ def three_step_digests():
             "grads": sorted(net.named_grads().items()),
             "logits": [("logits", net.forward(val).point_logits)],
             "predict": [("predict", net.predict(val))],
+        }
+        digests[variant] = {part: _sha256(named) for part, named in parts.items()}
+    return digests
+
+
+def float64_step_digests():
+    cfg = load_config(os.path.join(ROOT, "configs", "toy_train.cfg"))
+    cloud = _toy_scene(cfg, cfg.data.seed)
+    k = cfg.network.num_classes
+    weights = class_weights([cloud.labels], k, cfg.ignore_id)
+    digests = {}
+    for variant in BLOCK_VARIANTS:
+        net = SegmentationNetwork(dataclasses.replace(cfg.network, block_variant=variant),
+                                  seed=cfg.train.seed)
+        result = net.forward(cloud, training=True)
+        targets = encode_cell_labels(result.mapping, cloud.labels, "majority", k, cfg.ignore_id)
+        report = segmentation_loss(result.voxel_logits.features, targets, result.point_logits,
+                                   cloud.labels, weights, cfg.ignore_id)
+        net.backward(result, report.grad_voxel_logits, report.grad_point_logits)
+        parts = {
+            "losses": [("losses", np.array([report.voxel_ce, report.voxel_lovasz,
+                                            report.point_ce]))],
+            "grads": sorted(net.named_grads().items()),
+            "state": sorted(net.named_state().items()),
         }
         digests[variant] = {part: _sha256(named) for part, named in parts.items()}
     return digests
@@ -258,12 +290,21 @@ def _pinned_run(name):
         return json.loads(run.stdout), json.load(fh)
 
 
-def test_three_toy_steps_give_the_pinned_bytes():
-    got, pinned = _pinned_run("three_step_digests")
+def _assert_variants_pinned(name):
+    """The per-``block_variant`` record ``name`` gives every pinned digest."""
+    got, pinned = _pinned_run(name)
     assert sorted(got) == sorted(pinned)
     differ = [f"{variant} {part}" for variant in pinned for part in pinned[variant]
               if got[variant].get(part) != pinned[variant][part]]
     assert not differ, f"bytes differ from the pinned run: {', '.join(differ)}"
+
+
+def test_three_toy_steps_give_the_pinned_bytes():
+    _assert_variants_pinned("three_step_digests")
+
+
+def test_a_float64_training_pass_gives_the_pinned_bytes():
+    _assert_variants_pinned("float64_step_digests")
 
 
 def test_a_full_scale_predict_splits_into_row_blocks_and_gives_the_pinned_bytes():
@@ -297,6 +338,7 @@ def test_the_commands_write_the_pinned_files_and_stdout():
 
 if __name__ == "__main__":
     record = {"three_step_digests": three_step_digests,
+              "float64_step_digests": float64_step_digests,
               "full_predict_digests": full_predict_digests,
               "full_train_step_digests": full_train_step_digests,
               "cli_output_digests": cli_output_digests}[sys.argv[1]]

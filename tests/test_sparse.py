@@ -19,6 +19,8 @@ from cylseg.sparse import (
     batch_norm_backward,
     batch_norm_forward,
     build_rulebook,
+    column_means,
+    column_sums,
     concat_features,
     dense_conv_oracle,
     densify,
@@ -844,6 +846,54 @@ def test_leaky_relu_keeps_the_bytes_of_its_where_form(shape, dtype, training, sl
         probe = _kernel_input(shape, np.float64, rng, special)
         _assert_same_bytes(leaky_relu_backward(probe, ctx),
                            _where_leaky_backward(probe, neg, slope))
+
+
+def _table_leaky_backward(grad_out, neg, slope):
+    """The leaky backward's lookup-table form, the reference for its bytes."""
+    factor = np.array([1.0, slope], dtype=grad_out.dtype)[neg.view(np.uint8)]
+    factor *= grad_out
+    return factor
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
+def test_leaky_relu_backward_keeps_the_bytes_of_its_table_form(dtype, slope):
+    rng = np.random.default_rng(34)
+    x = _kernel_input((999, 19), dtype, rng, special=True)
+    grad = _kernel_input((999, 19), dtype, rng, special=True)
+    with np.errstate(invalid="ignore"):  # slope 0 times inf
+        _, ctx = leaky_relu_forward(x, slope)
+        neg = ctx[0]
+        assert 0 < neg.sum() < neg.size
+        _assert_same_bytes(leaky_relu_backward(grad, ctx),
+                           _table_leaky_backward(grad, neg, slope))
+
+
+def _column_table(rows, cols, dtype, rng):
+    """A ``(rows, cols)`` column slice of a wider array, its columns of
+    magnitudes 1e-4 to 1e4 so that the order of a sum shows in its bits.
+    Columns 1, 6, 11, ... are all -0.0; columns 2, 7, ... hold +inf and
+    -inf, and columns 3, 8, ... NaN and -NaN."""
+    wide = rng.standard_normal((rows, cols + 3)) * 10.0 ** rng.uniform(-4, 4, cols + 3)
+    x = wide[:, 3:]
+    x[:, 1::5] = -0.0
+    x[rows // 2, 2::5], x[rows // 3, 2::5] = np.inf, -np.inf
+    x[rows // 4, 3::5], x[-1, 3::5] = np.nan, -np.nan
+    return wide.astype(dtype)[:, 3:]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cols", [1, 2, 3, 8, 19, 64, 512])
+def test_column_sums_and_means_keep_the_bytes_of_numpys(dtype, cols):
+    rng = np.random.default_rng(35)
+    for rows in (1, 2, 3, 8, 9, 127, 128, 129, 1000, 8193, 65_537, 200_000):
+        if rows * cols > 1 << 22:
+            continue
+        x = _column_table(rows, cols, dtype, rng)
+        for layout in (np.ascontiguousarray(x), x, np.asfortranarray(x)):
+            with np.errstate(invalid="ignore"):
+                _assert_same_bytes(column_sums(layout), layout.sum(axis=0))
+                _assert_same_bytes(column_means(layout), layout.mean(axis=0))
 
 
 def _peak_units(fn, *args):
