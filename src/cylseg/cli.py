@@ -21,6 +21,7 @@ from .metrics import ConfusionMatrix, compute_miou, format_iou_table
 from .network import SegmentationNetwork, load_checkpoint, save_checkpoint
 from .partition import encoding_upper_bound_miou, occupancy_by_distance
 from .pointcloud import (
+    SYNTH_IGNORE,
     SYNTH_NUM_CLASSES,
     PointCloud,
     SyntheticSceneSpec,
@@ -102,9 +103,10 @@ def _scan_loaders(cfg: RunConfig, split: str, scans: Optional[str] = None,
                   with_labels: bool = True) -> List[Tuple[str, Callable[[], PointCloud]]]:
     """Named loaders ``[(name, load)]`` for the [data] 'train' or 'val' split
     (files ignore it), the [stats] scenes ('stats'), or the unlabeled ``.bin``
-    files under ``scans``. The class count and the directories are checked at
-    once; each ``load()`` reads or makes its scan only when called, refuses a
-    file holding no points, and names its scan in any failure."""
+    files under ``scans``. The class count, the directories and the ignore id
+    of the labels a caller takes from synthetic scenes are checked at once;
+    each ``load()`` reads or makes its scan only when called, refuses a file
+    holding no points, and names its scan in any failure."""
     if scans or (split != "stats" and cfg.data.kind == "files"):
         source = "--scans" if scans else "[data] scans"
         with_labels = with_labels and not scans
@@ -128,6 +130,9 @@ def _scan_loaders(cfg: RunConfig, split: str, scans: Optional[str] = None,
             return cloud.with_labels(read_kitti_labels(path, cfg.label_map, cloud.n))
 
         return [(name, _in_scan(name)(functools.partial(read, name))) for name in names]
+    if with_labels and cfg.ignore_id != SYNTH_IGNORE:
+        raise ValueError(f"synthetic data labels its clutter {SYNTH_IGNORE}; "
+                         f"[labels] ignore_id is {cfg.ignore_id}")
     if split == "stats":
         specs = [SyntheticSceneSpec(seed=cfg.stats.seed + i, num_points=cfg.stats.points)
                  for i in range(cfg.stats.scenes)]
@@ -146,7 +151,7 @@ def _scan_loaders(cfg: RunConfig, split: str, scans: Optional[str] = None,
 def _cmd_stats(args) -> int:
     cfg = load_config(args.config)
     # each scan is read or made in the lane that bins it, so one is held per lane
-    loads = [load for _, load in _scan_loaders(cfg, "stats", args.scans)]
+    loads = [load for _, load in _scan_loaders(cfg, "stats", args.scans, with_labels=False)]
     with _published(args.output) as (csv_tmp,):
         rows = occupancy_by_distance(loads, cfg.grid, cfg.cubic, cfg.stats.edges)
         _write_csv(csv_tmp, [("scheme", "distance_lo", "distance_hi", "nonempty_proportion"), *(

@@ -15,6 +15,7 @@ mutates nothing and is safe to run concurrently on shared parameters.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import struct
@@ -34,7 +35,6 @@ from .partition import (
 )
 from .pointcloud import PointCloud
 from .sparse import (
-    ConvParams,
     KernelSpec,
     NORM_EPS,
     Rulebook,
@@ -115,12 +115,9 @@ class Module:
         self.grads = {name: np.zeros(arr.shape) for name, arr in self.params.items()}
         self.state = {name: getattr(self, name) for name in state}
 
-    def add(self, name: str, child: Module, norm: Optional[str] = None) -> Module:
-        """Register ``child`` under ``name``, after the children added before
-        it, then, given ``norm``, its batch norm ``child.norm`` under ``norm``."""
+    def add(self, name: str, child: Module) -> Module:
+        """Register ``child`` under ``name``, after the children added before it."""
         self._children += ((name, child),)
-        if norm is not None:
-            self._children += ((norm, child.norm),)
         return child
 
     def children(self):
@@ -154,58 +151,52 @@ def predicting(feats, training) -> bool:
     return not training and feats.dtype == np.float32
 
 
-def activate(x, slope, training):
-    """Leaky ReLU of a point array or of a tensor's features, in place on
-    ``predict``'s route: ``(out, ctx)`` with ``out`` of ``x``'s kind."""
+def on_features(x, kernel):
+    """``kernel`` of a point array or of a tensor's features: ``(out, ctx)``
+    with ``out`` of ``x``'s kind."""
     feats = x if isinstance(x, np.ndarray) else x.features
-    out, ctx = leaky_relu_forward(feats, slope, predicting(feats, training))
+    out, ctx = kernel(feats)
     return (out if x is feats else x.with_features(out)), ctx
 
 
-class Affine(Module):
-    """Per-point affine map, followed by a batch norm ``norm`` if asked for,
-    made after the weight: a weight that a checkpoint cannot hold is refused
-    (``_NoDraw``) before anything else of the layer is allocated."""
+def activate(x, slope, training):
+    """Leaky ReLU, in place on ``predict``'s route, as ``on_features``."""
+    return on_features(x, lambda f: leaky_relu_forward(f, slope, predicting(f, training)))
 
-    def __init__(self, c_in, c_out, rng, norm: bool = False):
+
+class Affine(Module):
+    """Per-point affine map. It draws its weight first: a weight that a
+    checkpoint cannot hold is refused (``_NoDraw``) before anything else of
+    the layer is allocated."""
+
+    def __init__(self, c_in, c_out, rng):
         bound = np.sqrt(6.0 / (c_in + c_out))
         self.weight = rng.uniform(-bound, bound, (c_in, c_out))
         self.bias = np.zeros(c_out)
-        self.norm = BatchNorm(c_out) if norm else None
         self.declare(("weight", "bias"))
 
     def forward(self, feats, training):
-        if self.norm is not None and predicting(feats, training):
-            weight, bias = self.norm.fold(self.weight, self.bias, feats.dtype)
-            out = feats @ weight
-            out += bias
-            return out, None
         out = feats @ self.weight.astype(feats.dtype, copy=False)
         out += self.bias.astype(feats.dtype, copy=False)
-        if self.norm is None:
-            return out, (feats, None)
-        out, c_norm = self.norm.forward(out, training)
-        return out, (feats, c_norm)
+        return out, feats
 
-    def backward(self, grad, ctx):
-        feats, c_norm = ctx
-        if self.norm is not None:
-            grad = self.norm.backward(grad, c_norm)
+    def backward(self, grad, feats):
         self.grads["weight"] += feats.T @ grad
         self.grads["bias"] += column_sums(grad)
         return grad @ self.weight.T.astype(grad.dtype, copy=False)
 
 
 class BatchNorm(Module):
-    """Batch norm, run by the ``Conv`` or ``Affine`` it follows (its ``norm``)."""
+    """Batch norm, a step of the ``Chain`` that runs the layer it follows."""
 
     def __init__(self, channels):
         self.scale, self.shift = np.ones(channels), np.zeros(channels)
         self.running_mean, self.running_var = np.zeros(channels), np.ones(channels)
         self.declare(("scale", "shift"), ("running_mean", "running_var"))
 
-    def forward(self, feats, training):
-        return batch_norm_forward(feats, self, training)
+    def forward(self, x, training):
+        """Of a point array or of a tensor's features, as ``on_features``."""
+        return on_features(x, lambda f: batch_norm_forward(f, self, training))
 
     def backward(self, grad, ctx):
         grad_in, g_scale, g_shift = batch_norm_backward(grad, ctx)
@@ -213,24 +204,28 @@ class BatchNorm(Module):
         self.grads["shift"] += g_shift
         return grad_in
 
-    def fold(self, weight, bias, dtype):
-        """The preceding layer's ``weight`` (output channels last) and
-        ``bias`` with this norm's inference map folded in, ``W * s`` and
+    def fold(self, layer, dtype):
+        """A shallow copy of ``layer``, the ``Affine`` or ``Conv`` before this
+        norm, with the norm's inference map folded into its weight (output
+        channels last) and bias, named by ``layer.params``: ``W * s`` and
         ``(b - running_mean) * s + shift`` for ``s = scale / sqrt(running_var
-        + NORM_EPS)``: computed in float64, rounded once to ``dtype``."""
+        + NORM_EPS)``, computed in float64 and rounded once to ``dtype``."""
+        (w_name, weight), (b_name, bias) = layer.params.items()
         s = self.scale / np.sqrt(self.running_var + NORM_EPS)
-        folded = np.multiply(weight, s, out=np.empty(weight.shape, dtype), casting="same_kind")
-        return folded, ((bias - self.running_mean) * s + self.shift).astype(dtype)
+        folded = copy.copy(layer)
+        setattr(folded, w_name,
+                np.multiply(weight, s, out=np.empty(weight.shape, dtype), casting="same_kind"))
+        setattr(folded, b_name, ((bias - self.running_mean) * s + self.shift).astype(dtype))
+        return folded
 
 
 DOWNSAMPLE = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
 
 
 class Conv(Module):
-    """Sparse convolution over a rulebook: submanifold, strided or inverse,
-    followed by a batch norm ``norm`` if asked for. Like ``Affine``, it draws
-    its weights first. It holds ``weights`` and ``bias`` as ``ConvParams``
-    does, and hands itself to the conv kernels.
+    """Sparse convolution over a rulebook: submanifold, strided or inverse.
+    Like ``Affine``, it draws its weights first. It holds ``weights`` and
+    ``bias`` as ``ConvParams`` does, and hands itself to the conv kernels.
 
     Its rulebook comes from the pass's ``RulebookCache``, for the sites of
     ``x``. Given the tensor ``to`` that a downsampling conv of the same kernel
@@ -238,30 +233,20 @@ class Conv(Module):
     through that conv's cached rulebook, back to ``to``'s sites.
     """
 
-    def __init__(self, kernel: KernelSpec, c_in, c_out, rng, norm: bool = False):
+    def __init__(self, kernel: KernelSpec, c_in, c_out, rng):
         self.kernel = kernel
         params = init_conv_params(kernel, c_in, c_out, rng)
         self.weights, self.bias = params.weights, params.bias
-        self.norm = BatchNorm(c_out) if norm else None
         self.declare(("weights", "bias"))
 
     def forward(self, x, cache, training, to=None):
         rb = cache.get(x if to is None else to, self.kernel)
-        conv = sparse_conv_forward if to is None else inverse_conv_forward
-        back = sparse_conv_backward if to is None else inverse_conv_backward
-        if self.norm is not None and predicting(x.features, training):
-            folded = ConvParams(*self.norm.fold(self.weights, self.bias, x.features.dtype))
-            return conv(x, folded, rb), None
-        y = conv(x, self, rb)
-        if self.norm is None:
-            return y, (x, rb, back, None)
-        out, c_norm = self.norm.forward(y.features, training)
-        return y.with_features(out), (x, rb, back, c_norm)
+        if to is None:
+            return sparse_conv_forward(x, self, rb), (x, rb, sparse_conv_backward)
+        return inverse_conv_forward(x, self, rb), (x, rb, inverse_conv_backward)
 
     def backward(self, grad, ctx):
-        x, rb, back, c_norm = ctx
-        if self.norm is not None:
-            grad = self.norm.backward(grad, c_norm)
+        x, rb, back = ctx
         grad_in, gw, gb = back(x, self, rb, grad)
         self.grads["weights"] += gw
         self.grads["bias"] += gb
@@ -269,43 +254,58 @@ class Conv(Module):
 
 
 class Chain(Module):
-    """Layers that only follow one another: each ``(layer, act)`` pair runs
-    ``layer``, then a leaky ReLU if ``act`` is set. Extra forward arguments
-    (the rulebook cache, for sparse layers) go to every layer.
+    """Layers that only follow one another. Each step ``(name, layer,
+    norm_name, act)`` runs ``layer``, registered under ``name``; then, given
+    ``norm_name``, a batch norm of the layer's outputs registered under it;
+    then a leaky ReLU if ``act`` is set. Extra forward arguments (the
+    rulebook cache, for sparse layers) go to every layer.
 
-    On ``predict``'s route a point array runs in blocks of rows, as a large
-    conv does (``in_row_blocks`` of its multiply-adds): each block goes
-    through every layer and writes its rows of one output."""
+    On ``predict``'s route each norm is folded into its layer and no context
+    is kept, and a point array runs in blocks of rows, as a large conv does
+    (``in_row_blocks`` of its multiply-adds): each block goes through every
+    layer and writes its rows of one output."""
 
-    def __init__(self, slope, layers):
+    def __init__(self, slope, steps):
         self.slope = slope
-        self.layers = layers
+        self.steps = []
+        for name, layer, norm_name, act in steps:
+            self.add(name, layer)
+            norm = None if norm_name is None else self.add(norm_name, BatchNorm(layer.bias.size))
+            self.steps.append((layer, norm, act))
 
     def forward(self, x, *args, training):
+        feats = x if isinstance(x, np.ndarray) else x.features
+        fold = predicting(feats, training)
+
         def run(x):
             ctxs = []
-            for layer, act in self.layers:
+            for layer, norm, act in self.steps:
+                if fold and norm is not None:
+                    layer, norm = norm.fold(layer, feats.dtype), None
                 x, c_layer = layer.forward(x, *args, training=training)
+                x, c_norm = (x, None) if norm is None else norm.forward(x, training)
                 x, c_act = activate(x, self.slope, training) if act else (x, None)
-                ctxs.append((c_layer, c_act))
-            return x, ctxs
+                if not fold:
+                    ctxs.append((c_layer, c_norm, c_act))
+            return x, None if fold else ctxs
 
-        if not (isinstance(x, np.ndarray) and predicting(x, training)):
+        if not (fold and x is feats):
             return run(x)
-        out = np.empty((len(x), self.layers[-1][0].weight.shape[1]), dtype=x.dtype)
+        out = np.empty((len(x), self.steps[-1][0].weight.shape[1]), dtype=x.dtype)
 
         def rows(lo, hi):
             out[lo:hi] = run(x[lo:hi])[0]
 
-        in_row_blocks(len(x), len(x) * sum(layer.weight.size for layer, _ in self.layers), rows)
+        in_row_blocks(len(x), len(x) * sum(step[0].weight.size for step in self.steps), rows)
         return out, None
 
     def backward(self, grad, ctxs):
-        """Each layer's context leaves ``ctxs`` before that layer runs, so the
+        """Each step's context leaves ``ctxs`` before that step runs, so the
         list is empty once the backward returns."""
-        for layer, act in reversed(self.layers):
-            c_layer, c_act = ctxs.pop()
+        for layer, norm, act in reversed(self.steps):
+            c_layer, c_norm, c_act = ctxs.pop()
             grad = leaky_relu_backward(grad, c_act) if act else grad
+            grad = grad if norm is None else norm.backward(grad, c_norm)
             grad = layer.backward(grad, c_layer)
         return grad
 
@@ -314,20 +314,20 @@ class PointMLP(Chain):
     """Stack of affine + batch norm + LeakyReLU layers applied per point."""
 
     def __init__(self, widths, rng, slope):
-        layers = []
-        for i, (c_in, c_out) in enumerate(zip(widths[:-1], widths[1:])):
-            affine = Affine(c_in, c_out, rng, norm=True)
-            layers.append((self.add(f"l{i}.affine", affine, f"l{i}.norm"), True))
-        super().__init__(slope, layers)
+        super().__init__(slope, [
+            (f"l{i}.affine", Affine(c_in, c_out, rng), f"l{i}.norm", True)
+            for i, (c_in, c_out) in enumerate(zip(widths[:-1], widths[1:]))
+        ])
 
 
 class _ConvBNActConvBN(Chain):
     """conv(k1) -> BN -> act -> conv(k2) -> BN, on a fixed site set."""
 
     def __init__(self, c_in, c_out, k1, k2, rng, slope):
-        conv1 = self.add("conv1", Conv(KernelSpec(k1), c_in, c_out, rng, norm=True), "bn1")
-        conv2 = self.add("conv2", Conv(KernelSpec(k2), c_out, c_out, rng, norm=True), "bn2")
-        super().__init__(slope, [(conv1, True), (conv2, False)])
+        super().__init__(slope, [
+            ("conv1", Conv(KernelSpec(k1), c_in, c_out, rng), "bn1", True),
+            ("conv2", Conv(KernelSpec(k2), c_out, c_out, rng), "bn2", False),
+        ])
 
 
 class ResBlock(Module):
@@ -427,23 +427,23 @@ class DDCM(Module):
     """Dimension-decomposition gating at the bottleneck.
 
     Three rank-1-style kernels, (3,1,1), (1,3,1) and (1,1,3), each followed
-    by BN and a sigmoid, produce per-axis gates; the input is scaled by
-    their sum.
+    by BN (a one-step ``Chain``) and a sigmoid, produce per-axis gates; the
+    input is scaled by their sum.
     """
 
     SIZES = ((3, 1, 1), (1, 3, 1), (1, 1, 3))
 
     def __init__(self, channels, rng):
-        self.convs = []
+        self.gates = []
         for i, size in enumerate(self.SIZES):
-            conv = Conv(KernelSpec(size), channels, channels, rng, norm=True)
-            self.convs.append(self.add(f"g{i}.conv", conv, f"g{i}.norm"))
+            conv = Conv(KernelSpec(size), channels, channels, rng)
+            self.gates.append(self.add(f"g{i}", Chain(None, [("conv", conv, "norm", False)])))
 
     def forward(self, x, cache, training):
         total = np.zeros_like(x.features)
         branch_ctxs = []
-        for conv in self.convs:
-            t, c1 = conv.forward(x, cache, training)
+        for gate in self.gates:
+            t, c1 = gate.forward(x, cache, training=training)
             s, c2 = sigmoid_forward(t.features)
             total += s
             branch_ctxs.append((c1, c2))
@@ -453,9 +453,9 @@ class DDCM(Module):
         x, total, branch_ctxs = ctx
         grad_in = grad * total
         g_gate = grad * x.features
-        for (c1, c2), conv in zip(branch_ctxs, self.convs):
+        for (c1, c2), gate in zip(branch_ctxs, self.gates):
             g = sigmoid_backward(g_gate, c2)
-            grad_in += conv.backward(g, c1)
+            grad_in += gate.backward(g, c1)
         return grad_in
 
 
@@ -463,9 +463,8 @@ class RefineMLP(Chain):
     """Two-layer point head: affine -> LeakyReLU -> affine."""
 
     def __init__(self, c_in, hidden, c_out, rng, slope):
-        fc1 = self.add("fc1", Affine(c_in, hidden, rng))
-        fc2 = self.add("fc2", Affine(hidden, c_out, rng))
-        super().__init__(slope, [(fc1, True), (fc2, False)])
+        fc1, fc2 = Affine(c_in, hidden, rng), Affine(hidden, c_out, rng)
+        super().__init__(slope, [("fc1", fc1, None, True), ("fc2", fc2, None, False)])
 
 
 @dataclass
@@ -595,8 +594,8 @@ class SegmentationNetwork(Module):
 
         The forward pass runs in float32: it is bound by memory traffic, and
         its argmax agrees with the float64 pass's except at near-ties. Each
-        batch norm is folded into the conv or affine before it, once per
-        call, and activations and residual adds run in place. Where float32
+        ``Chain`` folds its batch norms into the conv or affine before them,
+        and activations and residual adds run in place. Where float32
         overflows (a point at x = y = 3e38, say) the float64 logits are used.
         """
         with np.errstate(over="ignore", invalid="ignore"):

@@ -51,8 +51,10 @@ def class_weights(labels: Sequence[np.ndarray], num_classes: int, ignore_id: int
     counts = np.zeros(num_classes, dtype=np.int64)
     for arr in labels:
         arr = np.asarray(arr)
-        keep = arr != ignore_id
-        counts += np.bincount(arr[keep], minlength=num_classes)
+        kept = arr[arr != ignore_id]
+        if kept.size and (kept.min() < 0 or kept.max() >= num_classes):
+            raise ValueError("labels out of range")
+        counts += np.bincount(kept, minlength=num_classes)
     total = counts.sum()
     freq = counts / total if total > 0 else np.zeros(num_classes)
     return 1.0 / np.sqrt(freq + 1e-3)

@@ -23,6 +23,7 @@ from cylseg.config import load_config
 from cylseg.network import (
     Affine,
     BatchNorm,
+    Chain,
     Conv,
     RulebookCache,
     SegmentationNetwork,
@@ -40,7 +41,6 @@ from cylseg.pointcloud import (
 )
 from cylseg.selftest import random_sparse
 from cylseg.sparse import (
-    ConvParams,
     KernelSpec,
     SparseTensor,
     batch_norm_forward,
@@ -327,11 +327,10 @@ def test_fold_matches_the_unfolded_conv_and_affine_in_float64():
         conv = Conv(kernel, x.num_channels, 5, rng)
         conv.bias[:] = rng.standard_normal(5)
         norm = _random_norm(rng, 5)
-        rb = build_rulebook(x, kernel)
-        y, _ = conv.forward(x, RulebookCache(), training=False)
+        cache = RulebookCache()
+        y, _ = conv.forward(x, cache, training=False)
         unfolded, _ = norm.forward(y.features, training=False)
-        folded = ConvParams(*norm.fold(conv.weights, conv.bias, np.float64))
-        out = sparse_conv_forward(x, folded, rb).features
+        out = norm.fold(conv, np.float64).forward(x, cache, training=False)[0].features
         np.testing.assert_allclose(out, unfolded, rtol=0, atol=1e-10)
 
     affine = Affine(9, 7, rng)
@@ -339,18 +338,45 @@ def test_fold_matches_the_unfolded_conv_and_affine_in_float64():
     norm = _random_norm(rng, 7)
     feats = 3 * rng.standard_normal((40, 9))
     unfolded, _ = norm.forward(affine.forward(feats, training=False)[0], training=False)
-    weight, bias = norm.fold(affine.weight, affine.bias, np.float64)
-    np.testing.assert_allclose(feats @ weight + bias, unfolded, rtol=0, atol=1e-10)
+    folded = norm.fold(affine, np.float64)
+    np.testing.assert_allclose(feats @ folded.weight + folded.bias, unfolded, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["conv", "affine"])
+def test_fold_makes_a_float32_copy_and_leaves_the_layer_untouched(kind):
+    rng = np.random.default_rng(19)
+    layer = Conv(KernelSpec(3), 4, 5, rng) if kind == "conv" else Affine(4, 5, rng)
+    layer.bias[:] = rng.standard_normal(5)
+    for grad in layer.grads.values():
+        grad[...] = rng.standard_normal(grad.shape)
+    norm = _random_norm(rng, 5)
+
+    def tensors():
+        return {**layer.params, **{f"grad {k}": v for k, v in layer.grads.items()}}
+
+    arrays = tensors()
+    before = {name: (arr.dtype, arr.tobytes()) for name, arr in arrays.items()}
+
+    folded = norm.fold(layer, np.float32)
+    wide = norm.fold(layer, np.float64)
+    assert type(folded) is type(layer) and folded is not layer
+    for name, arr in layer.params.items():
+        out = getattr(folded, name)
+        assert out.dtype == np.float32 and out.shape == arr.shape
+        assert out.tobytes() == getattr(wide, name).astype(np.float32).tobytes()  # one rounding
+        assert getattr(layer, name) is arr
+    assert all(tensors()[name] is arr for name, arr in arrays.items())
+    assert {name: (arr.dtype, arr.tobytes()) for name, arr in tensors().items()} == before
 
 
 def test_float32_conv_and_affine_fold_their_norm_and_keep_no_context(monkeypatch):
     rng = np.random.default_rng(15)
     kernel = KernelSpec(3)
     x32, x64 = _pair(rng)
-    norm = _random_norm(rng, 5)
-    conv = Conv(kernel, x32.num_channels, 5, rng, norm=True)
-    affine = Affine(x32.num_channels, 5, rng, norm=True)
-    conv.norm = affine.norm = norm
+    conv = Chain(None, [("conv", Conv(kernel, x32.num_channels, 5, rng), "norm", False)])
+    affine = Chain(None, [("affine", Affine(x32.num_channels, 5, rng), "norm", False)])
+    _randomise_norms(conv, rng)
+    _randomise_norms(affine, rng)
     cache = RulebookCache()
     expected = {
         "conv": conv.forward(x64, cache, training=False)[0].features,

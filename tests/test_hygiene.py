@@ -179,6 +179,28 @@ def test_the_check_finds_column_reductions():
     assert column_reductions(source) == [(2, "f"), (4, "g"), (4, "g"), (5, None)]
 
 
+def fold_calls(source: str):
+    """(line, function) of each call of a ``fold`` attribute (``norm.fold(...)``)."""
+    return calls(source, lambda call: getattr(call.func, "attr", None) == "fold")
+
+
+def test_only_a_chain_folds_a_batch_norm():
+    # a layer that folded the norm after it would decide a second time where
+    # norms fold, and its forward would grow a path per route again
+    source = (PACKAGE / "network.py").read_text()
+    chain = next(n for n in ast.parse(source).body if getattr(n, "name", None) == "Chain")
+    found = fold_calls(source)
+    assert [function for _, function in found] == ["run"]
+    assert all(chain.lineno <= line <= chain.end_lineno for line, _ in found)
+
+
+def test_the_check_finds_folds():
+    source = ("class Affine:\n    def forward(self, x):\n        w = self.norm.fold(self, x.dtype)\n"
+              "def f(norm, layer):\n    return fold(layer), norm.fold\n"
+              "n.fold(layer, t)\n")
+    assert fold_calls(source) == [(3, "forward"), (6, None)]
+
+
 def readme_commands(text: str):
     """The arguments of each ``cylseg …`` line in the code blocks of ``text``."""
     blocks = text.split("```")[1::2]

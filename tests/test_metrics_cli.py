@@ -1042,6 +1042,55 @@ def test_an_input_defect_fails_in_one_line_and_writes_nothing(case, tiny_cfg, tm
     assert sorted(tmp_path.rglob("*")) == before  # no label directory, .label or .tmp
 
 
+# each command that takes labels from the synthetic scenes, given a config
+# whose ignore id is not the one their clutter carries: its arguments past
+# --config, which fail in one line and write nothing
+SYNTHETIC_IGNORE_DEFECTS = {
+    "train": ["train", "--output", "{out}/net.ckpt"],
+    "eval": ["eval", "--checkpoint", "{ckpt}"],
+    "bound": ["bound", "--output", "{out}/bound.csv"],
+}
+
+
+@pytest.fixture
+def ignore_254_cfg(tmp_path):
+    path = tmp_path / "ignore254.cfg"
+    path.write_text(TINY_CFG + "\n[labels]\nignore_id = 254\n")
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(SYNTHETIC_IGNORE_DEFECTS))
+def test_synthetic_labels_refuse_another_ignore_id_in_one_line(
+    case, ignore_254_cfg, tiny_checkpoint, tmp_path, capsys
+):
+    out, ckpt = tmp_path / "out", tmp_path / "net.ckpt"
+    out.mkdir()
+    ckpt.write_bytes(tiny_checkpoint)
+    args = SYNTHETIC_IGNORE_DEFECTS[case]
+    before = sorted(tmp_path.rglob("*"))
+    code = main([args[0], "--config", str(ignore_254_cfg),
+                 *(arg.format(out=out, ckpt=ckpt) for arg in args[1:])])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: synthetic data labels its clutter 255; [labels] ignore_id is 254"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_stats_and_infer_take_no_synthetic_labels_so_any_ignore_id_runs(
+    ignore_254_cfg, tiny_checkpoint, tmp_path, capsys
+):
+    ckpt = tmp_path / "net.ckpt"
+    ckpt.write_bytes(tiny_checkpoint)
+    cfg = str(ignore_254_cfg)
+    assert main(["stats", "--config", cfg, "--output", str(tmp_path / "occ.csv")]) == 0
+    labels = tmp_path / "labels"
+    assert main(["infer", "--config", cfg, "--checkpoint", str(ckpt), "--output", str(labels)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "occ.csv").exists() and os.listdir(labels) == ["scene_0000.label"]
+
+
 # ------------------------------------------------- seeded byte cuts and flips
 
 

@@ -422,18 +422,13 @@ def test_network_variants_swap_without_shape_changes():
 
 
 def _held_modules(module):
-    """The modules ``module`` holds: in an attribute, in a list attribute, or
-    as the ``norm`` of a held ``Conv`` or ``Affine`` (which runs that norm, but
-    whose owner registers it)."""
+    """The modules ``module`` holds: in an attribute or in a list attribute,
+    alone or in a tuple (a ``Chain``'s steps)."""
     held = []
-    for key, value in vars(module).items():
-        if key == "norm" and isinstance(module, (Conv, Affine)):
-            continue
+    for value in vars(module).values():
         for item in value if isinstance(value, list) else [value]:
-            if isinstance(item, Module):
-                held.append(item)
-                if isinstance(item, (Conv, Affine)) and item.norm is not None:
-                    held.append(item.norm)
+            held += [m for m in (item if isinstance(item, tuple) else (item,))
+                     if isinstance(m, Module)]
     return held
 
 

@@ -265,6 +265,15 @@ def test_class_weights_inverse_sqrt_frequency():
     assert w[0] < w[1] < w[2]
 
 
+@pytest.mark.parametrize("bad", [3, -1, 256])
+def test_class_weights_refuse_a_label_outside_the_classes(bad):
+    # the ignore id stays skipped; anything else must be a class
+    np.testing.assert_array_equal(class_weights([np.array([0, 255])], 3, 255),
+                                  class_weights([np.array([0])], 3, 255))
+    with pytest.raises(ValueError, match="^labels out of range$"):
+        class_weights([np.array([0, 1, 255]), np.array([2, bad])], 3, 255)
+
+
 # ----------------------------------------------------------------------- adam
 
 
