@@ -185,14 +185,14 @@ def _cmd_bound(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
-    train_loaders = _scan_loaders(cfg, "train")
-    val_loaders = _scan_loaders(cfg, "val") if cfg.data.kind == "synthetic" else []
+    train_loads = [load for _, load in _scan_loaders(cfg, "train")]
+    val_loads = ([load for _, load in _scan_loaders(cfg, "val")]
+                 if cfg.data.kind == "synthetic" else [])
     with _published(args.output, *filter(None, [args.metrics])) as (checkpoint, *metrics):
         network = SegmentationNetwork(cfg.network, seed=cfg.train.seed)
         history = train_network(
-            network, [load() for _, load in train_loaders], [load() for _, load in val_loaders],
-            epochs=cfg.train.epochs, lr=cfg.train.lr, seed=cfg.train.seed,
-            ignore_id=cfg.ignore_id, log=print)
+            network, train_loads, val_loads, epochs=cfg.train.epochs, lr=cfg.train.lr,
+            seed=cfg.train.seed, ignore_id=cfg.ignore_id, log=print)
         save_checkpoint(checkpoint, network)
         for path in metrics:
             _write_csv(path, [METRICS_HEADER, *([s.epoch, *map(float, (

@@ -10,7 +10,7 @@ the whole pipeline stays closed-form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,12 +41,12 @@ def softmax_grad_to_logits(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndar
     return probs * (grad_probs - inner)
 
 
-def class_weights(labels: Sequence[np.ndarray], num_classes: int, ignore_id: int) -> np.ndarray:
+def class_weights(labels: Iterable[np.ndarray], num_classes: int, ignore_id: int) -> np.ndarray:
     """Inverse square-root frequency weights, 1 / sqrt(f_c + 1e-3).
 
-    Frequencies are over all non-ignored labels pooled across the inputs;
-    absent classes get the maximum weight, which is harmless since they
-    never contribute terms.
+    Frequencies are over all non-ignored labels pooled across the inputs,
+    an iterable read once; absent classes get the maximum weight, which is
+    harmless since they never contribute terms.
     """
     counts = np.zeros(num_classes, dtype=np.int64)
     for arr in labels:
@@ -353,10 +353,14 @@ def _gradients(network, cloud, weights, ignore_id, dtype) -> LossReport:
     return report
 
 
+def _cloud(item: Union[PointCloud, Callable[[], PointCloud]]) -> PointCloud:
+    return item() if callable(item) else item
+
+
 def train_network(
     network: SegmentationNetwork,
-    train_clouds: Sequence[PointCloud],
-    val_clouds: Sequence[PointCloud] = (),
+    train_clouds: Sequence[Union[PointCloud, Callable[[], PointCloud]]],
+    val_clouds: Sequence[Union[PointCloud, Callable[[], PointCloud]]] = (),
     epochs: int = 10,
     lr: float = 1e-3,
     seed: int = 0,
@@ -365,13 +369,17 @@ def train_network(
 ) -> List[EpochStats]:
     """Adam over shuffled epochs; per-epoch mean losses plus validation mIoU.
 
+    Each item is a cloud or a function of no arguments returning one, loaded
+    only to count the class weights before the first step, for each of its
+    steps, or for each validation: one loaded cloud is held at a time.
+
     Fully deterministic for a fixed seed: the shuffle stream, parameter
     init (owned by the caller) and every numeric kernel are reproducible.
     """
     if not train_clouds:
         raise ValueError("no training clouds")
     weights = class_weights(
-        [c.labels for c in train_clouds], network.config.num_classes, ignore_id
+        (_cloud(c).labels for c in train_clouds), network.config.num_classes, ignore_id
     )
     optimizer = Adam(network.named_params(), lr=lr)
     history = []
@@ -380,10 +388,11 @@ def train_network(
         order = rng.permutation(len(train_clouds))
         sums = np.zeros(4)
         for i in order:
-            report = train_step(network, optimizer, train_clouds[i], weights, ignore_id)
+            report = train_step(network, optimizer, _cloud(train_clouds[i]), weights, ignore_id)
             sums += (report.voxel_ce, report.voxel_lovasz, report.point_ce, report.total)
         means = sums / len(order)
-        val_miou = evaluate_network(network, val_clouds, ignore_id)[0] if val_clouds else float("nan")
+        val_miou = (evaluate_network(network, map(_cloud, val_clouds), ignore_id)[0]
+                    if val_clouds else float("nan"))
         stats = EpochStats(epoch, means[0], means[1], means[2], means[3], val_miou)
         history.append(stats)
         if log is not None:

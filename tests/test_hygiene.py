@@ -201,6 +201,41 @@ def test_the_check_finds_folds():
     assert fold_calls(source) == [(3, "forward"), (6, None)]
 
 
+def loads_in_comprehensions(source: str):
+    """(line, name) of each call of a name that the ``for`` clauses of the
+    list, set or dict comprehension around it bind, or of a generator passed
+    to ``list`` or ``tuple``: the ``load()`` of ``[load() for _, load in
+    loaders]``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("list", "tuple")
+                and node.args and isinstance(node.args[0], ast.GeneratorExp)):
+            node = node.args[0]
+        elif not isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp)):
+            continue
+        bound = {n.id for clause in node.generators for n in ast.walk(clause.target)
+                 if isinstance(n, ast.Name)}
+        found += [(call.lineno, call.func.id) for call in ast.walk(node)
+                  if isinstance(call, ast.Call) and getattr(call.func, "id", None) in bound]
+    return sorted(found)
+
+
+def test_no_command_loads_its_scans_into_a_collection():
+    # a loader called while a collection is built loads every scan before
+    # the first is used; each command calls a loader in the loop that needs it
+    assert loads_in_comprehensions((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_the_check_finds_loads_in_comprehensions():
+    source = ("clouds = [load() for _, load in loaders]\n"
+              "d = {n: f(x) for n, (f, x) in items}\n"
+              "t = tuple(g().labels for g in makers), list(h for h in makers)\n"
+              "s = {m() for m in ms if m}\n"
+              "lazy = (load() for _, load in loaders), [load for _, load in loaders]\n"
+              "wrapped = [wrap(load) for load in loads], list(map(call, loads))\n")
+    assert loads_in_comprehensions(source) == [(1, "load"), (2, "f"), (3, "g"), (4, "m")]
+
+
 def readme_commands(text: str):
     """The arguments of each ``cylseg …`` line in the code blocks of ``text``."""
     blocks = text.split("```")[1::2]

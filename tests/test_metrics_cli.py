@@ -791,6 +791,37 @@ def test_bound_holds_one_scan_at_a_time(source, tmp_path, capsys):
     assert peaks[1] - peaks[0] < 2**20, [p / 2**20 for p in peaks]
 
 
+@pytest.mark.parametrize("source", ["files", "synthetic"])
+def test_train_holds_one_scan_at_a_time(source, tmp_path, capsys):
+    # train used to read or make every scan before its first step and keep
+    # them all for every epoch
+    points = 1 << 16
+    scan_bytes = points * (24 if source == "files" else 40)  # 1.5 or 2.5 MiB a scan
+    peaks = []
+    for count in (2, 8):
+        text = TINY_CFG.replace("train_scenes = 2", f"train_scenes = {count}")
+        text = text.replace("points = 512", f"points = {points}")
+        if source == "files":
+            scans, labels = tmp_path / f"scans{count}", tmp_path / f"labels{count}"
+            scans.mkdir()
+            labels.mkdir()
+            for i in range(count):
+                spec = SyntheticSceneSpec(seed=i, num_points=points, max_range=12.0)
+                cloud = generate_synthetic_scene(spec)
+                write_kitti_bin(scans / f"{i:06d}.bin", cloud)
+                write_kitti_labels(labels / f"{i:06d}.label", cloud.labels)
+            data = f"kind = files\nscans = {scans}\nlabels = {labels}"
+            text = text.replace("kind = synthetic", data)
+        cfg = tmp_path / f"train{count}.cfg"
+        cfg.write_text(text)
+        argv = ["train", "--config", str(cfg), "--output", str(tmp_path / "net.ckpt")]
+        with traced_memory() as memory:
+            assert main(argv) == 0
+            peaks.append(memory.peak())
+    capsys.readouterr()
+    assert peaks[1] - peaks[0] < scan_bytes, [p / 2**20 for p in peaks]
+
+
 @pytest.mark.parametrize("source", ["scans", "synthetic"])
 def test_stats_holds_one_scan_per_lane(source, tmp_path, monkeypatch, capsys):
     # stats used to read or make every scan before binning the first; one lane

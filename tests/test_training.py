@@ -488,6 +488,33 @@ def test_train_is_bitwise_reproducible():
         np.testing.assert_array_equal(runs[0][1][name], runs[1][1][name])
 
 
+def test_train_loads_each_item_only_when_a_step_or_a_validation_needs_it():
+    # train_network used to take only clouds, so its caller held every scan
+    # for the whole run; a loader is called once to count the class weights,
+    # once per step and once per validation, so a cache or a second list of
+    # loaded clouds changes the counts
+    config, _ = _tiny_setup()
+    specs = [SyntheticSceneSpec(seed=s, num_points=512, max_range=12.0) for s in range(5)]
+    calls = [0] * len(specs)
+
+    def loader(i):
+        def load():
+            calls[i] += 1
+            return generate_synthetic_scene(specs[i])
+        return load
+
+    runs = []
+    for items in ([generate_synthetic_scene(spec) for spec in specs],
+                  [loader(i) for i in range(len(specs))]):
+        net = SegmentationNetwork(config, seed=0)
+        history = train_network(net, items[:3], items[3:], epochs=2, seed=0)
+        tensors = [{n: a.tobytes() for n, a in named.items()}
+                   for named in (net.named_params(), net.named_state())]
+        runs.append((history, tensors))
+    assert runs[1] == runs[0]
+    assert calls == [3, 3, 3, 2, 2]
+
+
 def test_evaluate_network_returns_unit_interval_miou():
     config, cloud = _tiny_setup()
     net = SegmentationNetwork(config, seed=0)
