@@ -43,7 +43,6 @@ from .partition import (
     scatter_features,
 )
 from .sparse import (
-    ConvParams,
     KernelSpec,
     Rulebook,
     SparseTensor,

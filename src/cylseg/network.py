@@ -45,7 +45,6 @@ from .sparse import (
     column_sums,
     concat_features,
     in_row_blocks,
-    init_conv_params,
     inverse_conv_backward,
     inverse_conv_forward,
     leaky_relu_backward,
@@ -224,8 +223,9 @@ DOWNSAMPLE = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
 
 class Conv(Module):
     """Sparse convolution over a rulebook: submanifold, strided or inverse.
-    Like ``Affine``, it draws its weights first. It holds ``weights`` and
-    ``bias`` as ``ConvParams`` does, and hands itself to the conv kernels.
+    Like ``Affine``, it draws its weights first: Glorot-uniform, with fans
+    that include the kernel volume. It holds ``weights`` (volume, C_in,
+    C_out) and ``bias`` (C_out,), and hands itself to the conv kernels.
 
     Its rulebook comes from the pass's ``RulebookCache``, for the sites of
     ``x``. Given the tensor ``to`` that a downsampling conv of the same kernel
@@ -235,8 +235,9 @@ class Conv(Module):
 
     def __init__(self, kernel: KernelSpec, c_in, c_out, rng):
         self.kernel = kernel
-        params = init_conv_params(kernel, c_in, c_out, rng)
-        self.weights, self.bias = params.weights, params.bias
+        bound = np.sqrt(6.0 / (kernel.volume * (c_in + c_out)))
+        self.weights = rng.uniform(-bound, bound, (kernel.volume, c_in, c_out))
+        self.bias = np.zeros(c_out)
         self.declare(("weights", "bias"))
 
     def forward(self, x, cache, training, to=None):

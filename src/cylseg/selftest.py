@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import NetworkConfig, SegmentationNetwork
+from .network import Conv, NetworkConfig, SegmentationNetwork
 from .partition import CubicGridSpec, CylGridSpec, assign_cells, encode_cell_labels
 from .pointcloud import SyntheticSceneSpec, generate_synthetic_scene
 from .sparse import (
@@ -18,11 +18,9 @@ from .sparse import (
     build_rulebook,
     dense_conv_oracle,
     densify,
-    init_conv_params,
     key_coords,
     sparse_conv_forward,
     inverse_conv_forward,
-    ConvParams,
 )
 from .training import (
     Adam,
@@ -110,7 +108,8 @@ def conv_oracle_error(x: SparseTensor, kernel: KernelSpec, params) -> float:
         want = dense_conv_oracle(dense, params, kernel, mask)
         diff = densify(got) - want
         return float(np.max(np.abs(diff))) if diff.size else 0.0
-    ones = ConvParams(np.ones((kernel.volume, 1, 1)), np.zeros(1))
+    ones = Conv(kernel, 1, 1, np.random.default_rng())
+    ones.weights[...] = 1.0
     occupancy = dense_conv_oracle(mask[..., None].astype(np.float64), ones, kernel)
     expected_coords = np.argwhere(occupancy[..., 0] > 0.5)
     assert np.array_equal(got.coords, expected_coords), "strided output sites disagree"
@@ -125,7 +124,7 @@ def _check_conv_oracle():
     for kernel in NETWORK_KERNELS:
         for _ in range(6):
             x = random_sparse(rng, max_shape=(9, 9, 9), max_channels=4)
-            params = init_conv_params(kernel, x.features.shape[1], int(rng.integers(1, 5)), rng)
+            params = Conv(kernel, x.features.shape[1], int(rng.integers(1, 5)), rng)
             err = conv_oracle_error(x, kernel, params)
             assert err < 1e-10, f"{kernel}: max error {err:.3e}"
 
@@ -138,14 +137,13 @@ def _check_inverse_adjoint():
         x = random_sparse(rng, max_shape=(8, 8, 8), max_channels=4)
         c_in = x.features.shape[1]
         c_out = int(rng.integers(1, 5))
-        params = init_conv_params(kernel, c_in, c_out, rng)
+        params = Conv(kernel, c_in, c_out, rng)
         rb = build_rulebook(x, kernel)
         params.bias[...] = 0.0
         y = sparse_conv_forward(x, params, rb)
         u = y.with_features(rng.standard_normal(y.features.shape))
-        transposed = ConvParams(
-            np.ascontiguousarray(params.weights.transpose(0, 2, 1)), np.zeros(c_in)
-        )
+        transposed = Conv(kernel, c_out, c_in, np.random.default_rng())
+        transposed.weights[...] = params.weights.transpose(0, 2, 1)
         back = inverse_conv_forward(u, transposed, rb)
         lhs = float((u.features * y.features).sum())
         rhs = float((back.features * x.features).sum())

@@ -311,34 +311,6 @@ def build_rulebook(x: SparseTensor, kernel: KernelSpec) -> Rulebook:
     return Rulebook(kernel, in_coords, in_shape, out_coords, out_shape, pairs)
 
 
-@dataclass
-class ConvParams:
-    """Weights per kernel offset, (volume, C_in, C_out), plus bias (C_out,).
-
-    They are float64, except a conv's float32 weights with its batch norm
-    folded in, which ``predict``'s route builds per call. The conv kernels
-    read only these two, so a network ``Conv``, which holds them, passes itself.
-    """
-
-    weights: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        self.weights = as_features(self.weights)
-        self.bias = as_features(self.bias)
-        if self.weights.ndim != 3:
-            raise ValueError("weights must be (kernel_volume, C_in, C_out)")
-        if self.bias.shape != (self.weights.shape[2],):
-            raise ValueError("bias shape must be (C_out,)")
-
-
-def init_conv_params(kernel: KernelSpec, c_in: int, c_out: int, rng) -> ConvParams:
-    """Glorot-uniform weights (fans include the kernel volume), zero bias."""
-    bound = np.sqrt(6.0 / (kernel.volume * (c_in + c_out)))
-    weights = rng.uniform(-bound, bound, (kernel.volume, c_in, c_out))
-    return ConvParams(weights, np.zeros(c_out))
-
-
 def _check_rulebook_input(x: SparseTensor, rulebook: Rulebook) -> None:
     if x.spatial_shape != rulebook.in_shape or not np.array_equal(
         x.coords, rulebook.in_coords
@@ -469,31 +441,34 @@ def _run_conv(features, weights, bias, rulebook: Rulebook) -> np.ndarray:
     return out
 
 
-def sparse_conv_forward(
-    x: SparseTensor, params: ConvParams, rulebook: Rulebook
-) -> SparseTensor:
+def sparse_conv_forward(x: SparseTensor, params, rulebook: Rulebook) -> SparseTensor:
     """Convolution over the rulebook's pair lists, in the dtype of
-    ``x.features``; the float64 parameters are cast per call."""
+    ``x.features``. ``params`` is a network ``Conv``, or anything with its
+    float64 ``weights`` (volume, C_in, C_out) and ``bias`` (C_out,), cast
+    per call (a copy with its batch norm folded in holds them in the
+    compute dtype already). Any other shapes raise one ValueError."""
     _check_rulebook_input(x, rulebook)
-    kvol, c_in, _ = params.weights.shape
-    if kvol != rulebook.kernel.volume or c_in != x.num_channels:
-        raise ValueError("weight shape does not match kernel/input channels")
-    weights = params.weights.astype(x.features.dtype, copy=False)
+    weights, bias = params.weights, params.bias
+    if bias.ndim != 1 or weights.shape != (rulebook.kernel.volume, x.num_channels, *bias.shape):
+        raise ValueError(
+            f"conv weights {weights.shape} and bias {bias.shape} must be (kernel volume "
+            f"{rulebook.kernel.volume}, C_in {x.num_channels}, C_out) and (C_out,)"
+        )
+    weights = weights.astype(x.features.dtype, copy=False)
     result = SparseTensor.__new__(SparseTensor)
     result.coords = rulebook.out_coords
-    result.features = _run_conv(x.features, weights, params.bias, rulebook)
+    result.features = _run_conv(x.features, weights, bias, rulebook)
     result.spatial_shape = rulebook.out_shape
     return result
 
 
-def sparse_conv_backward(
-    x: SparseTensor, params: ConvParams, rulebook: Rulebook, grad_out: np.ndarray
-):
-    """Gradients of the convolution w.r.t. input features, weights and bias;
-    the input gradient is the conv's kernel run as its adjoint, in the dtype
-    of ``grad_out`` (float32 stays float32), with the float64 weights cast
-    per call. A strided ``grad_out`` (a concat's share) is copied once:
-    ``np.take`` would copy it whole per offset."""
+def sparse_conv_backward(x: SparseTensor, params, rulebook: Rulebook, grad_out: np.ndarray):
+    """Gradients of the convolution w.r.t. input features, weights and bias
+    (``params`` as in ``sparse_conv_forward``); the input gradient is the
+    conv's kernel run as its adjoint, in the dtype of ``grad_out`` (float32
+    stays float32), with the float64 weights cast per call. A strided
+    ``grad_out`` (a concat's share) is copied once: ``np.take`` would copy
+    it whole per offset."""
     grad_out = np.ascontiguousarray(as_features(grad_out))
     _, c_in, c_out = params.weights.shape
     if grad_out.shape != (rulebook.out_coords.shape[0], c_out):
@@ -511,20 +486,19 @@ def sparse_conv_backward(
     return grad_in, grad_w, column_sums(grad_out)
 
 
-def inverse_conv_forward(
-    x: SparseTensor, params: ConvParams, stored_rulebook: Rulebook
-) -> SparseTensor:
+def inverse_conv_forward(x: SparseTensor, params, stored_rulebook: Rulebook) -> SparseTensor:
     """Transposed convolution through a stored (downsampling) rulebook.
 
     ``x`` must live on the rulebook's output sites; the result lives exactly
     on the rulebook's input sites, restoring the pre-downsample coordinate
-    set. Weights are fresh parameters of shape (volume, C(x), C_out).
+    set. ``params`` is as in ``sparse_conv_forward``, its own layer's:
+    weights (volume, C(x), C_out) and bias (C_out,).
     """
     return sparse_conv_forward(x, params, stored_rulebook.transposed())
 
 
 def inverse_conv_backward(
-    x: SparseTensor, params: ConvParams, stored_rulebook: Rulebook, grad_out: np.ndarray
+    x: SparseTensor, params, stored_rulebook: Rulebook, grad_out: np.ndarray
 ):
     return sparse_conv_backward(x, params, stored_rulebook.transposed(), grad_out)
 
@@ -687,7 +661,7 @@ def densify(x: SparseTensor) -> np.ndarray:
 
 def dense_conv_oracle(
     dense: np.ndarray,
-    params: ConvParams,
+    params,
     kernel: KernelSpec,
     active_mask: Optional[np.ndarray] = None,
 ) -> np.ndarray:

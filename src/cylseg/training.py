@@ -320,8 +320,7 @@ def train_step(
     diverging run) and the loss or a gradient is not finite, the batch-norm
     running statistics are restored and the step is computed in float64.
     """
-    if cloud.labels is None:
-        raise ValueError("training clouds must carry labels")
+    _training_labels(cloud)
     state = {name: arr.copy() for name, arr in network.named_state().items()}
     with np.errstate(over="ignore", invalid="ignore"):
         report = _gradients(network, cloud, weights, ignore_id, np.float32)
@@ -357,6 +356,12 @@ def _cloud(item: Union[PointCloud, Callable[[], PointCloud]]) -> PointCloud:
     return item() if callable(item) else item
 
 
+def _training_labels(cloud: PointCloud) -> np.ndarray:
+    if cloud.labels is None:
+        raise ValueError("training clouds must carry labels")
+    return cloud.labels
+
+
 def train_network(
     network: SegmentationNetwork,
     train_clouds: Sequence[Union[PointCloud, Callable[[], PointCloud]]],
@@ -378,9 +383,8 @@ def train_network(
     """
     if not train_clouds:
         raise ValueError("no training clouds")
-    weights = class_weights(
-        (_cloud(c).labels for c in train_clouds), network.config.num_classes, ignore_id
-    )
+    labels = (_training_labels(_cloud(c)) for c in train_clouds)
+    weights = class_weights(labels, network.config.num_classes, ignore_id)
     optimizer = Adam(network.named_params(), lr=lr)
     history = []
     for epoch in range(epochs):

@@ -20,6 +20,7 @@ from cylseg.network import (
     DDCM,
     Affine,
     BatchNorm,
+    Conv,
     DownBlock,
     RefineMLP,
     RulebookCache,
@@ -48,13 +49,11 @@ from cylseg.selftest import (
     random_sparse,
 )
 from cylseg.sparse import (
-    ConvParams,
     KernelSpec,
     SparseTensor,
     batch_norm_backward,
     batch_norm_forward,
     build_rulebook,
-    init_conv_params,
     inverse_conv_backward,
     inverse_conv_forward,
     leaky_relu_backward,
@@ -96,7 +95,7 @@ def test_01_sparse_conv_matches_dense_oracle():
         for _ in range(64):
             x = random_sparse(rng, max_shape=(16, 16, 16), max_channels=8)
             c_out = int(rng.integers(1, 9))
-            params = init_conv_params(kernel, x.features.shape[1], c_out, rng)
+            params = Conv(kernel, x.features.shape[1], c_out, rng)
             worst = max(worst, conv_oracle_error(x, kernel, params))
             instances += 1
     elapsed = time.perf_counter() - start
@@ -115,7 +114,7 @@ def test_01_sparse_conv_matches_dense_oracle():
 def _fd_conv(rng, kernel):
     x = random_sparse(rng, max_shape=(6, 6, 6), max_channels=3, max_sites=14)
     c_in = x.features.shape[1]
-    params = init_conv_params(kernel, c_in, 2, rng)
+    params = Conv(kernel, c_in, 2, rng)
     rb = build_rulebook(x, kernel)
     probe = rng.standard_normal((len(rb.out_coords), 2))
 
@@ -135,7 +134,7 @@ def _fd_inverse_conv(rng):
     kernel = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
     rb = build_rulebook(x, kernel)
     u = SparseTensor(rb.out_coords, rng.standard_normal((len(rb.out_coords), 3)), rb.out_shape)
-    params = init_conv_params(kernel, 3, 2, rng)
+    params = Conv(kernel, 3, 2, rng)
     probe = rng.standard_normal((len(rb.in_coords), 2))
 
     def objective():

@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 from cylseg import partition, sparse
+from cylseg.network import Conv
 from cylseg.pointcloud import SyntheticSceneSpec, generate_synthetic_scene
 from cylseg.selftest import NETWORK_KERNELS, random_sparse
 from cylseg.sparse import (
-    ConvParams,
     SparseTensor,
     build_rulebook,
-    init_conv_params,
     inverse_conv_backward,
     sparse_conv_backward,
     sparse_conv_forward,
@@ -93,7 +92,7 @@ def _cases(rng, sites, min_channels, max_channels):
             SparseTensor(x.coords[perm], x.features[perm], x.spatial_shape)
         for inp, book in _with_inverse(rng, x, build_rulebook(x, kernel)):
             c_out = int(rng.integers(min_channels, max_channels + 1))
-            params = init_conv_params(kernel, inp.num_channels, c_out, rng)
+            params = Conv(kernel, inp.num_channels, c_out, rng)
             params.bias[:] = rng.standard_normal(c_out)
             for dtype in (np.float64, np.float32):
                 yield inp.with_features(inp.features.astype(dtype)), params, book
@@ -179,7 +178,7 @@ def _large_conv(seed):
     x = _large_sites(rng, channels=64)(NETWORK_KERNELS[1])
     x = x.with_features(x.features.astype(np.float32))
     rb = build_rulebook(x, NETWORK_KERNELS[1])
-    params = init_conv_params(rb.kernel, 64, 64, rng)
+    params = Conv(rb.kernel, 64, 64, rng)
     params.bias[:] = rng.standard_normal(64)
     assert _conv_blocks(rb, 64, 64) > 1
     return x, params, rb
@@ -220,7 +219,8 @@ def test_a_large_conv_backward_splits_with_the_input_gradient_bytes_of_one_block
     monkeypatch.setattr(sparse, "_conv_rows", lambda *a: spans.append(a[-2:]) or conv_rows(*a))
     x, params, rb = _large_conv(7)
     x = x.with_features(x.features.astype(np.float64))
-    adjoint = ConvParams(params.weights.transpose(0, 2, 1), np.zeros(64))
+    adjoint = Conv(rb.kernel, 64, 64, np.random.default_rng())
+    adjoint.weights = params.weights.transpose(0, 2, 1)
     rng = np.random.default_rng(8)
     for book in (rb, rb.transposed()):
         inp = x if book is rb else SparseTensor(
@@ -250,11 +250,11 @@ def test_conv_backward_never_runs_a_traced_forward(monkeypatch):
     x = random_sparse(rng, max_shape=(9, 9, 9))
     for kernel in NETWORK_KERNELS:
         rb = build_rulebook(x, kernel)
-        params = init_conv_params(kernel, x.num_channels, 3, rng)
+        params = Conv(kernel, x.num_channels, 3, rng)
         sparse_conv_backward(x, params, rb, rng.standard_normal((len(rb.out_coords), 3)))
         u = SparseTensor(rb.out_coords, rng.standard_normal((len(rb.out_coords), 2)),
                          rb.out_shape)
-        inverse = init_conv_params(kernel, 2, 3, rng)
+        inverse = Conv(kernel, 2, 3, rng)
         inverse_conv_backward(u, inverse, rb, rng.standard_normal((len(rb.in_coords), 3)))
     assert calls == []
     sparse.inverse_conv_forward(u, inverse, rb)
@@ -265,7 +265,7 @@ def test_a_small_conv_makes_no_pool(fresh_pool):
     rng = np.random.default_rng(9)
     x = random_sparse(rng, max_shape=(9, 9, 9))
     rb = build_rulebook(x, NETWORK_KERNELS[1])
-    params = init_conv_params(rb.kernel, x.num_channels, 4, rng)
+    params = Conv(rb.kernel, x.num_channels, 4, rng)
     sparse_conv_forward(x, params, rb)
     assert sparse._POOL is None
 

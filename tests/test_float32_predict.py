@@ -46,7 +46,6 @@ from cylseg.sparse import (
     batch_norm_forward,
     build_rulebook,
     in_row_blocks,
-    init_conv_params,
     inverse_conv_forward,
     leaky_relu_forward,
     sigmoid_forward,
@@ -81,7 +80,7 @@ def test_sparse_conv_forward_computes_in_float32(kernel):
     rng = np.random.default_rng(7)
     for _ in range(10):
         x32, x64 = _pair(rng)
-        params = init_conv_params(kernel, x32.num_channels, 5, rng)
+        params = Conv(kernel, x32.num_channels, 5, rng)
         params.bias[:] = rng.standard_normal(5)
         rb = build_rulebook(x32, kernel)
         out32 = sparse_conv_forward(x32, params, rb)
@@ -99,7 +98,7 @@ def test_inverse_conv_forward_computes_in_float32():
                            rb.out_shape)
         y32 = y64.with_features(y64.features.astype(np.float32))
         y64 = y32.with_features(y32.features.astype(np.float64))
-        params = init_conv_params(kernel, 4, 3, rng)
+        params = Conv(kernel, 4, 3, rng)
         out32 = inverse_conv_forward(y32, params, rb)
         _close(out32.features, inverse_conv_forward(y64, params, rb).features)
 

@@ -201,6 +201,35 @@ def test_the_check_finds_folds():
     assert fold_calls(source) == [(3, "forward"), (6, None)]
 
 
+def draws(source: str):
+    """(line, class, function) of each call of a ``uniform`` attribute
+    (``rng.uniform(...)``): the top-level class around it (None outside
+    one) and the innermost function, as ``calls`` names it."""
+    classes = [n for n in ast.parse(source).body if isinstance(n, ast.ClassDef)]
+    found = calls(source, lambda call: getattr(call.func, "attr", None) == "uniform")
+    return [(line, next((c.name for c in classes if c.lineno <= line <= c.end_lineno), None),
+             function) for line, function in found]
+
+
+def test_only_a_layer_draws_its_weights():
+    # a second place that drew conv weights was a second holder of them; the
+    # draws are what seeded tests and checkpoints depend on
+    found = [(name, owner, function) for name in ("sparse.py", "network.py")
+             for _, owner, function in draws((PACKAGE / name).read_text())]
+    assert found == [("network.py", "Affine", "__init__"), ("network.py", "Conv", "__init__")]
+
+
+def test_the_check_finds_draws():
+    source = ("class Conv:\n    def __init__(self, rng):\n"
+              "        self.w = rng.uniform(-1, 1, (2, 2))\n"
+              "def draw_weights(rng):\n"
+              "    return np.random.uniform(0, 1), hasattr(rng, 'uniform')\n"
+              "class NoDraw:\n    def uniform(self, low, high, size):\n        return draw\n"
+              "draw = rng.uniform\nrng.uniform(size=3)\n")
+    assert draws(source) == [(3, "Conv", "__init__"), (5, None, "draw_weights"),
+                             (10, None, None)]
+
+
 def loads_in_comprehensions(source: str):
     """(line, name) of each call of a name that the ``for`` clauses of the
     list, set or dict comprehension around it bind, or of a generator passed

@@ -6,12 +6,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from cylseg.network import BatchNorm
+from cylseg.network import BatchNorm, Conv
 from cylseg.partition import CylGridSpec, assign_cells, scatter_features
 from cylseg.selftest import NETWORK_KERNELS, conv_oracle_error, random_sparse
 from cylseg.sparse import (
     MAX_CELLS,
-    ConvParams,
     KernelSpec,
     NORM_EPS,
     NORM_MOMENTUM,
@@ -24,7 +23,6 @@ from cylseg.sparse import (
     concat_features,
     dense_conv_oracle,
     densify,
-    init_conv_params,
     inverse_conv_backward,
     inverse_conv_forward,
     key_coords,
@@ -129,11 +127,19 @@ def test_rulebook_strided_output_sites_brute_force():
 # ---------------------------------------------------------------- convolution
 
 
+def _conv_holding(kernel, weights):
+    """A ``Conv`` holding a copy of ``weights`` and a zero bias. It is drawn
+    from a throwaway generator, so the test's own draws do not shift."""
+    conv = Conv(kernel, *weights.shape[1:], np.random.default_rng())
+    conv.weights[...] = weights
+    return conv
+
+
 def test_conv_identity_kernel_passes_features_through():
     x = _tensor([[0, 0, 0], [2, 1, 0]], [[1.0, 2.0], [3.0, 4.0]], (3, 2, 1))
     kernel = KernelSpec((1, 1, 1))
     rb = build_rulebook(x, kernel)
-    params = ConvParams(np.eye(2)[None, :, :], np.zeros(2))
+    params = _conv_holding(kernel, np.eye(2)[None, :, :])
     out = sparse_conv_forward(x, params, rb)
     np.testing.assert_array_equal(out.features, x.features)
     assert out.coords is rb.out_coords
@@ -143,7 +149,7 @@ def test_conv_empty_input_gives_empty_output():
     x = _tensor(np.zeros((0, 3)), np.zeros((0, 2)), (4, 4, 4))
     kernel = KernelSpec((3, 3, 3))
     rb = build_rulebook(x, kernel)
-    params = init_conv_params(kernel, 2, 3, np.random.default_rng(0))
+    params = Conv(kernel, 2, 3, np.random.default_rng(0))
     out = sparse_conv_forward(x, params, rb)
     assert out.features.shape == (0, 3)
 
@@ -153,7 +159,7 @@ def test_conv_matches_dense_oracle_all_kernel_shapes():
     for kernel in NETWORK_KERNELS:
         for _ in range(5):
             x = random_sparse(rng, max_shape=(9, 9, 9))
-            params = init_conv_params(kernel, x.features.shape[1], 3, rng)
+            params = Conv(kernel, x.features.shape[1], 3, rng)
             assert conv_oracle_error(x, kernel, params) < 1e-10
 
 
@@ -166,7 +172,7 @@ def test_conv_is_permutation_invariant():
     xyz = rng.uniform(-6, 6, size=(400, 3))
     feats = rng.standard_normal((400, 3))
     kernel = KernelSpec((3, 3, 3))
-    params = init_conv_params(kernel, 3, 2, rng)
+    params = Conv(kernel, 3, 2, rng)
 
     def conv(order):
         x = scatter_features(feats[order], assign_cells(xyz[order], grid))
@@ -180,11 +186,33 @@ def test_conv_is_permutation_invariant():
     _rejects_out_of_order(x, rng.permutation(x.num_sites))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("weights", np.zeros((27, 2))),
+    ("weights", np.zeros((27, 3, 2))),
+    ("weights", np.zeros((9, 2, 2))),
+    ("bias", np.zeros(3)),
+    ("bias", np.zeros((2, 1))),
+    ("bias", np.zeros(1)),
+], ids=["2-D weights", "C_in 3", "volume 9", "bias (3,)", "bias (2, 1)", "bias (1,)"])
+def test_conv_refuses_weights_or_bias_of_another_shape(name, value):
+    # a (1,) or a (2, 1) bias broadcast over the two output rows and
+    # returned outputs; the others failed, each with a message of its own
+    x = _tensor([[0, 0, 0], [1, 1, 1]], [[1.0, 2.0], [3.0, 4.0]], (3, 3, 3))
+    kernel = KernelSpec((3, 3, 3))
+    rb = build_rulebook(x, kernel)
+    conv = Conv(kernel, 2, 2, np.random.default_rng(0))
+    assert sparse_conv_forward(x, conv, rb).features.shape == (2, 2)
+    setattr(conv, name, value)
+    with pytest.raises(ValueError, match=r"^conv weights \(.*\) and bias \(.*\) must be "
+                                         r"\(kernel volume 27, C_in 2, C_out\) and \(C_out,\)$"):
+        sparse_conv_forward(x, conv, rb)
+
+
 def test_conv_backward_zero_grad_gives_zero():
     rng = np.random.default_rng(24)
     x = random_sparse(rng, max_shape=(6, 6, 6))
     kernel = KernelSpec((3, 3, 3))
-    params = init_conv_params(kernel, x.features.shape[1], 2, rng)
+    params = Conv(kernel, x.features.shape[1], 2, rng)
     rb = build_rulebook(x, kernel)
     gin, gw, gb = sparse_conv_backward(x, params, rb, np.zeros((len(x.coords), 2)))
     assert not gin.any() and not gw.any() and not gb.any()
@@ -194,7 +222,7 @@ def test_conv_backward_identity_layer():
     x = _tensor([[1, 1, 1]], [[2.0, -3.0]], (3, 3, 3))
     kernel = KernelSpec((1, 1, 1))
     rb = build_rulebook(x, kernel)
-    params = ConvParams(np.eye(2)[None, :, :], np.zeros(2))
+    params = _conv_holding(kernel, np.eye(2)[None, :, :])
     grad = np.array([[0.5, 1.5]])
     gin, _, gb = sparse_conv_backward(x, params, rb, grad)
     np.testing.assert_array_equal(gin, grad)
@@ -206,7 +234,7 @@ def test_conv_backward_matches_finite_differences():
     x = random_sparse(rng, max_shape=(5, 5, 5), max_channels=3, max_sites=10)
     kernel = KernelSpec((3, 1, 3))
     c_in = x.features.shape[1]
-    params = init_conv_params(kernel, c_in, 2, rng)
+    params = Conv(kernel, c_in, 2, rng)
     rb = build_rulebook(x, kernel)
     probe = rng.standard_normal((len(rb.out_coords), 2))
 
@@ -231,8 +259,8 @@ def test_inverse_conv_restores_input_coordinates():
     kernel = KernelSpec((3, 3, 3), (2, 2, 2), "strided")
     rb = build_rulebook(x, kernel)
     c = x.features.shape[1]
-    down = sparse_conv_forward(x, init_conv_params(kernel, c, 2, rng), rb)
-    up = inverse_conv_forward(down, init_conv_params(kernel, 2, c, rng), rb)
+    down = sparse_conv_forward(x, Conv(kernel, c, 2, rng), rb)
+    up = inverse_conv_forward(down, Conv(kernel, 2, c, rng), rb)
     assert up.coords is rb.in_coords
     assert up.spatial_shape == x.spatial_shape
 
@@ -247,10 +275,10 @@ def test_inverse_conv_is_adjoint_of_forward():
     w = rng.standard_normal((kernel.volume, c_in, 2))
     u = rng.standard_normal((len(rb.out_coords), 2))
 
-    fwd = sparse_conv_forward(x, ConvParams(w, np.zeros(2)), rb)
+    fwd = sparse_conv_forward(x, _conv_holding(kernel, w), rb)
     back = inverse_conv_forward(
         SparseTensor(rb.out_coords, u, rb.out_shape),
-        ConvParams(w.transpose(0, 2, 1), np.zeros(c_in)),
+        _conv_holding(kernel, w.transpose(0, 2, 1)),
         rb,
     )
     lhs = float((u * fwd.features).sum())
@@ -294,7 +322,7 @@ def test_inverse_conv_is_forward_over_transposed_rulebook_bitwise():
         x = random_sparse(rng, max_shape=(10, 10, 10), max_channels=5)
         rb = build_rulebook(x, kernel)
         u = SparseTensor(rb.out_coords, rng.standard_normal((len(rb.out_coords), 3)), rb.out_shape)
-        params = init_conv_params(kernel, 3, 4, rng)
+        params = Conv(kernel, 3, 4, rng)
         params.bias[:] = rng.standard_normal(4)
         grad = rng.standard_normal((len(rb.in_coords), 4))
         got = inverse_conv_forward(u, params, rb)
@@ -568,7 +596,7 @@ def test_centre_offset_fast_path_equals_gather_gemm_scatter_bitwise():
             rb = build_rulebook(x, kernel)
             assert rb.identity_offset == kernel.volume // 2
             c_out = int(rng.integers(1, 6))
-            params = init_conv_params(kernel, x.num_channels, c_out, rng)
+            params = Conv(kernel, x.num_channels, c_out, rng)
             params.bias[:] = rng.standard_normal(c_out)
             grad = rng.standard_normal((x.num_sites, c_out))
             ref_out, ref_grads = _gather_gemm_scatter(x, params, rb, grad)
@@ -604,7 +632,7 @@ def test_conv_backward_equals_the_hand_written_loop_bitwise():
                              back.in_shape)
             for inp, book in ((x, rb), (u, back)):
                 c_out = int(rng.integers(1, 6))
-                params = init_conv_params(kernel, inp.num_channels, c_out, rng)
+                params = Conv(kernel, inp.num_channels, c_out, rng)
                 grad = rng.standard_normal((len(book.out_coords), c_out))
                 ref = _hand_written_conv_backward(inp, params, book, grad)
                 got = sparse_conv_backward(inp, params, book, grad)
@@ -634,7 +662,7 @@ def test_conv_backward_computes_in_the_dtype_of_grad_out(inverse):
                          rb.out_shape)
     else:
         back, book = sparse_conv_backward, rb
-    params = init_conv_params(kernel, x.num_channels, 5, rng)
+    params = Conv(kernel, x.num_channels, 5, rng)
     x32 = x.with_features(x.features.astype(np.float32))
     x64 = x.with_features(x32.features.astype(np.float64))
     grad = rng.standard_normal((len(book.out_coords), 5)).astype(np.float32)
@@ -967,7 +995,7 @@ def test_dense_oracle_impulse_response():
     # an impulse at q spreads W[k] to q + offset_k
     kernel = KernelSpec((3, 3, 3))
     rng = np.random.default_rng(33)
-    params = init_conv_params(kernel, 1, 1, rng)
+    params = Conv(kernel, 1, 1, rng)
     dense = np.zeros((5, 5, 5, 1))
     q = (2, 2, 2)
     dense[q] = 1.0

@@ -515,6 +515,21 @@ def test_train_loads_each_item_only_when_a_step_or_a_validation_needs_it():
     assert calls == [3, 3, 3, 2, 2]
 
 
+@pytest.mark.parametrize("lazy", [False, True], ids=["cloud", "loader"])
+def test_train_refuses_an_unlabelled_cloud_before_its_first_step(lazy):
+    # the class weights' count met the missing labels first and failed with
+    # a TypeError; the count and every step make one check
+    config, cloud = _tiny_setup()
+    unlabelled = PointCloud(np.ones((4, 3)), np.zeros(4), None)
+    net = SegmentationNetwork(config, seed=0)
+    before = {n: a.tobytes() for n, a in net.named_params().items()}
+    with pytest.raises(ValueError, match="^training clouds must carry labels$"):
+        train_network(net, [cloud, (lambda: unlabelled) if lazy else unlabelled], epochs=1)
+    assert {n: a.tobytes() for n, a in net.named_params().items()} == before
+    with pytest.raises(ValueError, match="^training clouds must carry labels$"):
+        train_step(net, Adam(net.named_params()), unlabelled)
+
+
 def test_evaluate_network_returns_unit_interval_miou():
     config, cloud = _tiny_setup()
     net = SegmentationNetwork(config, seed=0)
