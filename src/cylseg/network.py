@@ -68,7 +68,7 @@ def point_input_features(
     where (rho_c, theta_c, z_c) is the center of the point's cell.
     """
     cyl = cart_to_cyl(xyz)
-    centers = grid.cell_centers(mapping.cells)[mapping.point_site]
+    centers = grid.cell_centers(mapping.cells).take(mapping.point_site, axis=0)
     return np.hstack([cyl - centers, cyl, xyz[:, 0:2], intensity[:, None]])
 
 
@@ -542,7 +542,7 @@ class SegmentationNetwork(Module):
         for i in reversed(range(config.stages)):
             x, c_ups[i] = kept(self.ups[i].forward(x, skips.pop(), cache, training))
         logits, c_head = kept(self.head.forward(x, cache, training))
-        gathered = logits.features[mapping.point_site]
+        gathered = logits.features.take(mapping.point_site, axis=0)
         refine_in = np.hstack([gathered, h])
         point_logits, c_refine = kept(self.refine.forward(refine_in, training=training))
         ctx = (winners, c_mlp, c_downs, c_ddcm, c_ups, c_head, c_refine) if training else None
@@ -566,8 +566,11 @@ class SegmentationNetwork(Module):
 
         dtype = result.point_logits.dtype
         g_refine_in = self.refine.backward(np.asarray(grad_point, dtype=dtype), c_refine)
-        g_logits = np.array(grad_voxel, dtype=dtype)
-        np.add.at(g_logits, mapping.point_site, g_refine_in[:, :k])
+        # one 1-D add.at, numpy's fast path, adds each element's terms in
+        # point order as the 2-D one does
+        g_logits = np.array(grad_voxel, dtype=dtype, order="C")
+        flat = (mapping.point_site[:, None] * k + np.arange(k)).reshape(-1)
+        np.add.at(g_logits.reshape(-1), flat, g_refine_in[:, :k].reshape(-1))
         g_h = g_refine_in[:, k:].copy()
         del g_refine_in
 

@@ -226,9 +226,18 @@ class VoxelMapping:
     def grouping(self):
         """The points grouped by cell, made once per mapping: the stable
         argsort of ``point_site``, each cell's point count, and where each
-        cell's run of points starts in that order."""
-        order = np.argsort(self.point_site, kind="stable")
-        counts = np.bincount(self.point_site, minlength=self.num_cells)
+        cell's run of points starts in that order.
+
+        A stable sort's permutation is unique, and numpy sorts 16-bit keys
+        stably by radix: so the points are sorted by the low 16 bits of their
+        site, then, above 2^16 cells, stably by the high 16 bits of the sites
+        in that order (sites stay below ``MAX_CELLS`` = 2^28)."""
+        site = self.point_site
+        order = np.argsort(site.astype(np.uint16), kind="stable")
+        if self.num_cells > 1 << 16:
+            high = (site.take(order) >> 16).astype(np.uint16)
+            order = order.take(np.argsort(high, kind="stable"))
+        counts = np.bincount(site, minlength=self.num_cells)
         return order, counts, np.cumsum(counts) - counts
 
 
@@ -280,7 +289,7 @@ def scatter_features(point_features: np.ndarray, mapping: VoxelMapping) -> Spars
     if feats.ndim != 2 or feats.shape[0] != mapping.point_site.shape[0]:
         raise ValueError("feature rows must match the mapped point count")
     order, _, starts = mapping.grouping
-    out = np.maximum.reduceat(feats[order], starts, axis=0)
+    out = np.maximum.reduceat(feats.take(order, axis=0), starts, axis=0)
     return SparseTensor(mapping.cells, out, mapping.spatial_shape)
 
 
@@ -294,7 +303,7 @@ def scatter_max_winners(
     to the point latest in storage order, which only pins determinism.
     """
     order, counts, starts = mapping.grouping
-    grouped = as_features(point_features)[order]
+    grouped = as_features(point_features).take(order, axis=0)
     rows = np.arange(len(order))[:, None]
     is_max = grouped == np.repeat(cell_max, counts, axis=0)
     return order[np.maximum.reduceat(np.where(is_max, rows, -1), starts, axis=0)]

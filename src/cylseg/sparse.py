@@ -81,16 +81,22 @@ def check_shape(shape) -> Tuple[int, int, int]:
     return shape
 
 
+def rank_table(keys: np.ndarray, cells: int) -> np.ndarray:
+    """An int32 table over ``cells`` cells giving each of the distinct, ascending
+    ``keys`` its index among them. Only the entries at ``keys`` are written;
+    the rest of the table is left unset, so its untouched pages cost nothing."""
+    rank = np.empty(cells, dtype=np.int32)
+    rank[keys] = np.arange(keys.size, dtype=np.int32)
+    return rank
+
+
 def occupied_keys(keys: np.ndarray, cells: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct ``keys`` (each in [0, cells)) in ascending order, and an
-    int32 table giving each of them its rank there. Only the entries at
-    ``keys`` are written; the rest of the table is left unset."""
+    """The distinct ``keys`` (each in [0, cells)) in ascending order, and their
+    ``rank_table``."""
     seen = np.zeros(cells, dtype=bool)
     seen[keys] = True
     distinct = np.flatnonzero(seen)
-    rank = np.empty(cells, dtype=np.int32)
-    rank[distinct] = np.arange(distinct.size, dtype=np.int32)
-    return distinct, rank
+    return distinct, rank_table(distinct, cells)
 
 
 def _flatten_coords(coords: np.ndarray, shape: Sequence[int]) -> np.ndarray:
@@ -226,11 +232,14 @@ class Rulebook:
         )
 
 
-def _neighbours(coords, keys, shape, offset) -> Tuple[np.ndarray, np.ndarray]:
+def _neighbours(coords, keys, rank, shape, offset) -> Tuple[np.ndarray, np.ndarray]:
     """The pairs (i -> j) with ``coords[i] + offset == coords[j]`` of a valid
-    site set with flat ``keys``, ascending in both i and j."""
+    site set with flat ``keys`` and their ``rank_table``, ascending in both i
+    and j. Each shifted key's rank is read from the table, clamped into
+    ``[0, M)`` as unsigned, and kept only where the key at that rank is the
+    shifted key: an unset entry may hold anything."""
     m = coords.shape[0]
-    if offset == (0, 0, 0):
+    if offset == (0, 0, 0) or m == 0:
         every = np.arange(m)
         return every, every
     valid = np.ones(m, dtype=bool)
@@ -242,9 +251,10 @@ def _neighbours(coords, keys, shape, offset) -> Tuple[np.ndarray, np.ndarray]:
     src = np.nonzero(valid)[0]
     _, w, l = shape
     tkeys = keys[src] + ((offset[0] * w + offset[1]) * l + offset[2])
-    pos = np.minimum(np.searchsorted(keys, tkeys), m - 1)
-    found = keys[pos] == tkeys
-    return src[found], pos[found]
+    pos = rank.take(tkeys).view(np.uint32)
+    np.minimum(pos, m - 1, out=pos)
+    found = keys.take(pos) == tkeys
+    return src[found], pos[found].astype(np.int64)
 
 
 def build_rulebook(x: SparseTensor, kernel: KernelSpec) -> Rulebook:
@@ -267,7 +277,8 @@ def build_rulebook(x: SparseTensor, kernel: KernelSpec) -> Rulebook:
         # offsets[V-1-k] == -offsets[k], and a pair (i -> j) of d is the pair
         # (j -> i) of -d: each list past the centre is an earlier one swapped
         keys = _flatten_coords(in_coords, in_shape)
-        half = [_neighbours(in_coords, keys, in_shape, tuple(d.tolist()))
+        rank = rank_table(keys, math.prod(in_shape))
+        half = [_neighbours(in_coords, keys, rank, in_shape, tuple(d.tolist()))
                 for d in offsets[: kernel.volume // 2 + 1]]
         pairs = half + [(j, i) for i, j in reversed(half[:-1])]
         return Rulebook(
@@ -312,8 +323,10 @@ def build_rulebook(x: SparseTensor, kernel: KernelSpec) -> Rulebook:
 
 
 def _check_rulebook_input(x: SparseTensor, rulebook: Rulebook) -> None:
-    if x.spatial_shape != rulebook.in_shape or not np.array_equal(
-        x.coords, rulebook.in_coords
+    # a cached rulebook gets the very coords array it was built from: only
+    # another array is compared element by element
+    if x.spatial_shape != rulebook.in_shape or not (
+        x.coords is rulebook.in_coords or np.array_equal(x.coords, rulebook.in_coords)
     ):
         raise ValueError("tensor sites do not match the rulebook's input sites")
 
@@ -405,39 +418,49 @@ def in_row_blocks(rows: int, macs: int, work) -> None:
     in_lanes(lambda b: work(edges[b], edges[b + 1]), range(blocks))
 
 
-def _conv_rows(features, weights, bias, rulebook: Rulebook, out, lo: int, hi: int) -> None:
+def _conv_rows(features, weights, bias, rulebook: Rulebook, out, lo: int, hi: int,
+               gathered=None) -> None:
     """Output rows ``lo:hi`` of the convolution, written into ``out``: the
     offsets in ascending order, each on its pairs whose output site lies in
-    the block, a slice of its ascending ``out_idx``. Rows move by ``np.take``
-    and are stored whole through a view of each row of ``out`` as one item,
-    which costs less per row than fancy indexing on narrow rows; the sums
-    are ``out[dst] += prod``'s."""
+    the block, a slice of its ascending ``out_idx`` (its whole lists when the
+    block is the whole output). Rows move by ``take`` and are stored whole
+    through a view of each row of ``out`` as one item, which costs less per
+    row than fancy indexing on narrow rows; the sums are ``out[dst] +=
+    prod``'s. In a whole-output block, ``gathered(k, out_idx, src)`` is then
+    given each gathered offset's rows ``src`` of ``features``."""
     block = out[lo:hi]
     block[:] = bias
     row = np.dtype((np.void, out.shape[1] * out.itemsize))
     rows = out.view(row)
+    whole = lo == 0 and hi == len(out)
     for k, (in_idx, out_idx) in enumerate(rulebook.pairs):
         if k == rulebook.identity_offset:
             block += features[lo:hi] @ weights[k]
             continue
-        first, last = out_idx.searchsorted((lo, hi)).tolist()
-        if last > first:
-            dst = out_idx[first:last]
-            acc = np.take(out, dst, axis=0)
-            acc += np.take(features, in_idx[first:last], axis=0) @ weights[k]
-            rows[dst] = acc.view(row)
+        if not whole:
+            first, last = out_idx.searchsorted((lo, hi)).tolist()
+            in_idx, out_idx = in_idx[first:last], out_idx[first:last]
+        if out_idx.size:
+            src = features.take(in_idx, axis=0)
+            acc = out.take(out_idx, axis=0)
+            acc += src @ weights[k]
+            rows[out_idx] = acc.view(row)
+            if whole and gathered is not None:
+                gathered(k, out_idx, src)
 
 
-def _run_conv(features, weights, bias, rulebook: Rulebook) -> np.ndarray:
+def _run_conv(features, weights, bias, rulebook: Rulebook, gathered=None) -> np.ndarray:
     """The gather-GEMM-scatter kernel: output rows in the dtype of
     ``features``, offsets accumulated in ascending order (the identity
     offset's GEMM on the whole feature array, with the same sums). A large
     conv runs in blocks of output rows (``in_row_blocks``), spread over the
-    CPUs; the bytes do not depend on how many."""
+    CPUs; the bytes do not depend on how many. ``gathered`` is as in
+    ``_conv_rows``, called only when the conv runs as one block."""
     _, c_in, c_out = weights.shape
     out = np.empty((rulebook.out_coords.shape[0], c_out), dtype=features.dtype)
     in_row_blocks(len(out), rulebook.num_pairs * c_in * c_out,
-                  lambda lo, hi: _conv_rows(features, weights, bias, rulebook, out, lo, hi))
+                  lambda lo, hi: _conv_rows(features, weights, bias, rulebook, out, lo, hi,
+                                            gathered))
     return out
 
 
@@ -467,22 +490,32 @@ def sparse_conv_backward(x: SparseTensor, params, rulebook: Rulebook, grad_out: 
     (``params`` as in ``sparse_conv_forward``); the input gradient is the
     conv's kernel run as its adjoint, in the dtype of ``grad_out`` (float32
     stays float32), with the float64 weights cast per call. A strided
-    ``grad_out`` (a concat's share) is copied once: ``np.take`` would copy
-    it whole per offset."""
+    ``grad_out`` (a concat's share) is copied once: ``take`` would copy it
+    whole per offset.
+
+    When the input gradient runs as one block, each offset's weight gradient
+    is made from the rows of ``grad_out`` that the kernel gathered for it;
+    a conv in several blocks gathers them again, whole, in a loop of its own,
+    since summing per-block products would change the bytes."""
     grad_out = np.ascontiguousarray(as_features(grad_out))
     _, c_in, c_out = params.weights.shape
     if grad_out.shape != (rulebook.out_coords.shape[0], c_out):
         raise ValueError("grad_out shape mismatch")
     adjoint = params.weights.transpose(0, 2, 1).astype(grad_out.dtype, copy=False)
     zero = np.zeros(c_in, dtype=grad_out.dtype)
-    grad_in = _run_conv(grad_out, adjoint, zero, rulebook.transposed())
     grad_w = np.zeros_like(params.weights)
+    made = set()
+
+    def weight_grad(k, in_idx, rows):
+        grad_w[k] = x.features.take(in_idx, axis=0).T @ rows
+        made.add(k)
+
+    grad_in = _run_conv(grad_out, adjoint, zero, rulebook.transposed(), weight_grad)
     for k, (in_idx, out_idx) in enumerate(rulebook.pairs):
         if k == rulebook.identity_offset:
             grad_w[k] = x.features.T @ grad_out
-        elif in_idx.size:
-            rows = np.take(x.features, in_idx, axis=0)
-            grad_w[k] = rows.T @ np.take(grad_out, out_idx, axis=0)
+        elif in_idx.size and k not in made:
+            weight_grad(k, in_idx, grad_out.take(out_idx, axis=0))
     return grad_in, grad_w, column_sums(grad_out)
 
 
@@ -637,7 +670,9 @@ def sigmoid_backward(grad_out: np.ndarray, ctx):
 
 
 def _check_same_sites(x: SparseTensor, y: SparseTensor) -> None:
-    if x.spatial_shape != y.spatial_shape or not np.array_equal(x.coords, y.coords):
+    if x.spatial_shape != y.spatial_shape or not (
+        x.coords is y.coords or np.array_equal(x.coords, y.coords)
+    ):
         raise ValueError("operands live on different site sets")
 
 

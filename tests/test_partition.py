@@ -20,6 +20,7 @@ from cylseg.partition import (
     occupancy_by_distance,
     scatter_features,
     scatter_max_winners,
+    VoxelMapping,
     _count_in_bins,
 )
 from cylseg.pointcloud import (
@@ -29,7 +30,7 @@ from cylseg.pointcloud import (
     read_kitti_bin,
     write_kitti_bin,
 )
-from cylseg.sparse import MAX_CELLS
+from cylseg.sparse import MAX_CELLS, key_coords
 from helpers import cell_points, traced_memory
 
 
@@ -333,6 +334,29 @@ def test_pooling_and_its_winners_share_one_grouping_sort(monkeypatch):
     assert len(sorts) == 1
     np.testing.assert_array_equal(feats[winners, np.arange(3)], pooled.features)
     assert all(np.all(mapping.point_site[c] == site) for site, c in enumerate(cells))
+
+
+@pytest.mark.parametrize("cells", [1, 1000, 1 << 16, (1 << 16) + 1, 300_000])
+def test_grouping_equals_the_stable_argsort_of_the_sites(cells, monkeypatch):
+    # one radix pass over the low 16 bits of the sites, and a second over
+    # their high 16 bits above 2^16 cells; sites sharing their low bits come
+    # in descending order too
+    rng = np.random.default_rng(cells)
+    same_low = np.arange(5, cells, 1 << 16)
+    site = np.concatenate([rng.integers(0, cells, 20_000), [0, cells - 1, cells - 1, 0],
+                           same_low[::-1], same_low])
+    shape = (cells, 1, 1)
+    mapping = VoxelMapping(site, key_coords(np.arange(cells), shape), shape)
+    want = np.argsort(site, kind="stable")
+    want_counts = np.bincount(site, minlength=cells)
+    sorted_dtypes, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort",
+                        lambda a, **kw: sorted_dtypes.append(a.dtype) or argsort(a, **kw))
+    order, counts, starts = mapping.grouping
+    assert sorted_dtypes == [np.uint16] * (1 if cells <= 1 << 16 else 2)
+    assert order.dtype == want.dtype and order.tobytes() == want.tobytes()
+    assert counts.dtype == want_counts.dtype and counts.tobytes() == want_counts.tobytes()
+    assert starts.tobytes() == (np.cumsum(want_counts) - want_counts).tobytes()
 
 
 def test_empty_cloud_gives_empty_mapping():

@@ -414,12 +414,35 @@ def _rejects_out_of_order(x, perm):
             SparseTensor(x.coords[perm], x.features[perm], x.spatial_shape)
 
 
+def _edge_site_sets(rng):
+    """No site, one site, every cell on the six faces of a grid, and 20 sites
+    on a 2^26-cell grid: five around each of its first cell, the cell before
+    its last and two random cells."""
+    yield _tensor(np.zeros((0, 3)), np.zeros((0, 2)), (4, 5, 6))
+    yield _tensor([[2, 0, 3]], rng.standard_normal((1, 2)), (3, 1, 7))
+    shape = (5, 6, 7)
+    cells = key_coords(np.arange(math.prod(shape)), shape)
+    faces = cells[((cells == 0) | (cells == np.array(shape) - 1)).any(axis=1)]
+    yield _tensor(faces, rng.standard_normal((len(faces), 2)), shape)
+    shape = (1 << 10, 1 << 8, 1 << 8)
+    anchors = [[0, 0, 0], [s - 2 for s in shape]]
+    anchors += [[int(rng.integers(0, s - 1)) for s in shape] for _ in range(2)]
+    steps = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+    keys = np.unique(np.ravel_multi_index((np.array(anchors)[:, None] + steps).reshape(-1, 3).T,
+                                          shape))
+    assert math.prod(shape) == 1 << 26 and len(keys) == 20
+    yield _tensor(key_coords(keys, shape), rng.standard_normal((20, 2)), shape)
+
+
 def _site_sets(seed, count=12):
-    """Random site sets from sparse to dense, each in ascending key order;
-    each shuffled is rejected."""
+    """Random site sets from sparse to dense, then the four edge sets, each in
+    ascending key order; each shuffled is rejected."""
     rng = np.random.default_rng(seed)
     for i in range(count):
         x = random_sparse(rng, max_shape=(9, 9, 9), max_channels=3, max_sites=10 + 60 * i)
+        yield x
+        _rejects_out_of_order(x, rng.permutation(x.num_sites))
+    for x in _edge_site_sets(rng):
         yield x
         _rejects_out_of_order(x, rng.permutation(x.num_sites))
 
@@ -515,6 +538,38 @@ def test_wide_and_mixed_stride_builds_equal_the_reference(shape):
             _assert_same_rulebook(build_rulebook(x, kernel), _old_build_rulebook(coords, shape, kernel))
 
 
+@pytest.mark.parametrize("fill", ["bits", "ranks"])
+def test_rulebooks_do_not_depend_on_what_fresh_arrays_hold(monkeypatch, fill):
+    # np.empty's contents are unspecified: an unset entry of a rank table may
+    # hold any int32 ("bits"), or the rank of another site ("ranks")
+    # drawn beforehand, since a generator makes its output with np.empty
+    rng = np.random.default_rng(71)
+    bits = np.frombuffer(rng.bytes((1 << 22) + 4096), np.uint8)
+    ranks = rng.integers(-3, 700, (1 << 20) + 1024, dtype=np.int32)
+    empty, made = np.empty, []
+
+    def filled(shape, dtype=float, *args, **kwargs):
+        out = empty(shape, dtype, *args, **kwargs)
+        made.append(out.dtype)
+        start = 7 * len(made) % 1024
+        if fill == "ranks" and out.dtype == np.int32:
+            out.reshape(-1)[:] = ranks[start : start + out.size]
+        else:
+            out.reshape(-1).view(np.uint8)[:] = bits[4 * start : 4 * start + out.nbytes]
+        return out
+
+    # the 2^26-cell grid is left out: its whole table would be filled
+    sets = [x for x in _site_sets(72) if math.prod(x.spatial_shape) < 1 << 20]
+    for x in sets:
+        for kernel in WIDE_KERNELS + list(NETWORK_KERNELS):
+            reference = _old_build_rulebook(x.coords, x.spatial_shape, kernel)
+            with monkeypatch.context() as patched:
+                patched.setattr(np, "empty", filled)
+                rb = build_rulebook(x, kernel)
+            _assert_same_rulebook(rb, reference)
+    assert np.dtype(np.int32) in made
+
+
 def test_submanifold_lists_past_the_centre_are_their_mirrors_swapped():
     # offsets[V-1-k] == -offsets[k], and a pair (i -> j) of d is (j -> i) of -d
     kernels = [k for k in WIDE_KERNELS + list(NETWORK_KERNELS) if k.mode == "submanifold"]
@@ -543,7 +598,7 @@ def test_every_rulebook_keeps_both_pair_lists_ascending(monkeypatch):
         for kernel in NETWORK_KERNELS:
             _assert_ascending(build_rulebook(x, kernel))
             books += 1
-    assert books == 20 * len(NETWORK_KERNELS)
+    assert books == (20 + 4) * len(NETWORK_KERNELS)
 
     fetched = []
 
@@ -980,6 +1035,32 @@ def test_concat_stacks_channels():
     y = _tensor([[0, 0, 0]], [[3.0]], (2, 2, 2))
     out = concat_features(x, y)
     np.testing.assert_array_equal(out.features, [[1.0, 2.0, 3.0]])
+
+
+def test_conv_and_concat_compare_any_other_coords_array_in_full():
+    # only the very coords array a conv's rulebook or a concat's other operand
+    # holds skips the element compare; the spatial shape is compared always
+    rng = np.random.default_rng(73)
+    x = _tensor([[0, 0, 0], [1, 1, 0], [1, 2, 1]], rng.standard_normal((3, 2)), (2, 3, 2))
+    kernel = KernelSpec(3)
+    rb = build_rulebook(x, kernel)
+    params = Conv(kernel, 2, 2, rng)
+    copy = SparseTensor(x.coords.copy(), x.features, x.spatial_shape)
+    assert copy.coords is not x.coords
+    want = sparse_conv_forward(x, params, rb).features
+    assert sparse_conv_forward(copy, params, rb).features.tobytes() == want.tobytes()
+    for y, z in ((x, copy), (copy, x)):
+        np.testing.assert_array_equal(concat_features(y, z).features,
+                                      np.hstack([x.features, x.features]))
+    other = _tensor([[0, 0, 0], [1, 1, 0], [1, 2, 0]], x.features, x.spatial_shape)
+    reshaped = SparseTensor(x.coords, x.features, (3, 3, 2))
+    assert reshaped.coords is x.coords
+    for bad in (other, reshaped):
+        with pytest.raises(ValueError, match="tensor sites do not match"):
+            sparse_conv_forward(bad, params, rb)
+        for y, z in ((x, bad), (bad, x)):
+            with pytest.raises(ValueError, match="different site sets"):
+                concat_features(y, z)
 
 
 # --------------------------------------------------------- densify and oracle
