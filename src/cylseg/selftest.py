@@ -29,7 +29,6 @@ from .training import (
     lovasz_softmax,
     segmentation_loss,
     softmax,
-    softmax_grad_to_logits,
     train_step,
     weighted_cross_entropy,
 )
@@ -168,7 +167,7 @@ def _check_lovasz_oracle():
 
 def _check_ce_values():
     logits = np.zeros((5, 4))
-    value, _ = weighted_cross_entropy(logits, np.array([0, 1, 2, 3, 1]))
+    value, _, _ = weighted_cross_entropy(logits, np.array([0, 1, 2, 3, 1]))
     assert abs(value - np.log(4.0)) < 1e-12, value
     report = segmentation_loss(logits, np.full(5, 255), logits[:2], np.full(2, 255))
     assert report.total == 0.0, "all-ignored rows must cost 0"
@@ -182,7 +181,7 @@ def _check_loss_gradients():
     weights = np.array([1.0, 2.0, 0.5])
     arrays = {"logits": logits}
 
-    _, g = weighted_cross_entropy(logits, targets, weights)
+    _, g, _ = weighted_cross_entropy(logits, targets, weights)
     err = finite_diff_check(
         lambda: weighted_cross_entropy(arrays["logits"], targets, weights)[0],
         arrays,
@@ -194,9 +193,7 @@ def _check_loss_gradients():
         p = softmax(arrays["logits"])
         return lovasz_softmax(p, targets)[0]
 
-    p = softmax(logits)
-    _, gp = lovasz_softmax(p, targets)
-    gz = softmax_grad_to_logits(p, gp)
+    _, gz = lovasz_softmax(softmax(logits), targets)
     err = finite_diff_check(lovasz_total, arrays, {"logits": gz})
     assert err < 1e-6, f"lovasz gradient error {err:.3e}"
 

@@ -20,25 +20,20 @@ from .partition import encode_cell_labels
 from .pointcloud import PointCloud
 
 
-def _shifted_exp(logits: np.ndarray):
-    """``(z, exp(z), sum of exp(z) per row)`` for float64 logits shifted so
-    each row's maximum is 0."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return z, e, e.sum(axis=1, keepdims=True)
+def _shifted_softmax(logits: np.ndarray):
+    """``(z, softmax, sum of exp(z) per row)`` for a float64 copy ``z`` of the
+    logits shifted so each row's maximum is 0."""
+    z = np.array(logits, dtype=np.float64)
+    z -= z.max(axis=1, keepdims=True)
+    p = np.exp(z)
+    total = p.sum(axis=1, keepdims=True)
+    p /= total
+    return z, p, total
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, shifted for stability."""
-    _, e, total = _shifted_exp(logits)
-    return e / total
-
-
-def softmax_grad_to_logits(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
-    """Chain a gradient w.r.t. probabilities back through the softmax."""
-    inner = (grad_probs * probs).sum(axis=1, keepdims=True)
-    return probs * (grad_probs - inner)
+    return _shifted_softmax(logits)[1]
 
 
 def class_weights(labels: Iterable[np.ndarray], num_classes: int, ignore_id: int) -> np.ndarray:
@@ -50,7 +45,7 @@ def class_weights(labels: Iterable[np.ndarray], num_classes: int, ignore_id: int
     """
     counts = np.zeros(num_classes, dtype=np.int64)
     for arr in labels:
-        arr = np.asarray(arr)
+        arr = _integers("class_weights", np.asarray(arr))
         kept = arr[arr != ignore_id]
         if kept.size and (kept.min() < 0 or kept.max() >= num_classes):
             raise ValueError("labels out of range")
@@ -60,12 +55,30 @@ def class_weights(labels: Iterable[np.ndarray], num_classes: int, ignore_id: int
     return 1.0 / np.sqrt(freq + 1e-3)
 
 
-def _labelled_targets(loss: str, targets, num_classes: int) -> np.ndarray:
-    """``targets`` as int64; ``loss`` refuses no rows or a target outside the classes."""
-    t = np.asarray(targets, dtype=np.int64)
+def _integers(loss: str, labels: np.ndarray) -> np.ndarray:
+    """``labels``; ``loss`` refuses them unless their dtype is an integer one."""
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"{loss} needs integer labels, got {labels.dtype}")
+    return labels
+
+
+def _row_targets(loss: str, rows, targets) -> np.ndarray:
+    """``targets`` as an array; ``loss`` refuses ``rows`` not shaped (rows,
+    classes) with one row per target, or targets that are not integers."""
+    t = np.asarray(targets)
+    if np.ndim(rows) != 2 or t.shape != np.shape(rows)[:1]:
+        raise ValueError(f"{loss} needs a (rows, classes) array with one row per target, "
+                         f"got {np.shape(rows)} and {t.shape} targets")
+    return _integers(loss, t)
+
+
+def _labelled_targets(loss: str, rows, targets) -> np.ndarray:
+    """``targets`` as int64 after ``_row_targets``' checks; ``loss`` also
+    refuses no rows or a target outside the classes."""
+    t = _row_targets(loss, rows, targets).astype(np.int64, copy=False)
     if t.size == 0:
         raise ValueError(f"{loss} needs at least one labelled row")
-    if t.min() < 0 or t.max() >= num_classes:
+    if t.min() < 0 or t.max() >= np.shape(rows)[1]:
         raise ValueError("targets out of range")
     return t
 
@@ -74,25 +87,27 @@ def weighted_cross_entropy(
     logits: np.ndarray, targets: np.ndarray, weights: Optional[np.ndarray] = None
 ):
     """Class-weighted cross-entropy over labelled rows (no rows, or a target
-    outside the classes, is refused), normalized by the summed target weights.
+    outside the classes, is refused), normalized by the summed target weights;
+    ``weights`` holds one finite, positive weight per class.
 
-    Returns (value, grad_logits). Each row's ``-log p_t`` is ``log sum exp(z
-    - max) - (z_t - max)``, which stays finite where ``p_t`` underflows to 0
-    (a target logit more than about 745 below the row's maximum).
+    Returns (value, grad_logits, softmax of the logits). Each row's ``-log
+    p_t`` is ``log sum exp(z - max) - (z_t - max)``, finite where ``p_t``
+    underflows to 0 (a target logit more than about 745 below the row's max).
     """
+    t = _labelled_targets("weighted_cross_entropy", logits, targets)
     k = np.shape(logits)[1]
-    t = _labelled_targets("weighted_cross_entropy", targets, k)
-    if weights is None:
-        weights = np.ones(k)
-    z, e, total = _shifted_exp(logits)
-    p = e / total
+    weights = np.ones(k) if weights is None else np.asarray(weights)
+    if weights.shape != (k,) or not (np.isfinite(weights) & (weights > 0)).all():
+        raise ValueError(f"weighted_cross_entropy needs one finite, positive weight per class "
+                         f"({k} classes), got weights shaped {weights.shape}")
+    z, p, total = _shifted_softmax(logits)
     rows = np.arange(len(t))
     w = weights[t]
     denom = w.sum()
     value = float((w * (np.log(total[:, 0]) - z[rows, t])).sum() / denom)
-    g = p * w[:, None]
+    g = np.multiply(p, w[:, None], out=z)
     g[rows, t] -= w
-    return value, g / denom
+    return value, np.divide(g, denom, out=g), p
 
 
 def lovasz_softmax(probs: np.ndarray, targets: np.ndarray):
@@ -102,11 +117,11 @@ def lovasz_softmax(probs: np.ndarray, targets: np.ndarray):
     For each class c present among the targets, the errors m_i = |1{t_i =
     c} - p_ic| are sorted descending (stable) and dotted with the gradient
     of the Jaccard level-set interpolation; the loss is the mean over
-    present classes. Returns (value, grad_probs); the gradient is
-    piecewise-linear in each p column.
+    present classes. Returns (value, grad_logits), the gradient w.r.t. the
+    logits whose softmax ``probs`` is; it is piecewise-linear in each p column.
     """
     p = np.asarray(probs, dtype=np.float64)
-    t = _labelled_targets("lovasz_softmax", targets, p.shape[1])
+    t = _labelled_targets("lovasz_softmax", p, targets)
     grad = np.zeros_like(p)
     present = np.unique(t)
     total = 0.0
@@ -124,6 +139,9 @@ def lovasz_softmax(probs: np.ndarray, targets: np.ndarray):
         # d m_i / d p_ic is -1 on the class, +1 off it
         sign = np.where(gt[order] > 0, -1.0, 1.0)
         grad[order, c] += gvec * sign / len(present)
+    # d/dz_j = p_j * (d/dp_j - sum_i p_i d/dp_i)
+    grad -= (grad * p).sum(axis=1, keepdims=True)
+    grad *= p
     return total / len(present), grad
 
 
@@ -153,20 +171,22 @@ def segmentation_loss(
     The only loss code that reads ``ignore_id``: the labelled rows of the
     voxels, then of the points, are selected once, the losses see only
     those, and each gradient is zero on the ignored rows. An array without
-    a labelled row adds 0.0.
+    a labelled row adds 0.0. Lovasz reads the voxel cross-entropy's softmax.
     """
+    voxel_targets = _row_targets("segmentation_loss", voxel_logits, voxel_targets)
+    point_targets = _row_targets("segmentation_loss", point_logits, point_targets)
     ce_v = lov = ce_p = 0.0
     grad_v, grad_p = np.zeros(voxel_logits.shape), np.zeros(point_logits.shape)
     keep = voxel_targets != ignore_id
     if keep.any():
-        logits, targets = voxel_logits[keep], voxel_targets[keep]
-        ce_v, g_ce = weighted_cross_entropy(logits, targets, weights)
-        p = softmax(logits)
-        lov, g_lov = lovasz_softmax(p, targets)
-        grad_v[keep] = g_ce + softmax_grad_to_logits(p, g_lov)
+        ce_v, g, p = weighted_cross_entropy(voxel_logits[keep], voxel_targets[keep], weights)
+        lov, g_lov = lovasz_softmax(p, voxel_targets[keep])
+        grad_v[keep] = np.add(g, g_lov, out=g)
+        del g, p, g_lov
     keep = point_targets != ignore_id
     if keep.any():
-        ce_p, grad_p[keep] = weighted_cross_entropy(point_logits[keep], point_targets[keep], weights)
+        ce_p, grad_p[keep] = weighted_cross_entropy(point_logits[keep], point_targets[keep],
+                                                    weights)[:2]
     return LossReport(ce_v, lov, ce_p, grad_v, grad_p)
 
 

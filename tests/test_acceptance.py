@@ -277,15 +277,13 @@ def _fd_losses(rng):
     def ce_obj():
         return weighted_cross_entropy(logits, targets, weights)[0]
 
-    _, g = weighted_cross_entropy(logits, targets, weights)
+    _, g, _ = weighted_cross_entropy(logits, targets, weights)
     worst = max(worst, finite_diff_check(ce_obj, {"logits": logits}, {"logits": g}))
 
     def lovasz_obj():
         return lovasz_softmax(softmax(logits), targets)[0]
 
-    probs = softmax(logits)
-    _, gp = lovasz_softmax(probs, targets)
-    gl = probs * (gp - (gp * probs).sum(axis=1, keepdims=True))
+    _, gl = lovasz_softmax(softmax(logits), targets)
     worst = max(worst, finite_diff_check(lovasz_obj, {"logits": logits}, {"logits": gl}))
     return worst
 

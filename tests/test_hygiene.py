@@ -2,7 +2,9 @@
 
 import ast
 import pathlib
+import re
 import shlex
+import sys
 
 import pytest
 
@@ -37,6 +39,48 @@ def test_the_check_finds_unused_imports():
     source = "import os\nfrom dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    x: int\n"
     assert unused_imports(source) == [(1, "os"), (2, "field")]
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
+
+
+def undeclared_imports(source: str, declared):
+    """(line, name) of each top-level module a source imports that is
+    neither the standard library, ``cylseg`` itself nor in ``declared``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, top) for top in (n.split(".")[0] for n in names)
+                  if top not in sys.stdlib_module_names and top != "cylseg"
+                  and top not in declared]
+    return found
+
+
+def declared_dependencies():
+    """The distribution names ``pyproject.toml`` lists as runtime dependencies."""
+    import tomllib  # Python 3.11 on; the package itself supports 3.10
+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_module_imports_only_what_the_package_declares(path):
+    # the README's "the only runtime dependency is numpy"; scipy and
+    # hypothesis may be installed beside it without being declared
+    assert undeclared_imports(path.read_text(), declared_dependencies()) == []
+
+
+def test_the_check_finds_undeclared_imports():
+    source = ("from __future__ import annotations\nimport os.path, scipy.sparse\n"
+              "from . import sparse\nfrom .network import Conv\nimport cylseg.cli\n"
+              "def f():\n    from hypothesis import given\n    import numpy as np\n")
+    assert undeclared_imports(source, {"numpy"}) == [(2, "scipy"), (7, "hypothesis")]
+    assert undeclared_imports(source, set()) == [(2, "scipy"), (7, "hypothesis"), (8, "numpy")]
+    assert declared_dependencies() == {"numpy"}
 
 
 def private_imports(source: str):

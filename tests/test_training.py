@@ -23,6 +23,7 @@ from cylseg.training import (
     train_step,
     weighted_cross_entropy,
 )
+from helpers import traced_memory
 
 
 # -------------------------------------------------------------------- softmax
@@ -45,12 +46,12 @@ def test_softmax_shift_invariance():
 
 def test_ce_confident_correct_approaches_zero():
     logits = np.array([[50.0, 0.0]])
-    value, _ = weighted_cross_entropy(logits, np.array([0]))
+    value, _, _ = weighted_cross_entropy(logits, np.array([0]))
     assert 0.0 <= value < 1e-20
 
 
 def test_ce_uniform_logits_equals_log_k():
-    value, _ = weighted_cross_entropy(np.zeros((6, 4)), np.array([0, 1, 2, 3, 0, 1]))
+    value, _, _ = weighted_cross_entropy(np.zeros((6, 4)), np.array([0, 1, 2, 3, 0, 1]))
     assert value == pytest.approx(math.log(4.0), abs=1e-12)
 
 
@@ -59,7 +60,7 @@ def test_ce_matches_log_sum_exp_oracle():
     logits = rng.standard_normal((10, 3))
     targets = rng.integers(0, 3, size=10)
     weights = rng.uniform(0.5, 2.0, size=3)
-    value, _ = weighted_cross_entropy(logits, targets, weights)
+    value, _, _ = weighted_cross_entropy(logits, targets, weights)
 
     num = 0.0
     den = 0.0
@@ -75,8 +76,8 @@ def test_ce_invariant_to_weight_scaling():
     logits = rng.standard_normal((8, 3))
     targets = rng.integers(0, 3, size=8)
     w = rng.uniform(0.1, 1.0, size=3)
-    a, _ = weighted_cross_entropy(logits, targets, w)
-    b, _ = weighted_cross_entropy(logits, targets, 17.0 * w)
+    a, _, _ = weighted_cross_entropy(logits, targets, w)
+    b, _, _ = weighted_cross_entropy(logits, targets, 17.0 * w)
     assert a == pytest.approx(b, rel=1e-14)
 
 
@@ -100,7 +101,7 @@ def test_losses_name_themselves_when_given_no_rows(loss):
 
 def test_ce_stays_finite_at_a_logit_gap_of_1000():
     # exp(-1000) underflows to 0 in float64, so -log p_t would read inf
-    value, grad = weighted_cross_entropy(np.array([[1000.0, 0.0, -5.0]]), np.array([1]))
+    value, grad, _ = weighted_cross_entropy(np.array([[1000.0, 0.0, -5.0]]), np.array([1]))
     assert value == 1000.0
     np.testing.assert_array_equal(grad, [[1.0, -1.0, 0.0]])
 
@@ -114,7 +115,7 @@ def test_ce_gradient_finite_differences():
     def objective():
         return weighted_cross_entropy(logits, targets, weights)[0]
 
-    _, grad = weighted_cross_entropy(logits, targets, weights)
+    _, grad, _ = weighted_cross_entropy(logits, targets, weights)
     assert finite_diff_check(objective, {"logits": logits}, {"logits": grad}) < 1e-6
 
 
@@ -177,9 +178,7 @@ def test_lovasz_through_softmax_gradient():
     def objective():
         return lovasz_softmax(softmax(logits), targets)[0]
 
-    probs = softmax(logits)
-    _, grad_probs = lovasz_softmax(probs, targets)
-    grad_logits = probs * (grad_probs - (grad_probs * probs).sum(axis=1, keepdims=True))
+    _, grad_logits = lovasz_softmax(softmax(logits), targets)
     assert finite_diff_check(objective, {"logits": logits}, {"logits": grad_logits}) < 1e-6
 
 
@@ -255,6 +254,98 @@ def test_loss_of_an_all_ignored_array_is_zero():
     assert report.total == 0.0
     assert report.grad_point_logits.shape == (4, 2) and not report.grad_point_logits.any()
     assert not report.grad_voxel_logits.any()
+
+
+def test_the_losses_leave_the_callers_logits_as_they_were():
+    # the softmax shifts a float64 copy of the logits in place, never the
+    # caller's float64 array
+    logits, targets = np.random.default_rng(63).standard_normal((5, 3)), np.array([0, 1, 2, 0, 1])
+    before = logits.copy()
+    softmax(logits)
+    weighted_cross_entropy(logits, targets)
+    segmentation_loss(logits, targets, logits, targets)
+    np.testing.assert_array_equal(logits, before)
+
+
+def _float32_logits(rng, rows, k=19):
+    """Float32 logits and their targets, about 5% of them ignored (255)."""
+    targets = rng.integers(0, k, size=rows)
+    targets[rng.random(rows) < 0.05] = 255
+    return (3.0 * rng.standard_normal((rows, k))).astype(np.float32), targets
+
+
+def test_a_loss_exponentiates_each_labelled_array_once(monkeypatch):
+    # the voxel cross-entropy's softmax is the one Lovasz-softmax reads; a
+    # second softmax of the voxel logits made three calls
+    rng = np.random.default_rng(60)
+    (logits_v, targets_v), (logits_p, targets_p) = (_float32_logits(rng, n, 4)
+                                                    for n in (30, 50))
+    exp, calls = np.exp, []
+
+    def counted_exp(*args, **kwargs):
+        calls.append(1)
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted_exp)
+    report = segmentation_loss(logits_v, targets_v, logits_p, targets_p)
+    assert report.voxel_ce > 0 and report.voxel_lovasz > 0 and report.point_ce > 0
+    assert len(calls) == 2
+
+
+def test_a_loss_holds_little_beside_its_gradients():
+    # with a second softmax and the Lovasz gradient chained in new arrays, the
+    # peak was the gradients plus 7.1 float64 arrays of the point logits' size
+    rng = np.random.default_rng(61)
+    (logits_v, targets_v), (logits_p, targets_p) = (_float32_logits(rng, n)
+                                                    for n in (8_000, 16_000))
+    with traced_memory() as memory:
+        report = segmentation_loss(logits_v, targets_v, logits_p, targets_p)
+        peak = memory.peak()
+    grads = report.grad_voxel_logits.nbytes + report.grad_point_logits.nbytes
+    assert peak <= grads + 4 * report.grad_point_logits.nbytes, (
+        (peak - grads) / report.grad_point_logits.nbytes)
+
+
+WEIGHTS_3 = np.array([1.0, 2.0, 0.5])
+LOGITS_3 = np.random.default_rng(62).standard_normal((4, 3))
+TARGETS_3 = np.array([0, 2, 1, 1])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: weighted_cross_entropy(LOGITS_3, TARGETS_3, WEIGHTS_3[:, None]),
+     "weighted_cross_entropy needs one finite, positive weight per class"),
+    (lambda: weighted_cross_entropy(LOGITS_3, TARGETS_3, np.ones(5)),
+     "weighted_cross_entropy needs one finite, positive weight per class"),
+    (lambda: weighted_cross_entropy(LOGITS_3, TARGETS_3, np.ones(2)),
+     "weighted_cross_entropy needs one finite, positive weight per class"),
+    (lambda: weighted_cross_entropy(LOGITS_3, TARGETS_3 % 2, np.array([0.0, 0.0, 1.0])),
+     "weighted_cross_entropy needs one finite, positive weight per class"),
+    (lambda: weighted_cross_entropy(LOGITS_3, TARGETS_3, np.array([1.0, np.inf, 1.0])),
+     "weighted_cross_entropy needs one finite, positive weight per class"),
+    (lambda: segmentation_loss(LOGITS_3, TARGETS_3, LOGITS_3, TARGETS_3, np.ones(5)),
+     "weighted_cross_entropy needs one finite, positive weight per class"),
+    (lambda: weighted_cross_entropy(LOGITS_3, TARGETS_3[:3]),
+     "weighted_cross_entropy needs a (rows, classes) array with one row per target"),
+    (lambda: weighted_cross_entropy(LOGITS_3[:, 0], TARGETS_3),
+     "weighted_cross_entropy needs a (rows, classes) array with one row per target"),
+    (lambda: weighted_cross_entropy(LOGITS_3, TARGETS_3.astype(float)),
+     "weighted_cross_entropy needs integer labels"),
+    (lambda: lovasz_softmax(softmax(LOGITS_3), TARGETS_3[:2]),
+     "lovasz_softmax needs a (rows, classes) array with one row per target"),
+    (lambda: segmentation_loss(LOGITS_3, TARGETS_3[:3], LOGITS_3, TARGETS_3),
+     "segmentation_loss needs a (rows, classes) array with one row per target"),
+    (lambda: segmentation_loss(LOGITS_3, TARGETS_3, LOGITS_3[:2], TARGETS_3),
+     "segmentation_loss needs a (rows, classes) array with one row per target"),
+    (lambda: class_weights([np.array([0.0, 1.0])], 3, 255),
+     "class_weights needs integer labels, got float64"),
+], ids=["weights-3x1", "weights-5", "weights-2", "weights-zero-sum", "weights-inf",
+        "loss-weights-5", "rows-per-target", "logits-1d", "float-targets", "lovasz-rows",
+        "voxel-rows", "point-rows", "class-weights-float-labels"])
+def test_losses_refuse_malformed_inputs_in_one_line(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value).startswith(message), caught.value
+    assert "\n" not in str(caught.value)
 
 
 def test_class_weights_inverse_sqrt_frequency():
